@@ -30,7 +30,6 @@ from .ipomset import (
     glue_all,
     identity,
     interval_representation,
-    is_isomorphic,
     refinements,
     remove_target_positions,
     remove_targets,

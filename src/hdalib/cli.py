@@ -4,7 +4,8 @@ Exit codes: 0 for a true verdict or successful computation, 1 for a false
 verdict or counterexample, 2 for errors (parse failures, axiom violations,
 interface mismatches).  ``--json`` switches verdict commands to a
 machine-readable object on stdout.  The HDALIB_MAX_STEPS environment
-variable sets the default bound for language enumeration.
+variable sets the default bound for language enumeration; a value that is
+not a positive integer is an error (exit code 2).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from . import hda as hda_mod
 from . import language as lang_mod
 from . import myhill_nerode as mn_mod
-from .errors import HdalibError
+from .errors import HdalibError, ParseError
 from .formats import (
     TIE_BREAKS,
     hda_to_dot,
@@ -27,7 +28,6 @@ from .formats import (
     ipomset_to_block,
     ipomset_to_json,
     ipomset_to_text,
-    lang_to_text,
     parse_hda,
     parse_ipomset_text,
     parse_lang,
@@ -42,7 +42,15 @@ from .ipomset import (
     subsumes_witness,
 )
 
-DEFAULT_MAX_STEPS = int(os.environ.get("HDALIB_MAX_STEPS", "12"))
+DEFAULT_MAX_STEPS = 12
+
+
+def _default_max_steps() -> int:
+    """HDALIB_MAX_STEPS, read when a command needs it, else the fallback."""
+    raw = os.environ.get("HDALIB_MAX_STEPS", str(DEFAULT_MAX_STEPS))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ParseError(f"HDALIB_MAX_STEPS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _read_ipomset(arg: str):
@@ -176,7 +184,8 @@ def cmd_hda_validate(args) -> int:
 
 
 def cmd_hda_lang(args) -> int:
-    members = hda_mod.enumerate_language(_read_hda(args.input), args.max_steps)
+    bound = _default_max_steps() if args.max_steps is None else args.max_steps
+    members = hda_mod.enumerate_language(_read_hda(args.input), bound)
     _emit(
         _quotient_json(members),
         args.json,
@@ -466,7 +475,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p = add(hd, "lang", cmd_hda_lang, help="bounded language enumeration")
     p.add_argument("input")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=int)
     p = add(hd, "member", cmd_hda_member, help="membership with witness path")
     p.add_argument("input")
     p.add_argument("ipomset", nargs="?")

@@ -9,21 +9,17 @@ the composite lower face δ⁰_A of y.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import FaceTypingError, IdentityViolation
 from .ipomset import (
-    EMPTY,
     Ipomset,
     Loset,
     STARTER,
-    StarterTerminator,
-    TERMINATOR,
     glue,
     identity,
     sparse_decomposition,
-    sorted_ipomsets,
     starter,
     terminator,
 )
@@ -58,9 +54,6 @@ class Hda:
 
     def __getitem__(self, name: str) -> Cell:
         return self.cells[name]
-
-    def by_loset(self, loset: Loset) -> list[Cell]:
-        return [c for c in self.cells.values() if c.ev == loset]
 
     def alphabet(self) -> frozenset[str]:
         return frozenset(itertools.chain.from_iterable(c.ev for c in self.cells.values()))
@@ -253,11 +246,13 @@ def _merge(x: Hda, s1: PathStep, s2: PathStep, first: str, last: str) -> PathSte
         # positions of the middle cell reindex into the bigger final cell
         keep = [p for p in range(len(x.cells[last].ev)) if p not in s2.positions]
         pos = frozenset(keep[p] for p in s1.positions) | s2.positions
-        assert composite_face(x, last, LOWER, pos) == first
+        if composite_face(x, last, LOWER, pos) != first:
+            raise FaceTypingError(f"merged upstep: {first} is not δ⁰ of {last}")
         return PathStep(UP, pos)
     keep = [p for p in range(len(x.cells[first].ev)) if p not in s1.positions]
     pos = s1.positions | frozenset(keep[p] for p in s2.positions)
-    assert composite_face(x, first, UPPER, pos) == last
+    if composite_face(x, first, UPPER, pos) != last:
+        raise FaceTypingError(f"merged downstep: {last} is not δ¹ of {first}")
     return PathStep(DOWN, pos)
 
 

@@ -53,10 +53,10 @@ class Ipomset:
 
     def source_events(self) -> tuple[int, ...]:
         """Source events in event order (the source interface loset)."""
-        return _loset_sort(self, self.source)
+        return _loset_sort(self.evord, self.source)
 
     def target_events(self) -> tuple[int, ...]:
-        return _loset_sort(self, self.target)
+        return _loset_sort(self.evord, self.target)
 
     def source_loset(self) -> Loset:
         return tuple(self.labels[i] for i in self.source_events())
@@ -115,9 +115,7 @@ class StarterTerminator:
         return self.loset
 
     def as_ipomset(self) -> Ipomset:
-        if self.kind == STARTER:
-            return starter(self.loset, self.active)
-        return terminator(self.loset, self.active)
+        return _discrete(self.kind, self.loset, self.active)
 
     def __repr__(self) -> str:
         arrow = "↑" if self.kind == STARTER else "↓"
@@ -190,14 +188,10 @@ def _freeze(m: Sequence[Sequence[bool]]) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-def _loset_sort(p: Ipomset, events: Iterable[int]) -> tuple[int, ...]:
+def _loset_sort(evord: Sequence[Sequence[bool]], events: Iterable[int]) -> tuple[int, ...]:
     ev = list(events)
-    # interface events are pairwise concurrent, so evord orders them totally
-    return tuple(sorted(ev, key=lambda i: sum(p.evord[j][i] for j in ev)))
-
-
-def _down_sets(n: int, prec: Sequence[Sequence[bool]]) -> list[frozenset[int]]:
-    return [frozenset(j for j in range(n) if prec[j][i]) for i in range(n)]
+    # the events are pairwise concurrent, so evord orders them totally
+    return tuple(sorted(ev, key=lambda i: sum(evord[j][i] for j in ev)))
 
 
 def moments(n: int, prec: Sequence[Sequence[bool]]) -> list[frozenset[int]]:
@@ -206,14 +200,15 @@ def moments(n: int, prec: Sequence[Sequence[bool]]) -> list[frozenset[int]]:
     For interval orders the strict down-sets are nested; the maximal
     antichains are exactly {x : D(x) ⊆ D, x ∉ D} for each distinct
     down-set D, ordered by inclusion of D.
+
+    Raises :class:`AxiomViolation` when the down-sets are not nested, which
+    happens exactly when precedence contains a 2+2 (Fishburn 1985).
     """
-    if n == 0:
-        return []
-    downs = _down_sets(n, prec)
+    downs = [frozenset(j for j in range(n) if prec[j][i]) for i in range(n)]
     distinct = sorted(set(downs), key=len)
     for a, b in zip(distinct, distinct[1:]):
-        if not a < b:  # pragma: no cover - guarded by the 2+2 check
-            raise AxiomViolation("precedence is not an interval order")
+        if not a < b:
+            raise AxiomViolation("precedence admits no interval representation (2+2)")
     return [
         frozenset(x for x in range(n) if downs[x] <= d and x not in d)
         for d in distinct
@@ -258,17 +253,7 @@ def canonicalize(
                 raise AxiomViolation(
                     f"events {i} and {j} unrelated by precedence and event order"
                 )
-    # 2+2 freeness: a<b and c<d force a<d or c<b
-    for a in range(n):
-        for b in range(n):
-            if not prec_m[a][b]:
-                continue
-            for c in range(n):
-                for d in range(n):
-                    if prec_m[c][d] and not prec_m[a][d] and not prec_m[c][b]:
-                        raise AxiomViolation(
-                            "precedence admits no interval representation (2+2)"
-                        )
+    ants = moments(n, prec_m)
     for s in source:
         if any(prec_m[x][s] for x in range(n)):
             raise AxiomViolation("source event is not minimal")
@@ -276,7 +261,7 @@ def canonicalize(
         if any(prec_m[t][x] for x in range(n)):
             raise AxiomViolation("target event is not maximal")
 
-    order = _canonical_order(n, source, prec_m, ev_m)
+    order = _canonical_order(ants, source, ev_m)
     pos = {old: new for new, old in enumerate(order)}
     new_labels = tuple(labels[i] for i in order)
     new_source = frozenset(pos[i] for i in source)
@@ -298,10 +283,9 @@ def canonicalize(
     )
 
 
-def _canonical_order(n, source, prec_m, ev_m) -> list[int]:
+def _canonical_order(ants, source, ev_m) -> list[int]:
     """Events grouped by the starter step that introduces them, each group
     sorted by event order.  Group 0 is the source interface."""
-    ants = moments(n, prec_m)
     groups: list[list[int]] = [sorted(source)]
     seen = set(source)
     for ant in ants:
@@ -311,19 +295,30 @@ def _canonical_order(n, source, prec_m, ev_m) -> list[int]:
             groups.append(fresh)
     order: list[int] = []
     for g in groups:
-        order.extend(sorted(g, key=lambda i: sum(ev_m[j][i] for j in g)))
+        order.extend(_loset_sort(ev_m, g))
     return order
 
 
-def from_ipomset(p: Ipomset) -> Ipomset:
-    """Re-canonicalize (idempotence helper, used by tests)."""
-    n = p.n
+def _rebuild(
+    p: Ipomset,
+    keep: Iterable[int],
+    source: Iterable[int],
+    target: Iterable[int],
+    extra_prec: Iterable[tuple[int, int]] = (),
+) -> Ipomset:
+    """Canonical form of the events ``keep`` of p with their precedence and
+    event order, plus ``extra_prec``.  Every argument names events of p;
+    interface events outside ``keep`` are dropped."""
+    keep = sorted(keep)
+    idx = {e: k for k, e in enumerate(keep)}
+    prec = [(idx[a], idx[b]) for a in keep for b in keep if p.prec[a][b]]
+    prec += [(idx[a], idx[b]) for a, b in extra_prec]
     return canonicalize(
-        p.labels,
-        p.source,
-        p.target,
-        [(i, j) for i in range(n) for j in range(n) if p.prec[i][j]],
-        [(i, j) for i in range(n) for j in range(n) if p.evord[i][j]],
+        [p.labels[e] for e in keep],
+        [idx[e] for e in source if e in idx],
+        [idx[e] for e in target if e in idx],
+        prec,
+        [(idx[a], idx[b]) for a in keep for b in keep if p.evord[a][b]],
     )
 
 
@@ -334,44 +329,36 @@ EMPTY = canonicalize(())
 # constructors
 
 
+def _discrete(kind: str, loset: Loset, active: Iterable[int]) -> Ipomset:
+    """The discrete ipomset on ``loset`` whose events at positions ``active``
+    start (STARTER) or terminate (TERMINATOR); all others span it."""
+    n = len(loset)
+    active = frozenset(active)
+    if any(not (0 <= i < n) for i in active):
+        raise AxiomViolation(f"{kind} positions out of range")
+    every = range(n)
+    rest = [i for i in every if i not in active]
+    source, target = (rest, every) if kind == STARTER else (every, rest)
+    return canonicalize(loset, source, target, (), itertools.combinations(every, 2))
+
+
 def identity(loset: Loset) -> Ipomset:
     """The discrete ipomset id_U: every event in both interfaces."""
-    n = len(loset)
-    rng = range(n)
-    return canonicalize(loset, rng, rng, (), [(i, j) for i in rng for j in rng if i < j])
+    return _discrete(STARTER, loset, ())
 
 
 def starter(loset: Loset, active: Iterable[int]) -> Ipomset:
     """U↑A: the events at positions ``active`` start, the rest stay active."""
-    n = len(loset)
-    active = frozenset(active)
-    if any(not (0 <= i < n) for i in active):
-        raise AxiomViolation("starter positions out of range")
-    src = [i for i in range(n) if i not in active]
-    return canonicalize(
-        loset, src, range(n), (), [(i, j) for i in range(n) for j in range(n) if i < j]
-    )
+    return _discrete(STARTER, loset, active)
 
 
 def terminator(loset: Loset, active: Iterable[int]) -> Ipomset:
     """U↓A: the events at positions ``active`` terminate."""
-    n = len(loset)
-    active = frozenset(active)
-    if any(not (0 <= i < n) for i in active):
-        raise AxiomViolation("terminator positions out of range")
-    tgt = [i for i in range(n) if i not in active]
-    return canonicalize(
-        loset, range(n), tgt, (), [(i, j) for i in range(n) for j in range(n) if i < j]
-    )
+    return _discrete(TERMINATOR, loset, active)
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and subsumption
-
-
-def is_isomorphic(p: Ipomset, q: Ipomset) -> bool:
-    """Canonical forms make isomorphism a structural equality."""
-    return p == q
+# subsumption
 
 
 def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
@@ -528,7 +515,7 @@ def sparse_decomposition(p: Ipomset) -> StepSequence:
 
     prev = init
     for ant in ants:
-        cur = _loset_sort(p, ant)
+        cur = _loset_sort(p.evord, ant)
         gone = [i for i, e in enumerate(prev) if e not in ant]
         if gone:
             steps.append(StarterTerminator(TERMINATOR, loset_of(prev), frozenset(gone)))
@@ -662,27 +649,13 @@ def refinements(p: Ipomset) -> frozenset[Ipomset]:
         pairs = [(i, j) for i in range(n) for j in range(n) if cur.is_concurrent(i, j)]
         for i, j in pairs:
             try:
-                nxt = _with_extra_prec(cur, i, j)
+                nxt = _rebuild(cur, range(n), cur.source, cur.target, [(i, j)])
             except AxiomViolation:
                 continue
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
     return frozenset(seen)
-
-
-def _with_extra_prec(p: Ipomset, i: int, j: int) -> Ipomset:
-    n = p.n
-    prec = {(a, b) for a in range(n) for b in range(n) if p.prec[a][b]}
-    prec.add((i, j))
-    closed = _closure(n, prec)
-    evord = [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if p.evord[a][b] and not closed[a][b] and not closed[b][a]
-    ]
-    return canonicalize(p.labels, p.source, p.target, prec, evord)
 
 
 def down_close(xs: Iterable[Ipomset]) -> frozenset[Ipomset]:
@@ -716,14 +689,7 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
     if bad:
         raise NotRemovable(f"events {sorted(bad)} are not removable targets")
     keep = [i for i in range(p.n) if i not in drop]
-    idx = {e: k for k, e in enumerate(keep)}
-    return canonicalize(
-        [p.labels[e] for e in keep],
-        [idx[e] for e in p.source],
-        [idx[e] for e in p.target if e not in drop],
-        [(idx[a], idx[b]) for a in keep for b in keep if p.prec[a][b]],
-        [(idx[a], idx[b]) for a in keep for b in keep if p.evord[a][b]],
-    )
+    return _rebuild(p, keep, p.source, p.target)
 
 
 def remove_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
@@ -764,37 +730,14 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
             continue
         if any(s in right for s in m.source) or any(t in left for t in m.target):
             continue
-        pq = _split(m, left, mid, right)
-        if pq is None:
-            continue
-        p, q = pq
         try:
+            p = _rebuild(m, left + mid, m.source, mid)
+            q = _rebuild(m, mid + right, mid, m.target)
             if glue(p, q) == m:
                 out.add((p, q))
         except (InterfaceMismatch, AxiomViolation):
             continue
     return frozenset(out)
-
-
-def _split(m, left, mid, right):
-    try:
-        p = _restrict(m, left + mid, source=m.source, target=mid)
-        q = _restrict(m, mid + right, source=mid, target=m.target)
-    except AxiomViolation:
-        return None
-    return p, q
-
-
-def _restrict(m: Ipomset, events: list[int], source, target) -> Ipomset:
-    keep = sorted(events)
-    idx = {e: k for k, e in enumerate(keep)}
-    return canonicalize(
-        [m.labels[e] for e in keep],
-        [idx[e] for e in source if e in idx],
-        [idx[e] for e in target if e in idx],
-        [(idx[a], idx[b]) for a in keep for b in keep if m.prec[a][b]],
-        [(idx[a], idx[b]) for a in keep for b in keep if m.evord[a][b]],
-    )
 
 
 def sorted_ipomsets(xs: Iterable[Ipomset]) -> list[Ipomset]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import NotDownClosed
@@ -18,9 +18,7 @@ from .ipomset import (
     down_close,
     enumerate_divisions,
     fin,
-    refinements,
     remove_targets,
-    rfin_events,
     sorted_ipomsets,
     subsumes,
 )
@@ -45,6 +43,21 @@ class LanguageSet:
 
     def sorted_members(self) -> list[Ipomset]:
         return sorted_ipomsets(self.members)
+
+    @cached_property
+    def _index(self) -> _DivisionIndex:
+        """The division index, built on the first quotient query and kept
+        for the life of this language only."""
+        by_left: dict[Ipomset, set[Ipomset]] = {}
+        by_right: dict[Ipomset, set[Ipomset]] = {}
+        for m in self.members:
+            for p, q in enumerate_divisions(m):
+                by_left.setdefault(p, set()).add(q)
+                by_right.setdefault(q, set()).add(p)
+        return _DivisionIndex(
+            by_left={k: frozenset(v) for k, v in by_left.items()},
+            by_right={k: frozenset(v) for k, v in by_right.items()},
+        )
 
 
 def language(
@@ -86,37 +99,19 @@ class _DivisionIndex:
     by_right: dict
 
 
-@lru_cache(maxsize=None)
-def _index(lang: LanguageSet) -> _DivisionIndex:
-    by_left: dict[Ipomset, set[Ipomset]] = {}
-    by_right: dict[Ipomset, set[Ipomset]] = {}
-    for m in lang.members:
-        for p, q in enumerate_divisions(m):
-            by_left.setdefault(p, set()).add(q)
-            by_right.setdefault(q, set()).add(p)
-    return _DivisionIndex(
-        by_left={k: frozenset(v) for k, v in by_left.items()},
-        by_right={k: frozenset(v) for k, v in by_right.items()},
-    )
-
-
 def prefix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
     """P\\L = {Q | P*Q ∈ L}."""
-    return _index(lang).by_left.get(p, EMPTY_QUOTIENT)
+    return lang._index.by_left.get(p, EMPTY_QUOTIENT)
 
 
 def suffix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
     """L/P = {Q | Q*P ∈ L}."""
-    return _index(lang).by_right.get(p, EMPTY_QUOTIENT)
+    return lang._index.by_right.get(p, EMPTY_QUOTIENT)
 
 
 def prefixes(lang: LanguageSet) -> frozenset[Ipomset]:
     """All P with nonempty prefix quotient (left parts of divisions)."""
-    return frozenset(_index(lang).by_left)
-
-
-def suffixes(lang: LanguageSet) -> frozenset[Ipomset]:
-    return frozenset(_index(lang).by_right)
+    return frozenset(lang._index.by_left)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +135,11 @@ class QuotientFamily:
         return len(self.entries)
 
 
-def _family(reps: Iterable[Ipomset], get) -> QuotientFamily:
+def suffix_quotient_family(lang: LanguageSet) -> QuotientFamily:
+    """suff(L): all distinct values of P\\L."""
     chosen: dict[Quotient, Optional[Ipomset]] = {}
-    for p in sorted_ipomsets(reps):
-        val = get(p)
-        chosen.setdefault(val, p)
+    for p in sorted_ipomsets(prefixes(lang)):
+        chosen.setdefault(prefix_quotient(lang, p), p)
     chosen.setdefault(EMPTY_QUOTIENT, None)
     entries = tuple(
         (rep, val)
@@ -154,16 +149,6 @@ def _family(reps: Iterable[Ipomset], get) -> QuotientFamily:
         )
     )
     return QuotientFamily(entries=entries)
-
-
-def suffix_quotient_family(lang: LanguageSet) -> QuotientFamily:
-    """suff(L): all distinct values of P\\L."""
-    return _family(prefixes(lang), lambda p: prefix_quotient(lang, p))
-
-
-def prefix_quotient_family(lang: LanguageSet) -> QuotientFamily:
-    """pref(L): all distinct values of L/P (kept for symmetry)."""
-    return _family(suffixes(lang), lambda p: suffix_quotient(lang, p))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Cells are strong-equivalence classes of prefixes, closed under all face
 maps.  Upper faces terminate target events; lower faces either remove a
-removable target or land in a subsidiary placeholder cell (one per loset).
+removable target or land in a subsidiary placeholder cell (one per loset,
+named ``w_`` plus its labels, with a ``~k`` suffix when that name is taken).
 """
 
 from __future__ import annotations
@@ -100,7 +101,13 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
 
     def subsidiary(loset: Loset) -> str:
         if loset not in subs:
-            cid = "w_" + "".join(loset)
+            # multi-letter labels can give two losets the same joined name;
+            # the suffix is not "#k" because "#" starts a .hda comment
+            base = cid = "w_" + "".join(loset)
+            k = 0
+            while cid in records:
+                k += 1
+                cid = f"{base}~{k}"
             subs[loset] = cid
             records[cid] = {
                 "kind": SUBSIDIARY,
@@ -171,12 +178,6 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         for cid in order
     }
     return MnAutomaton(hda=hda, cells=mn_cells, lang=lang, _by_key=by_key)
-
-
-def classify(p: Ipomset, lang: LanguageSet):
-    """The strong-equivalence key of an ipomset: its quotient, target
-    signature, and the quotients of every target removal."""
-    return class_key(lang, p)
 
 
 @dataclass(frozen=True)

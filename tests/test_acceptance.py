@@ -55,7 +55,7 @@ from hdalib.language import (
     strong_equiv,
     weak_equiv,
 )
-from hdalib.myhill_nerode import SUBSIDIARY, build_mn, classify, verify_mn
+from hdalib.myhill_nerode import SUBSIDIARY, build_mn, verify_mn
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -233,3 +233,10 @@ class TestContract:
         assert "ba" not in out.split()  # needs 4 steps, bound is 2
         monkeypatch.undo()
         importlib.reload(cli_mod)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_bad_env_var_is_an_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HDALIB_MAX_STEPS", value)
+        code, out, err = run(capsys, "hda", "lang", DATA / "square2d.hda")
+        assert code == 2 and out == ""
+        assert "HDALIB_MAX_STEPS" in err and "Traceback" not in err

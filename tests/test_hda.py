@@ -141,6 +141,16 @@ class TestPathsAndEv:
         assert n == HdaPath(cells=("v", "q"), steps=(up(0, 1),))
         assert ev_of_path(square, p) == ev_of_path(square, n)
 
+    def test_merge_of_unbacked_steps_raises(self, square):
+        # merging reads only the end cells: v, not w, is the corner of q
+        # below both events, and y, not x, the corner above both
+        for cells, steps in (
+            (("w", "e", "q"), (up(0), up(1))),
+            (("q", "f", "x"), (down(1), down(0))),
+        ):
+            with pytest.raises(FaceTypingError):
+                sparse_normalize(square, HdaPath(cells=cells, steps=steps))
+
     def test_merge_two_downsteps(self, square):
         p = HdaPath(cells=("q", "f", "y"), steps=(down(1), down(0)))
         n = sparse_normalize(square, p)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -16,11 +18,9 @@ from hdalib.ipomset import (
     subsumes,
 )
 from hdalib.language import (
-    QuotientFamily,
     is_swap_invariant,
     language,
     prefix_quotient,
-    prefix_quotient_family,
     prefixes,
     strong_equiv,
     suffix_quotient,
@@ -92,6 +92,14 @@ class TestQuotients:
     def test_prefixes_empty_language(self):
         assert prefixes(language([])) == frozenset()
 
+    def test_index_dies_with_its_language(self):
+        lang = language([word("ab")])
+        assert prefix_quotient(lang, word("a")) == frozenset({word("b")})
+        ref = weakref.ref(lang)
+        del lang
+        gc.collect()
+        assert ref() is None
+
     def test_division_quotient_equals_definitional(self, table_lang):
         # glue each candidate back and test membership directly
         candidates = {q for m in table_lang.members for _, q in enumerate_divisions(m)}
@@ -128,12 +136,6 @@ class TestQuotientFamilies:
                 frozenset(),
             }
         )
-
-    def test_prefix_family_mirrors(self, table_lang):
-        fam = prefix_quotient_family(table_lang)
-        assert isinstance(fam, QuotientFamily)
-        assert frozenset() in fam.values()
-        assert frozenset({word("ab")}) in fam.values()  # L/c
 
 
 class TestEquivalences:

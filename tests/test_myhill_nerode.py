@@ -5,6 +5,7 @@ import pytest
 from conftest import par, random_language, word
 
 from hdalib.errors import NotDownClosed
+from hdalib.formats import hda_to_text, parse_hda
 from hdalib.hda import (
     build_hda,
     enumerate_language,
@@ -19,12 +20,11 @@ from hdalib.ipomset import (
     identity,
     sorted_ipomsets,
 )
-from hdalib.language import LanguageSet, is_swap_invariant, language, prefixes
+from hdalib.language import LanguageSet, class_key, is_swap_invariant, language, prefixes
 from hdalib.myhill_nerode import (
     REGULAR,
     SUBSIDIARY,
     build_mn,
-    classify,
     verify_mn,
 )
 
@@ -101,7 +101,7 @@ class TestBuildShape:
         other = build_mn(relisted)
 
         def summary(mn):
-            key_of = {cid: classify(c.representative, mn.lang) if c.representative
+            key_of = {cid: class_key(mn.lang, c.representative) if c.representative
                       else ("w", c.loset) for cid, c in mn.cells.items()}
             return {
                 key_of[cid]: (
@@ -165,7 +165,7 @@ class TestInterfaceLanguage:
         y2 = canonicalize(
             "aaa", source=[0, 2], prec=[(0, 1)], evord=[(0, 2), (1, 2)]
         )
-        assert classify(y1, double_a_lang) == classify(y2, double_a_lang)
+        assert class_key(double_a_lang, y1) == class_key(double_a_lang, y2)
         assert mn.cell_of(y1) == mn.cell_of(y2)
         assert not mn.cells[mn.cell_of(y1)].essential
 
@@ -180,6 +180,17 @@ class TestInterfaceLanguage:
         mn = build_mn(double_a_lang)
         assert verify_mn(double_a_lang, mn).ok
 
+    def test_multi_letter_labels_get_distinct_subsidiaries(self):
+        # the losets (ab) and (a b) both join to "ab"
+        lang = language([identity(("s", "ab")), identity(("s", "a", "b"))])
+        mn = build_mn(lang)
+        assert verify_mn(lang, mn).ok
+        subs = {c.loset: cid for cid, c in mn.cells.items() if c.kind == SUBSIDIARY}
+        assert subs[("ab",)] != subs[("a", "b")]
+        assert {subs[("ab",)], subs[("a", "b")]} == {"w_ab", "w_ab~1"}
+        again = parse_hda(hda_to_text(mn.hda))
+        assert again.cells == mn.hda.cells
+
 
 class TestClassify:
     def test_key_equality_is_strong_equivalence(self, table_lang):
@@ -188,13 +199,13 @@ class TestClassify:
         pres = sorted_ipomsets(prefixes(table_lang))
         for p in pres[:8]:
             for q in pres[:8]:
-                assert (classify(p, table_lang) == classify(q, table_lang)) == (
+                assert (class_key(table_lang, p) == class_key(table_lang, q)) == (
                     strong_equiv(p, q, table_lang)
                 )
 
     def test_trivial_reflexivity(self, table_lang):
         p = word("ab")
-        assert classify(p, table_lang) == classify(p, table_lang)
+        assert class_key(table_lang, p) == class_key(table_lang, p)
 
 
 class TestVerify:

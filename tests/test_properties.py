@@ -7,10 +7,10 @@ from conftest import random_ipomset, random_language
 
 from hdalib.hda import enumerate_language, is_deterministic
 from hdalib.ipomset import (
+    canonicalize,
     enumerate_divisions,
     fin,
     from_intervals,
-    from_ipomset,
     glue,
     identity,
     interval_representation,
@@ -88,7 +88,10 @@ SLOW = settings(max_examples=20, deadline=None)
 @FAST
 @given(ipomsets())
 def test_canonicalize_idempotent(p):
-    assert from_ipomset(p) == p
+    ij = [(i, j) for i in range(p.n) for j in range(p.n)]
+    prec = [(i, j) for i, j in ij if p.prec[i][j]]
+    evord = [(i, j) for i, j in ij if p.evord[i][j]]
+    assert canonicalize(p.labels, p.source, p.target, prec, evord) == p
 
 
 @FAST
