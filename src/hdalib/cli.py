@@ -11,6 +11,7 @@ not a positive integer is an error (exit code 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,9 +55,21 @@ def _default_max_steps() -> int:
 
 
 def _read_ipomset(arg: str):
+    """Parse the regular file ``arg`` names, else ``arg`` itself as an
+    expression.  Any other existing path is an error, and ``""`` is an
+    expression, never the current directory."""
     path = Path(arg)
-    if path.exists():
-        return parse_ipomset_text(path.read_text())
+    try:
+        is_file, exists = path.is_file(), path.exists()
+    except OSError:  # a name no path can have, e.g. one too long
+        is_file = exists = False
+    if is_file:
+        try:
+            return parse_ipomset_text(path.read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {arg}: {exc}") from exc
+    if arg and exists:
+        raise ParseError(f"{arg} is not a regular file")
     return parse_ipomset_text(arg)
 
 
@@ -440,7 +453,10 @@ def cmd_ingest(args) -> int:
 # parser wiring
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; ``parse_args`` returns a fresh namespace each time."""
     top = argparse.ArgumentParser(
         prog="hdalib",
         description="ipomsets, higher-dimensional automata, and their languages",

@@ -710,33 +710,47 @@ def clear_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
 def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     """All pairs (p, q) with p*q ≅ m.
 
-    Enumerates three-way splits of the events (left part, glued interface,
-    right part), filtering on the order constraints a gluing imposes, and
-    keeps a candidate only when glueing it back reproduces m.
+    A division splits the events three ways: the left part (only in p), the
+    glued interface (p's target and q's source) and the right part (only in
+    q).  A backtracking search places the events one at a time, in index
+    order, on one of the three sides, and drops a branch as soon as the new
+    event breaks a constraint every gluing imposes with an event already
+    placed: the interface is an antichain, every left event precedes every
+    right event, no interface event precedes a left one, no right event
+    precedes an interface one, no source event is on the right and no
+    target event on the left.  Each complete split is kept only when
+    glueing its two parts back reproduces m.  The cost therefore follows
+    the number of partial splits that survive pruning, not the 3^n splits
+    of all events: a word of n events reaches only its 2n+1 divisions.
     """
     n = m.n
+    pred = [sum(1 << a for a in range(n) if m.prec[a][e]) for e in range(n)]
+    succ = [sum(1 << b for b in range(n) if m.prec[e][b]) for e in range(n)]
     out: set[tuple[Ipomset, Ipomset]] = set()
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        left = [i for i in range(n) if assign[i] == 0]
-        mid = [i for i in range(n) if assign[i] == 1]
-        right = [i for i in range(n) if assign[i] == 2]
-        if any(m.prec[a][b] or m.prec[b][a] for a, b in itertools.combinations(mid, 2)):
-            continue
-        if any(not m.prec[a][b] for a in left for b in right):
-            continue
-        if any(m.prec[a][b] for a in mid for b in left):
-            continue
-        if any(m.prec[a][b] for a in right for b in mid):
-            continue
-        if any(s in right for s in m.source) or any(t in left for t in m.target):
-            continue
-        try:
-            p = _rebuild(m, left + mid, m.source, mid)
-            q = _rebuild(m, mid + right, mid, m.target)
-            if glue(p, q) == m:
-                out.add((p, q))
-        except (InterfaceMismatch, AxiomViolation):
-            continue
+
+    def events(mask: int) -> list[int]:
+        return [i for i in range(n) if mask >> i & 1]
+
+    def place(e: int, left: int, mid: int, right: int) -> None:
+        if e == n:
+            lo, mi, hi = events(left), events(mid), events(right)
+            try:
+                p = _rebuild(m, lo + mi, m.source, mi)
+                q = _rebuild(m, mi + hi, mi, m.target)
+                if glue(p, q) == m:
+                    out.add((p, q))
+            except (InterfaceMismatch, AxiomViolation):
+                pass
+            return
+        bit = 1 << e
+        if e not in m.target and not right & ~succ[e] and not mid & pred[e]:
+            place(e + 1, left | bit, mid, right)
+        if not mid & (pred[e] | succ[e]) and not left & succ[e] and not right & pred[e]:
+            place(e + 1, left, mid | bit, right)
+        if e not in m.source and not left & ~pred[e] and not mid & succ[e]:
+            place(e + 1, left, mid, right | bit)
+
+    place(0, 0, 0, 0)
     return frozenset(out)
 
 

@@ -72,6 +72,18 @@ class TestIpoCommands:
         assert code == 0
         assert len(out.strip().splitlines()) == 5
 
+    @pytest.mark.parametrize("argv", [["canon", DATA], ["glue", DATA, "a"]])
+    def test_directory_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, "ipo", *argv)
+        assert code == 2 and out == ""
+        assert "ParseError" in err and "not a regular file" in err
+
+    def test_empty_argument_is_an_expression(self, capsys):
+        code, out, err = run(capsys, "ipo", "glue", "[a|b]", "")
+        assert (code, out.strip(), err) == (0, "[a|b]", "")
+        code, out, err = run(capsys, "ipo", "canon", "")
+        assert code == 0 and out.splitlines()[-1] == "ε"
+
 
 class TestHdaCommands:
     def test_validate(self, capsys):
@@ -233,6 +245,27 @@ class TestContract:
         assert "ba" not in out.split()  # needs 4 steps, bound is 2
         monkeypatch.undo()
         importlib.reload(cli_mod)
+
+    def test_repeated_calls_share_no_state(self, capsys, monkeypatch):
+        from hdalib import cli as cli_mod
+        from hdalib import hda as hda_mod
+
+        monkeypatch.delenv("HDALIB_MAX_STEPS", raising=False)
+        bounds = []
+        enumerate_language = hda_mod.enumerate_language
+
+        def recording(x, bound):
+            bounds.append(bound)
+            return enumerate_language(x, bound)
+
+        monkeypatch.setattr(hda_mod, "enumerate_language", recording)
+        square = DATA / "square2d.hda"
+        code, out, _ = run(capsys, "hda", "lang", square, "--json", "--max-steps", "8")
+        assert code == 0 and len(json.loads(out)) == 5
+        code, out, _ = run(capsys, "hda", "lang", square)
+        assert code == 0
+        assert sorted(out.split()) == sorted(["[a|b]", "ab", "[a|b•]", "ab•", "ba"])
+        assert bounds == [8, cli_mod.DEFAULT_MAX_STEPS]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
     def test_bad_env_var_is_an_error(self, capsys, monkeypatch, value):

@@ -455,8 +455,26 @@ class TestDivisions:
         assert enumerate_divisions(u) == frozenset({(u, u)})
 
     def test_matches_partition_oracle(self, small_corpus):
-        for m in small_corpus[::21]:
+        for m in small_corpus:
             assert enumerate_divisions(m) == oracle_divisions(m)
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    @pytest.mark.parametrize("src,tgt", itertools.product((False, True), repeat=2))
+    def test_matches_partition_oracle_on_words(self, n, src, tgt):
+        labels = ("ab" * 4)[:n]
+        source, target = [0] * src, [n - 1] * tgt
+        chain = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        near = [(i, j) for i, j in chain if (i, j) != (1, 2)]  # events 1, 2 concurrent
+        for m in (
+            canonicalize(labels, source, target, chain),
+            canonicalize(labels, source, target, near, [(1, 2)]),
+        ):
+            assert enumerate_divisions(m) == oracle_divisions(m)
+
+    def test_word_has_2n_plus_1(self):
+        # n+1 cuts between events plus n cuts through one shared event
+        for n in range(13):
+            assert len(enumerate_divisions(word(("ab" * 7)[:n]))) == 2 * n + 1
 
     def test_matches_partition_oracle_larger(self, mixed_corpus):
         larger = [p for p in mixed_corpus if p.n >= 4][:8]
