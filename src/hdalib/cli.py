@@ -54,6 +54,18 @@ def _default_max_steps() -> int:
     return int(raw)
 
 
+def _read_file(arg: str) -> str:
+    """The text of the file ``arg`` names.  A missing file raises
+    :class:`FileNotFoundError`, which ``main`` reports; a directory, an
+    unreadable file or one that is not UTF-8 text raises :class:`ParseError`."""
+    try:
+        return Path(arg).read_text()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {arg}: {exc}") from exc
+
+
 def _read_ipomset(arg: str):
     """Parse the regular file ``arg`` names, else ``arg`` itself as an
     expression.  Any other existing path is an error, and ``""`` is an
@@ -64,18 +76,14 @@ def _read_ipomset(arg: str):
     except OSError:  # a name no path can have, e.g. one too long
         is_file = exists = False
     if is_file:
-        try:
-            return parse_ipomset_text(path.read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {arg}: {exc}") from exc
+        return parse_ipomset_text(_read_file(arg))
     if arg and exists:
         raise ParseError(f"{arg} is not a regular file")
     return parse_ipomset_text(arg)
 
 
 def _read_lang(arg: str, alphabet=None):
-    text = Path(arg).read_text()
-    out = parse_lang(text)
+    out = parse_lang(_read_file(arg))
     if alphabet:
         out = lang_mod.language(
             out.generators, closed=False, alphabet=alphabet.split()
@@ -84,7 +92,7 @@ def _read_lang(arg: str, alphabet=None):
 
 
 def _read_hda(arg: str):
-    return parse_hda(Path(arg).read_text())
+    return parse_hda(_read_file(arg))
 
 
 def _emit(obj, as_json: bool, text_lines) -> None:
@@ -439,7 +447,7 @@ def cmd_mn_verify(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    records = parse_log(Path(args.input).read_text())
+    records = parse_log(_read_file(args.input))
     p = ingest_log(records, TIE_BREAKS[args.order])
     if args.json:
         print(json.dumps(ipomset_to_json(p), indent=2, sort_keys=True))
@@ -541,12 +549,22 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except HdalibError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left early (``| head``): end quietly, and point the
+        # process's stdout at devnull so the flush at exit cannot fail again
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
 
 

@@ -424,10 +424,22 @@ def _enqueue(parents, seen, queue, cur, nxt, step):
 
 
 def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
-    """All sparse accepting paths with at most ``max_steps`` steps."""
+    """All sparse accepting paths with at most ``max_steps`` steps.
+
+    A depth-first search from the start cells, sorted by length, cells and
+    positions.  It enters a cell only when an accept cell is still within
+    the remaining steps, judged by the fewest steps to one in either
+    direction; alternation only lengthens paths, so the cut drops no path.
+    A name that is not a cell counts as in reach, so the search still
+    meets it and fails on it where an uncut search would.
+    """
     up_index = _upstep_index(x)
     down_index = _downstep_index(x)
+    dist = _steps_to_accept(x, up_index, down_index)
     out: list[Path] = []
+
+    def in_reach(cell: str, steps: int) -> bool:
+        return cell in dist and steps + dist[cell] <= max_steps
 
     def extend(cells: list[str], steps: list[PathStep]):
         cur = cells[-1]
@@ -435,18 +447,42 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
             out.append(Path(cells=tuple(cells), steps=tuple(steps)))
         if len(steps) == max_steps:
             return
+        n = len(steps) + 1
         last = steps[-1].kind if steps else None
         if last != UP:
             for big, pos in up_index[cur]:
-                extend(cells + [big], steps + [PathStep(UP, pos)])
+                if in_reach(big, n):
+                    extend(cells + [big], steps + [PathStep(UP, pos)])
         if last != DOWN:
             for tgt, pos in down_index[cur]:
-                extend(cells + [tgt], steps + [PathStep(DOWN, pos)])
+                if in_reach(tgt, n):
+                    extend(cells + [tgt], steps + [PathStep(DOWN, pos)])
 
     for s in sorted(x.start):
-        extend([s], [])
+        if in_reach(s, 0):
+            extend([s], [])
     out.sort(key=lambda p: (len(p.steps), p.cells, [sorted(s.positions) for s in p.steps]))
     return out
+
+
+def _steps_to_accept(x: Hda, up_index, down_index) -> dict[str, int]:
+    """Fewest up or down steps from each name to an accept cell or to a
+    name that is not a cell, by one breadth-first search over reversed
+    steps; names with no such route are absent."""
+    preds: dict[str, list[str]] = {}
+    for index in (up_index, down_index):
+        for cell, moves in index.items():
+            for nxt, _ in moves:
+                preds.setdefault(nxt, []).append(cell)
+    undefined = (x.start | preds.keys()) - x.cells.keys()
+    dist = dict.fromkeys(x.accept | undefined, 0)
+    frontier = list(dist)
+    for cell in frontier:  # grows while it is read: a FIFO queue
+        for p in preds.get(cell, ()):
+            if p not in dist:
+                dist[p] = dist[cell] + 1
+                frontier.append(p)
+    return dist
 
 
 def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:

@@ -79,12 +79,9 @@ class Ipomset:
         )
 
     def __repr__(self) -> str:
-        try:
-            from .formats import ipomset_to_text
+        from .formats import ipomset_to_text
 
-            return ipomset_to_text(self)
-        except Exception:
-            return f"Ipomset(labels={self.labels!r})"
+        return ipomset_to_text(self)
 
 
 @dataclass(frozen=True)
@@ -644,18 +641,27 @@ def refinements(p: Ipomset) -> frozenset[Ipomset]:
     seen = {p}
     todo = [p]
     while todo:
-        cur = todo.pop()
-        n = cur.n
-        pairs = [(i, j) for i in range(n) for j in range(n) if cur.is_concurrent(i, j)]
-        for i, j in pairs:
-            try:
-                nxt = _rebuild(cur, range(n), cur.source, cur.target, [(i, j)])
-            except AxiomViolation:
-                continue
+        for nxt in one_step_refinements(todo.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
     return frozenset(seen)
+
+
+def one_step_refinements(p: Ipomset) -> list[Ipomset]:
+    """The ipomsets that orient one concurrent pair of p, in pair order and
+    with repeats; pairs the axioms reject give none.  :func:`refinements` is
+    their fixpoint."""
+    n = p.n
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if p.is_concurrent(i, j):
+                try:
+                    out.append(_rebuild(p, range(n), p.source, p.target, [(i, j)]))
+                except AxiomViolation:
+                    continue
+    return out
 
 
 def down_close(xs: Iterable[Ipomset]) -> frozenset[Ipomset]:

@@ -18,6 +18,7 @@ from .ipomset import (
     down_close,
     enumerate_divisions,
     fin,
+    one_step_refinements,
     remove_targets,
     sorted_ipomsets,
     subsumes,
@@ -74,11 +75,7 @@ def language(
     gens = frozenset(members)
     if closed:
         mem = gens
-        full = down_close(gens)
-        missing = full - mem
-        if missing:
-            witness = sorted_ipomsets(missing)[0]
-            raise NotDownClosed(f"missing refinement {witness!r}")
+        check_down_closed(mem)
     else:
         mem = down_close(gens)
     sigma = frozenset(
@@ -87,6 +84,19 @@ def language(
         else alphabet
     )
     return LanguageSet(members=mem, alphabet=sigma, generators=gens)
+
+
+def check_down_closed(members: frozenset[Ipomset]) -> None:
+    """Raise :class:`NotDownClosed` naming the least missing refinement.
+
+    A set closed under one-step refinement is down-closed, because
+    :func:`refinements` is the fixpoint of one-step refinement; the full
+    closure is computed only to name the witness.
+    """
+    for m in members:
+        if any(r not in members for r in one_step_refinements(m)):
+            missing = down_close(members) - members
+            raise NotDownClosed(f"missing refinement {sorted_ipomsets(missing)[0]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +177,8 @@ def _removal_family(lang: LanguageSet, p: Ipomset):
     fam = {}
     for k in range(len(rpos) + 1):
         for combo in itertools.combinations(rpos, k):
-            removed = remove_targets(p, {tgt[i] for i in combo})
+            # p is canonical, so removing nothing needs no rebuild
+            removed = remove_targets(p, {tgt[i] for i in combo}) if combo else p
             fam[frozenset(combo)] = prefix_quotient(lang, removed)
     return fam
 

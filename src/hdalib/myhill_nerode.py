@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NotDownClosed
 from .hda import Cell, Hda, enumerate_language, essential_report, validate
 from .ipomset import (
     Ipomset,
     Loset,
     clear_target_positions,
-    down_close,
     identity,
     remove_target_positions,
     sorted_ipomsets,
@@ -25,6 +23,7 @@ from .ipomset import (
 )
 from .language import (
     LanguageSet,
+    check_down_closed,
     class_key,
     prefix_quotient,
     prefixes,
@@ -71,10 +70,20 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     subsidiary cell per loset.  Start cells are the classes of the
     identities on member source interfaces, accept cells the classes of
     members.
+
+    Raises :class:`NotDownClosed` unless ``lang.members`` is closed under
+    one-step refinement.  Each ipomset's class key is computed once per
+    call, since faces, start cells and accept cells meet the same
+    ipomsets again.
     """
-    missing = down_close(lang.members) - lang.members
-    if missing:
-        raise NotDownClosed(f"missing refinement {sorted_ipomsets(missing)[0]!r}")
+    check_down_closed(lang.members)
+
+    keys: dict[Ipomset, tuple] = {}
+
+    def key_of(p: Ipomset) -> tuple:
+        if p not in keys:
+            keys[p] = class_key(lang, p)
+        return keys[p]
 
     by_key: dict = {}
     records: dict[str, dict] = {}
@@ -82,7 +91,7 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     todo: list[str] = []
 
     def intern(p: Ipomset) -> str:
-        key = class_key(lang, p)
+        key = key_of(p)
         if key in by_key:
             return by_key[key]
         cid = f"q{len(by_key)}"
@@ -146,10 +155,8 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         rec["lower"] = tuple(lower)
         rec["upper"] = tuple(upper)
 
-    start_ids = {
-        by_key[class_key(lang, identity(m.source_loset()))] for m in lang.members
-    }
-    accept_ids = {by_key[class_key(lang, m)] for m in lang.members}
+    start_ids = {by_key[key_of(identity(m.source_loset()))] for m in lang.members}
+    accept_ids = {by_key[key_of(m)] for m in lang.members}
 
     cells = {
         cid: Cell(

@@ -3,10 +3,11 @@ against.  Everything here prefers exhaustive enumeration over cleverness."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from hdalib.errors import AxiomViolation, InterfaceMismatch
-from hdalib.hda import Hda
+from hdalib.hda import DOWN, UP, Hda, Path, PathStep
 from hdalib.ipomset import Ipomset, canonicalize, glue
 
 
@@ -162,3 +163,45 @@ def oracle_reachability(x: Hda) -> tuple[frozenset[str], frozenset[str]]:
                     backward.add(c.lower[pos])
                     changed = True
     return frozenset(forward), frozenset(backward)
+
+
+def oracle_accepting_paths(x: Hda, max_steps: int) -> list[Path]:
+    """Every sparse accepting path with at most ``max_steps`` steps: extend
+    every alternating path by every up and down step, one length at a time,
+    with no cut; sorted by length, cells and positions."""
+
+    def face(name, upper, positions):
+        for p in sorted(positions, reverse=True):  # higher positions first
+            c = x.cells[name]
+            name = (c.upper if upper else c.lower)[p]
+        return name
+
+    def subsets(dim):
+        for r in range(1, dim + 1):
+            yield from (frozenset(a) for a in itertools.combinations(range(dim), r))
+
+    @functools.cache
+    def moves(name, kind):
+        if kind == UP:
+            return [
+                (y.name, a)
+                for y in x.cells.values()
+                for a in subsets(y.dim)
+                if face(y.name, False, a) == name
+            ]
+        return [(face(name, True, a), a) for a in subsets(x.cells[name].dim)]
+
+    layer = [Path(cells=(s,), steps=()) for s in x.start]
+    out = []
+    for k in range(max_steps + 1):
+        out += [p for p in layer if p.target in x.accept]
+        if k == max_steps:
+            break
+        layer = [
+            Path(cells=p.cells + (nxt,), steps=p.steps + (PathStep(kind, a),))
+            for p in layer
+            for kind in (UP, DOWN)
+            if not p.steps or p.steps[-1].kind != kind
+            for nxt, a in moves(p.target, kind)
+        ]
+    return sorted(out, key=lambda p: (len(p), p.cells, [sorted(s.positions) for s in p.steps]))

@@ -1,4 +1,8 @@
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +11,7 @@ from hdalib.cli import main
 from hdalib.formats import parse_hda
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = DATA.parent / "src"
 
 
 def run(capsys, *argv):
@@ -273,3 +278,47 @@ class TestContract:
         code, out, err = run(capsys, "hda", "lang", DATA / "square2d.hda")
         assert code == 2 and out == ""
         assert "HDALIB_MAX_STEPS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hda", "lang", DATA],
+            ["lang", "swapinv", DATA],
+            ["ingest", DATA],
+            ["hda", "validate", "BINARY"],
+        ],
+        ids=["hda-lang-dir", "lang-swapinv-dir", "ingest-dir", "hda-validate-binary"],
+    )
+    def test_unreadable_file_is_an_error(self, capsys, tmp_path, argv):
+        binary = tmp_path / "binary.hda"
+        binary.write_bytes(b"\x7fELF\xd0\xff\xfe")
+        argv = [binary if a == "BINARY" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ParseError: cannot read") and "Traceback" not in err
+
+    def test_closed_stdout_ends_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: every write to stdout fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hdalib.cli", "hda", "lang", str(DATA / "square2d.hda")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+
+    def test_closed_captured_stdout_keeps_fd_1(self, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["hda", "lang", str(DATA / "square2d.hda")]) == 2
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)

@@ -26,7 +26,7 @@ from hdalib.formats import (
     parse_log,
 )
 from hdalib.hda import validate
-from hdalib.ipomset import EMPTY, canonicalize, sorted_ipomsets
+from hdalib.ipomset import EMPTY, Ipomset, canonicalize, sorted_ipomsets
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -92,6 +92,17 @@ class TestBlocks:
     def test_block_roundtrip_on_corpus(self, small_corpus):
         for p in small_corpus[::31]:
             assert parse_ipomset_text(ipomset_to_block(p)) == p
+
+    def test_repr_roundtrip_on_corpus(self, small_corpus):
+        assert len(small_corpus) == 1273
+        for p in small_corpus:
+            assert parse_ipomset_text(repr(p)) == p
+
+    def test_repr_of_malformed_ipomset_raises(self):
+        # direct instantiation skips validation; repr must not hide that
+        bad = Ipomset(("a", "b"), frozenset(), frozenset(), ((False,),), ((False,),))
+        with pytest.raises(IndexError):
+            repr(bad)
 
 
 class TestJson:

@@ -1,10 +1,11 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 
-from conftest import n_shape, par, word
-from oracles import oracle_reachability
+from conftest import n_shape, par, random_language, word
+from oracles import oracle_accepting_paths, oracle_reachability
 
 from hdalib.errors import FaceTypingError, IdentityViolation
 from hdalib.formats import parse_hda, parse_ipomset_text
@@ -36,6 +37,7 @@ from hdalib.ipomset import (
     identity,
     sparse_decomposition,
 )
+from hdalib.myhill_nerode import SUBSIDIARY, build_mn
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -291,6 +293,57 @@ class TestEnumerateLanguage:
         assert dot_a in lang
         assert one in lang
         assert glue(one, one) in enumerate_language(loop, 10)
+
+
+class TestAcceptingPaths:
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.hda")))
+    def test_matches_oracle_on_data_files(self, name):
+        x = parse_hda((DATA / name).read_text())
+        for bound in range(11):
+            assert accepting_paths(x, bound) == oracle_accepting_paths(x, bound)
+
+    def test_matches_oracle_on_mn_automata(self):
+        rng = random.Random(3)
+        empty_below_shortest = dead_cells = subsidiary = 0
+        for _ in range(12):
+            lang = random_language(rng, max_members=20)
+            mn = build_mn(lang)
+            b = max(len(sparse_decomposition(m).steps) for m in lang.members)
+            for bound in range(b + 3):
+                got = accepting_paths(mn.hda, bound)
+                assert got == oracle_accepting_paths(mn.hda, bound)
+                empty_below_shortest += not got
+            dead_cells += len(mn.hda.cells.keys() - essential_report(mn.hda).coaccessible)
+            subsidiary += sum(c.kind == SUBSIDIARY for c in mn.cells.values())
+        # the cut is exercised: bounds that reach no accept cell, and cells
+        # from which no accept cell can be reached at all
+        assert empty_below_shortest and dead_cells and subsidiary
+
+    def test_bound_below_shortest_path(self, square):
+        assert accepting_paths(square, 0) == accepting_paths(square, 1) == []
+        assert accepting_paths(square, 2) == [
+            HdaPath(("v", "q", "h"), (up(0, 1), down(0))),
+            HdaPath(("v", "q", "y"), (up(0, 1), down(0, 1))),
+        ]
+
+    def test_undefined_face_fails_as_uncut_search(self):
+        # c's upper face zz is not a cell, and no accept cell lies past c:
+        # the search still walks to zz and fails there once the bound
+        # leaves it a step to take
+        x = build_hda(
+            [
+                Cell("s", ()),
+                Cell("t", ()),
+                Cell("c", ("a",), ("s",), ("zz",)),
+                Cell("d", ("b",), ("s",), ("t",)),
+            ],
+            start=["s"],
+            accept=["t"],
+        )
+        path = HdaPath(("s", "d", "t"), (up(0), down(0)))
+        assert accepting_paths(x, 2) == oracle_accepting_paths(x, 2) == [path]
+        with pytest.raises(KeyError, match="zz"):
+            accepting_paths(x, 3)
 
 
 class TestDeterminism:

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import par, random_language, word
+from oracles import oracle_refinements
 
 from hdalib.errors import NotDownClosed
-from hdalib.formats import hda_to_text, parse_hda
+from hdalib.formats import hda_to_text, parse_hda, parse_lang
 from hdalib.hda import (
     build_hda,
     enumerate_language,
@@ -60,6 +61,30 @@ class TestBuildShape:
         )
         with pytest.raises(NotDownClosed):
             build_mn(raw)
+
+    @pytest.mark.parametrize(
+        "member, witness",
+        [
+            # one step below [a|b]: a before b
+            (par(("a", 0, 0), ("b", 0, 0)), word("ab")),
+            # two steps below [b|a|c]: a before both b and c, which no single
+            # added pair gives, while one-step refinements are missing too
+            (
+                par(("b", 0, 0), ("a", 0, 0), ("c", 0, 0)),
+                canonicalize("abc", prec=[(0, 1), (0, 2)], evord=[(1, 2)]),
+            ),
+        ],
+    )
+    def test_not_down_closed_names_least_missing_refinement(self, member, witness):
+        missing = oracle_refinements(member) - {member}
+        assert sorted_ipomsets(missing)[0] == witness
+        want = f"missing refinement {witness!r}"
+        raw = LanguageSet(members=frozenset({member}), alphabet=member.alphabet())
+        with pytest.raises(NotDownClosed) as built:
+            build_mn(raw)
+        with pytest.raises(NotDownClosed) as read:
+            parse_lang(f"closed: true\nmembers:\n{member!r}\n")
+        assert str(built.value) == str(read.value) == want
 
     def test_table_language_essential_part(self, table_mn):
         dims = {}
