@@ -5,7 +5,8 @@ verdict or counterexample, 2 for errors (parse failures, axiom violations,
 interface mismatches).  ``--json`` switches verdict commands to a
 machine-readable object on stdout.  The HDALIB_MAX_STEPS environment
 variable sets the default bound for language enumeration; a value that is
-not a positive integer is an error (exit code 2).
+not a positive integer is an error (exit code 2), as is a ``--max-steps``
+below 1.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ def _read_file(arg: str) -> str:
         raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {arg}: {exc}") from exc
+
+
+def _write_file(arg: str, text: str) -> None:
+    """Write ``text`` to the file ``arg`` names.  A directory, a missing
+    parent or an unwritable path raises :class:`ParseError`."""
+    try:
+        Path(arg).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {arg}: {exc}") from exc
 
 
 def _read_ipomset(arg: str):
@@ -206,6 +216,8 @@ def cmd_hda_validate(args) -> int:
 
 def cmd_hda_lang(args) -> int:
     bound = _default_max_steps() if args.max_steps is None else args.max_steps
+    if bound < 1:
+        raise ParseError(f"--max-steps must be a positive integer, got {bound}")
     members = hda_mod.enumerate_language(_read_hda(args.input), bound)
     _emit(
         _quotient_json(members),
@@ -368,11 +380,11 @@ def cmd_mn_build(args) -> int:
     lang = _read_lang(args.input, args.alphabet)
     mn = mn_mod.build_mn(lang)
     if args.out:
-        Path(args.out).write_text(hda_to_text(mn.hda))
+        _write_file(args.out, hda_to_text(mn.hda))
     if args.classes:
-        Path(args.classes).write_text(json.dumps(_class_table(mn), indent=2))
+        _write_file(args.classes, json.dumps(_class_table(mn), indent=2))
     if args.dot:
-        Path(args.dot).write_text(hda_to_dot(mn.hda))
+        _write_file(args.dot, hda_to_dot(mn.hda))
     ess = [c for c in mn.cells.values() if c.essential]
     dims: dict[int, int] = {}
     for c in ess:

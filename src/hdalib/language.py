@@ -221,11 +221,35 @@ def is_swap_invariant(lang: LanguageSet) -> SwapInvarianceResult:
     Quantifying over prefixes only is complete: quotient monotonicity
     forces any refined P of a prefix Q to be a prefix itself, and pairs
     with empty right quotient satisfy the condition trivially.
+
+    :func:`subsumes` runs only on pairs that pass two exact filters:
+
+    - *Buckets.* A witness of P ⊑ Q keeps labels, and it maps the k-th
+      source (target) of P to the k-th source (target) of Q, because
+      interface events are pairwise concurrent and subsumption keeps the
+      event order of concurrent pairs.  So P ⊑ Q needs equal label
+      multisets, source losets and target losets, and pairs from different
+      buckets of that key are never compared (:func:`subsumes_witness`
+      would reject each of them).
+    - *Quotients first.* A pair is a violation only if its quotients
+      differ, so within a bucket the prefixes are grouped by quotient and
+      only pairs from different groups reach :func:`subsumes`.  Both
+      tests are pure, so taking the cheap one first changes no verdict.
+
+    The violations are sorted, so their order does not depend on the
+    order in which the buckets are visited.
     """
-    pres = sorted_ipomsets(prefixes(lang))
-    bad = []
-    for p, q in itertools.permutations(pres, 2):
-        if subsumes(p, q) and prefix_quotient(lang, p) != prefix_quotient(lang, q):
-            bad.append((p, q))
+    buckets: dict[tuple, dict[Quotient, list[Ipomset]]] = {}
+    for p in prefixes(lang):
+        key = (tuple(sorted(p.labels)), p.source_loset(), p.target_loset())
+        buckets.setdefault(key, {}).setdefault(prefix_quotient(lang, p), []).append(p)
+    bad = [
+        (p, q)
+        for groups in buckets.values()
+        for ps, qs in itertools.permutations(groups.values(), 2)
+        for p in ps
+        for q in qs
+        if subsumes(p, q)
+    ]
     bad.sort(key=lambda t: (t[0].sort_key(), t[1].sort_key()))
     return SwapInvarianceResult(invariant=not bad, violations=tuple(bad))

@@ -12,6 +12,7 @@ from hdalib.errors import AxiomViolation
 from hdalib.hda import Cell, build_hda
 from hdalib.ipomset import canonicalize, glue, identity, starter, terminator
 from hdalib.language import language
+from oracles import oracle_divisions
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -182,6 +183,13 @@ def random_language(rng, labels="abcd", max_members=80):
 @pytest.fixture(scope="session")
 def small_corpus():
     return all_small_ipomsets(max_n=3, labels="ab")
+
+
+@pytest.fixture(scope="session")
+def small_divisions(small_corpus):
+    """oracle_divisions of every ipomset of the small corpus, computed once
+    for the division tests and the swap oracle on small languages."""
+    return {m: oracle_divisions(m) for m in small_corpus}
 
 
 @pytest.fixture(scope="session")

@@ -123,6 +123,26 @@ def oracle_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     return frozenset(out)
 
 
+def oracle_swap_violations(
+    lang, divisions=oracle_divisions
+) -> tuple[tuple[Ipomset, Ipomset], ...]:
+    """Every ordered pair of prefixes (P, Q) with P ⊑ Q and P\\L != Q\\L,
+    found by trying all pairs: quotients from the divisions of every member
+    (``divisions`` may look up :func:`oracle_divisions` computed earlier),
+    subsumption from :func:`oracle_subsumes`; sorted by the sort keys of P
+    and Q."""
+    quotient: dict[Ipomset, set[Ipomset]] = {}
+    for m in lang.members:
+        for p, q in divisions(m):
+            quotient.setdefault(p, set()).add(q)
+    bad = [
+        (p, q)
+        for p, q in itertools.permutations(quotient, 2)
+        if oracle_subsumes(p, q) and quotient[p] != quotient[q]
+    ]
+    return tuple(sorted(bad, key=lambda t: (t[0].sort_key(), t[1].sort_key())))
+
+
 def _restrict(m, events, source, target):
     keep = sorted(events)
     idx = {e: k for k, e in enumerate(keep)}

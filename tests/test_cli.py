@@ -208,6 +208,12 @@ class TestMnCommands:
             assert code == 0, name
             assert "verified" in out
 
+    @pytest.mark.parametrize("flag", ["-o", "--classes", "--dot"])
+    def test_build_into_directory_is_an_error(self, capsys, tmp_path, flag):
+        code, out, err = run(capsys, "mn", "build", DATA / "double_a.lang", flag, tmp_path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ParseError: cannot write") and "Traceback" not in err
+
     def test_build_json_summary(self, capsys):
         code, out, _ = run(capsys, "mn", "build", DATA / "double_a.lang", "--json")
         data = json.loads(out)
@@ -278,6 +284,12 @@ class TestContract:
         code, out, err = run(capsys, "hda", "lang", DATA / "square2d.hda")
         assert code == 2 and out == ""
         assert "HDALIB_MAX_STEPS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_max_steps_below_one_is_an_error(self, capsys, value):
+        code, out, err = run(capsys, "hda", "lang", DATA / "loop_ab.hda", "--max-steps", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: ParseError: --max-steps must be a positive integer, got {value}\n"
 
     @pytest.mark.parametrize(
         "argv",

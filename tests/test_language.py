@@ -6,8 +6,10 @@ import weakref
 import pytest
 
 from conftest import par, random_language, word
+from oracles import oracle_swap_violations
 
 from hdalib.errors import NotDownClosed
+from hdalib.hda import is_deterministic
 from hdalib.ipomset import (
     EMPTY,
     enumerate_divisions,
@@ -27,6 +29,7 @@ from hdalib.language import (
     suffix_quotient_family,
     weak_equiv,
 )
+from hdalib.myhill_nerode import build_mn, verify_mn
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +227,7 @@ class TestSwapInvariance:
         for p, q in res.violations:
             assert subsumes(p, q)
             assert prefix_quotient(table_lang, p) != prefix_quotient(table_lang, q)
+        assert res.violations == oracle_swap_violations(table_lang)
 
     def test_random_languages_have_consistent_violations(self):
         rng = random.Random(31)
@@ -233,3 +237,53 @@ class TestSwapInvariance:
             for p, q in res.violations:
                 assert subsumes(p, q)
                 assert prefix_quotient(lang, p) != prefix_quotient(lang, q)
+            assert res.violations == oracle_swap_violations(lang)
+
+
+def _bucket(p):
+    return (tuple(sorted(p.labels)), p.source_loset(), p.target_loset())
+
+
+def _buckets_hit(violations):
+    return len({_bucket(p) for p, _ in violations})
+
+
+class TestSwapInvarianceOracle:
+    """The filtered swap check gives exactly the all-pairs oracle's
+    violation tuple, order included, on two corpora of small languages
+    (the C8 language and seeded random ones are checked above)."""
+
+    def test_every_single_generator_language(self, small_corpus, small_divisions):
+        assert len(small_corpus) == 1273
+        multi_bucket = 0
+        for g in small_corpus:
+            lang = language([g])
+            got = is_swap_invariant(lang).violations
+            assert got == oracle_swap_violations(lang, small_divisions.__getitem__), g
+            multi_bucket += _buckets_hit(got) > 1
+        assert multi_bucket > 0  # some languages break in several buckets
+
+    def test_two_generator_slice(self, small_corpus, small_divisions):
+        """40 distinct languages, each generated by two members of the
+        small corpus drawn with a fixed seed; the swap verdict also equals
+        the determinism of the Myhill-Nerode automaton, which verifies."""
+        rng = random.Random(2026)
+        langs, seen = [], set()
+        while len(langs) < 40:
+            lang = language(rng.sample(small_corpus, 2))
+            if lang.members not in seen:
+                seen.add(lang.members)
+                langs.append(lang)
+        verdicts = {True: 0, False: 0}
+        multi_bucket = 0
+        for lang in langs:
+            res = is_swap_invariant(lang)
+            assert res.violations == oracle_swap_violations(
+                lang, small_divisions.__getitem__
+            )
+            mn = build_mn(lang)
+            assert bool(res) == bool(is_deterministic(mn.hda))
+            assert verify_mn(lang, mn).ok
+            verdicts[bool(res)] += 1
+            multi_bucket += _buckets_hit(res.violations) > 1
+        assert verdicts[True] and verdicts[False] and multi_bucket

@@ -1,0 +1,28 @@
+"""The scripts under ``scripts/`` run to completion."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_determinism_experiment():
+    proc = run_script("determinism_experiment.py", "--samples", 20)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "20 agree" in proc.stdout
+
+
+def test_worked_examples(tmp_path):
+    proc = run_script("worked_examples.py", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "mn_double_a.hda").is_file()
