@@ -13,59 +13,13 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from hdalib.hda import is_deterministic
-from hdalib.language import is_swap_invariant, language
+from hdalib.language import is_swap_invariant
 from hdalib.myhill_nerode import build_mn, verify_mn
-from hdalib.ipomset import canonicalize, glue, identity, starter, terminator
-
-
-def random_ipomset(rng, labels, max_events=4, max_interface=2):
-    """A random ipomset assembled from a random step sequence."""
-    init = tuple(rng.choice(labels) for _ in range(rng.randint(0, max_interface)))
-    p = identity(init)
-    total = len(init)
-    for _ in range(rng.randint(0, 4)):
-        cur = p.target_loset()
-        if cur and rng.random() < 0.5:
-            pos = rng.sample(range(len(cur)), rng.randint(1, len(cur)))
-            p = glue(p, terminator(cur, pos))
-        elif total < max_events:
-            k = rng.randint(1, min(2, max_events - total))
-            pos = rng.sample(range(len(cur) + k), k)
-            lab = list(cur)
-            for q in sorted(pos):
-                lab.insert(q, rng.choice(labels))
-            p = glue(p, starter(tuple(lab), pos))
-            total += k
-    if p.target and rng.random() < 0.6:
-        cur = p.target_loset()
-        p = glue(p, terminator(cur, rng.sample(range(len(cur)), rng.randint(1, len(cur)))))
-    return p
-
-
-def random_word(rng, labels, max_len=4):
-    n = rng.randint(1, max_len)
-    s = [rng.choice(labels) for _ in range(n)]
-    return canonicalize(s, prec=[(i, j) for i in range(n) for j in range(n) if i < j])
-
-
-def random_language(rng, labels="abcd", max_members=80):
-    while True:
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            r = rng.random()
-            if r < 0.3:
-                gens.append(random_word(rng, labels))
-            elif r < 0.55:
-                a, b = rng.choice(labels), rng.choice(labels)
-                gens.append(canonicalize([a, b], evord=[(0, 1)]))
-            else:
-                gens.append(random_ipomset(rng, labels))
-        lang = language(gens)
-        if len(lang) <= max_members:
-            return lang
+from random_gen import random_language
 
 
 def main() -> int:

@@ -3,14 +3,16 @@
 Cells carry a loset of active events; only singleton face maps are stored,
 composites are derived (the precubical identities make that lossless).
 Searches treat an upstep into a cell y at positions A as the inverse of
-the composite lower face δ⁰_A of y.
+the composite lower face δ⁰_A of y, and all of them read one step index
+per automaton, built once its faces type-check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import FaceTypingError, IdentityViolation
 from .ipomset import (
@@ -43,7 +45,7 @@ class Cell:
         return len(self.ev)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hda:
     """A finite HDA with start and accept cells (any dimension)."""
 
@@ -57,6 +59,37 @@ class Hda:
 
     def alphabet(self) -> frozenset[str]:
         return frozenset(itertools.chain.from_iterable(c.ev for c in self.cells.values()))
+
+    @cached_property
+    def _index(self) -> _StepIndex:
+        """Every up and down step over a nonempty set of positions, built on
+        the first search and kept for the life of this automaton only.  The
+        faces are type-checked first (:class:`FaceTypingError`), so no
+        composite face meets a missing or mistyped cell."""
+        for problem in _face_typing(self):
+            raise FaceTypingError(problem)
+        up: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in self.cells}
+        down: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in self.cells}
+        back: dict[str, list[str]] = {c: [] for c in self.cells}
+        for c in self.cells.values():
+            for r in range(1, c.dim + 1):
+                for combo in itertools.combinations(range(c.dim), r):
+                    lo = hi = c.name
+                    for p in reversed(combo):  # as composite_face: highest first
+                        lo, hi = self.cells[lo].lower[p], self.cells[hi].upper[p]
+                    a = frozenset(combo)
+                    up[lo].append((c.name, a))
+                    down[c.name].append((hi, a))
+                    back[c.name].append(lo)
+                    back[hi].append(c.name)
+        return _StepIndex(up=up, down=down, back=back)
+
+
+@dataclass(frozen=True)
+class _StepIndex:
+    up: dict[str, list[tuple[str, frozenset[int]]]]  # x -> (y, A) with δ⁰_A(y) = x
+    down: dict[str, list[tuple[str, frozenset[int]]]]  # x -> (δ¹_A(x), A)
+    back: dict[str, list[str]]  # y -> every x one up or down step before y
 
 
 def build_hda(
@@ -92,26 +125,8 @@ def validate(x: Hda, strict: bool = False) -> ValidationReport:
             raise kind(msg)
         problems.append(msg)
 
-    for c in x.cells.values():
-        if c.dim and (len(c.lower) != c.dim or len(c.upper) != c.dim):
-            fail(FaceTypingError, f"cell {c.name}: face lists must cover every position")
-            continue
-        for pos in range(c.dim):
-            want = c.ev[:pos] + c.ev[pos + 1 :]
-            for kind, faces in ((LOWER, c.lower), (UPPER, c.upper)):
-                tgt = faces[pos]
-                if tgt not in x.cells:
-                    fail(FaceTypingError, f"cell {c.name}: face {tgt!r} undefined")
-                    continue
-                if x.cells[tgt].ev != want:
-                    fail(
-                        FaceTypingError,
-                        f"cell {c.name}: d{kind}({pos + 1}) has loset "
-                        f"{x.cells[tgt].ev}, expected {want}",
-                    )
-    for name in x.start | x.accept:
-        if name not in x.cells:
-            fail(FaceTypingError, f"start/accept cell {name!r} undefined")
+    for msg in _face_typing(x):
+        fail(FaceTypingError, msg)
     if problems:
         return ValidationReport(ok=False, problems=tuple(problems))
 
@@ -129,6 +144,27 @@ def validate(x: Hda, strict: bool = False) -> ValidationReport:
                         f"do not commute ({via_j} vs {via_i})",
                     )
     return ValidationReport(ok=not problems, problems=tuple(problems))
+
+
+def _face_typing(x: Hda) -> Iterator[str]:
+    """Face-typing problems: a face list that misses a position, a face that
+    names no cell or a cell of the wrong loset, an undefined start or
+    accept cell."""
+    for c in x.cells.values():
+        if c.dim and (len(c.lower) != c.dim or len(c.upper) != c.dim):
+            yield f"cell {c.name}: face lists must cover every position"
+            continue
+        for pos in range(c.dim):
+            want = c.ev[:pos] + c.ev[pos + 1 :]
+            for kind, tgt in ((LOWER, c.lower[pos]), (UPPER, c.upper[pos])):
+                face = x.cells.get(tgt)
+                if face is None:
+                    yield f"cell {c.name}: face {tgt!r} undefined"
+                elif face.ev != want:
+                    yield f"cell {c.name}: d{kind}({pos + 1}) has loset {face.ev}, expected {want}"
+    for name in x.start | x.accept:
+        if name not in x.cells:
+            yield f"start/accept cell {name!r} undefined"
 
 
 def _face(x: Hda, name: str, kind: int, pos: int) -> str:
@@ -182,12 +218,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def is_sparse(self) -> bool:
-        kinds = [s.kind for s in self.steps]
-        return all(s.positions for s in self.steps) and all(
-            a != b for a, b in zip(kinds, kinds[1:])
-        )
 
     def __repr__(self) -> str:
         out = [self.cells[0]]
@@ -260,29 +290,6 @@ def _merge(x: Hda, s1: PathStep, s2: PathStep, first: str, last: str) -> PathSte
 # reachability, essential part
 
 
-def _upstep_index(x: Hda) -> dict[str, list[tuple[str, frozenset[int]]]]:
-    """cell -> all (bigger cell, positions) with δ⁰_A(bigger) = cell."""
-    idx: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in x.cells}
-    for c in x.cells.values():
-        for r in range(1, c.dim + 1):
-            for combo in itertools.combinations(range(c.dim), r):
-                small = composite_face(x, c.name, LOWER, combo)
-                idx[small].append((c.name, frozenset(combo)))
-    return idx
-
-
-def _downstep_index(x: Hda) -> dict[str, list[tuple[str, frozenset[int]]]]:
-    """cell -> all (target, positions) one downstep away."""
-    idx: dict[str, list[tuple[str, frozenset[int]]]] = {}
-    for c in x.cells.values():
-        moves = []
-        for r in range(1, c.dim + 1):
-            for combo in itertools.combinations(range(c.dim), r):
-                moves.append((composite_face(x, c.name, UPPER, combo), frozenset(combo)))
-        idx[c.name] = moves
-    return idx
-
-
 @dataclass(frozen=True)
 class EssentialReport:
     accessible: frozenset[str]
@@ -292,45 +299,32 @@ class EssentialReport:
 
 def essential_report(x: Hda) -> EssentialReport:
     """Forward search from start cells, backward from accept cells."""
-    acc = set(x.start)
-    frontier = list(acc)
-    while frontier:
-        cur = frontier.pop()
-        c = x.cells[cur]
-        nexts = [c.upper[p] for p in range(c.dim)]
-        nexts += [up for up, _ in _upsteps_from(x, cur)]
-        for n in nexts:
-            if n not in acc:
-                acc.add(n)
-                frontier.append(n)
-    coacc = set(x.accept)
-    rev_upper: dict[str, list[str]] = {c: [] for c in x.cells}
-    for c in x.cells.values():
-        for p in range(c.dim):
-            rev_upper[c.upper[p]].append(c.name)
-    frontier = list(coacc)
-    while frontier:
-        cur = frontier.pop()
-        c = x.cells[cur]
-        preds = list(rev_upper[cur])  # cells with a downstep into cur
-        preds += [c.lower[p] for p in range(c.dim)]  # cells one upstep before cur
-        for n in preds:
-            if n not in coacc:
-                coacc.add(n)
-                frontier.append(n)
+    idx = x._index
+    acc = _bfs(x.start, lambda c: [y for y, _ in idx.up[c] + idx.down[c]])
+    coacc = _steps_to_accept(x)
     return EssentialReport(
         accessible=frozenset(acc),
         coaccessible=frozenset(coacc),
-        essential=frozenset(acc & coacc),
+        essential=frozenset(acc.keys() & coacc.keys()),
     )
 
 
-def _upsteps_from(x: Hda, cell: str):
-    # singleton upsteps suffice for reachability
-    for c in x.cells.values():
-        for p in range(c.dim):
-            if c.lower[p] == cell:
-                yield c.name, p
+def _bfs(roots: Iterable[str], nexts: Callable[[str], Iterable[str]]) -> dict[str, int]:
+    """Fewest steps from the roots to every cell they reach, breadth first."""
+    dist = dict.fromkeys(roots, 0)
+    frontier = list(dist)
+    for cell in frontier:  # grows while it is read: a FIFO queue
+        for n in nexts(cell):
+            if n not in dist:
+                dist[n] = dist[cell] + 1
+                frontier.append(n)
+    return dist
+
+
+def _steps_to_accept(x: Hda) -> dict[str, int]:
+    """Fewest up or down steps from each cell to an accept cell; cells with
+    no such route are absent."""
+    return _bfs(x.accept, x._index.back.__getitem__)
 
 
 def ess_closure(x: Hda) -> Hda:
@@ -372,14 +366,14 @@ def member(
 ) -> Optional[Path]:
     """A path from a source to a target cell with event ipomset p, if any.
 
-    Searches the sparse decomposition of p step by step; upsteps run
-    through the reverse lower-face index.
+    Searches the sparse decomposition of p step by step over the step
+    index.
     """
     srcs = x.start if sources is None else frozenset(sources)
     tgts = x.accept if targets is None else frozenset(targets)
     seq = sparse_decomposition(p)
     steps = seq.steps
-    up_index = _upstep_index(x)
+    idx = x._index
     frontier = [name for name in srcs if x.cells[name].ev == seq.initial_loset]
     parents: dict[tuple[int, str], tuple[int, str, PathStep]] = {}
     seen = {(0, name) for name in frontier}
@@ -394,15 +388,13 @@ def member(
             continue
         st = steps[k]
         if st.kind == STARTER:
-            for big, pos in up_index[cell]:
+            for big, pos in idx.up[cell]:
                 if pos == st.active and x.cells[big].ev == st.loset:
                     _enqueue(parents, seen, queue, (k, cell), (k + 1, big), PathStep(UP, pos))
-        else:
-            if x.cells[cell].ev == st.loset:
-                nxt = composite_face(x, cell, UPPER, st.active)
-                _enqueue(
-                    parents, seen, queue, (k, cell), (k + 1, nxt), PathStep(DOWN, st.active)
-                )
+        elif x.cells[cell].ev == st.loset:
+            for small, pos in idx.down[cell]:
+                if pos == st.active:
+                    _enqueue(parents, seen, queue, (k, cell), (k + 1, small), PathStep(DOWN, pos))
     if goal is None:
         return None
     cells = [goal[1]]
@@ -430,12 +422,9 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
     positions.  It enters a cell only when an accept cell is still within
     the remaining steps, judged by the fewest steps to one in either
     direction; alternation only lengthens paths, so the cut drops no path.
-    A name that is not a cell counts as in reach, so the search still
-    meets it and fails on it where an uncut search would.
     """
-    up_index = _upstep_index(x)
-    down_index = _downstep_index(x)
-    dist = _steps_to_accept(x, up_index, down_index)
+    idx = x._index
+    dist = _steps_to_accept(x)
     out: list[Path] = []
 
     def in_reach(cell: str, steps: int) -> bool:
@@ -450,11 +439,11 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
         n = len(steps) + 1
         last = steps[-1].kind if steps else None
         if last != UP:
-            for big, pos in up_index[cur]:
+            for big, pos in idx.up[cur]:
                 if in_reach(big, n):
                     extend(cells + [big], steps + [PathStep(UP, pos)])
         if last != DOWN:
-            for tgt, pos in down_index[cur]:
+            for tgt, pos in idx.down[cur]:
                 if in_reach(tgt, n):
                     extend(cells + [tgt], steps + [PathStep(DOWN, pos)])
 
@@ -463,26 +452,6 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
             extend([s], [])
     out.sort(key=lambda p: (len(p.steps), p.cells, [sorted(s.positions) for s in p.steps]))
     return out
-
-
-def _steps_to_accept(x: Hda, up_index, down_index) -> dict[str, int]:
-    """Fewest up or down steps from each name to an accept cell or to a
-    name that is not a cell, by one breadth-first search over reversed
-    steps; names with no such route are absent."""
-    preds: dict[str, list[str]] = {}
-    for index in (up_index, down_index):
-        for cell, moves in index.items():
-            for nxt, _ in moves:
-                preds.setdefault(nxt, []).append(cell)
-    undefined = (x.start | preds.keys()) - x.cells.keys()
-    dist = dict.fromkeys(x.accept | undefined, 0)
-    frontier = list(dist)
-    for cell in frontier:  # grows while it is read: a FIFO queue
-        for p in preds.get(cell, ()):
-            if p not in dist:
-                dist[p] = dist[cell] + 1
-                frontier.append(p)
-    return dist
 
 
 def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
@@ -516,19 +485,14 @@ def is_deterministic(x: Hda) -> DeterminismReport:
         if len(names) > 1:
             start_clashes.append(loset)
     ess = essential_report(x).essential
-    groups: dict[tuple[str, Loset, tuple[int, ...]], list[str]] = {}
-    for name in sorted(ess):
-        c = x.cells[name]
-        for r in range(1, c.dim + 1):
-            for combo in itertools.combinations(range(c.dim), r):
-                base = composite_face(x, name, LOWER, combo)
-                if base in ess:
-                    groups.setdefault((base, c.ev, combo), []).append(name)
     branch = []
-    for (base, _loset, combo), names in sorted(groups.items()):
-        if len(names) > 1:
-            for a, b in itertools.combinations(sorted(names), 2):
-                branch.append((base, combo, a, b))
+    for base in sorted(ess):
+        groups: dict[tuple[Loset, tuple[int, ...]], list[str]] = {}
+        for big, pos in x._index.up[base]:
+            if big in ess:
+                groups.setdefault((x.cells[big].ev, tuple(sorted(pos))), []).append(big)
+        for (_loset, combo), names in sorted(groups.items()):
+            branch += [(base, combo, a, b) for a, b in itertools.combinations(sorted(names), 2)]
     return DeterminismReport(
         deterministic=not start_clashes and not branch,
         start_clashes=tuple(start_clashes),

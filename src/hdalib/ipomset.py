@@ -724,10 +724,18 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     placed: the interface is an antichain, every left event precedes every
     right event, no interface event precedes a left one, no right event
     precedes an interface one, no source event is on the right and no
-    target event on the left.  Each complete split is kept only when
-    glueing its two parts back reproduces m.  The cost therefore follows
-    the number of partial splits that survive pruning, not the 3^n splits
-    of all events: a word of n events reaches only its 2n+1 divisions.
+    target event on the left.  The cost therefore follows the number of
+    partial splits that survive pruning, not the 3^n splits of all events:
+    a word of n events reaches only its 2n+1 divisions.
+
+    Every complete split is a division, so none is glued back to check.  A
+    restriction of an interval order is an interval order, so both parts
+    are ipomsets: the interface is an antichain with no left event after it
+    and no right event before it, so it is maximal in p and minimal in q,
+    and m's sources stay minimal in p and its targets maximal in q.  Every
+    left event precedes every right one, so every concurrent pair of m lies
+    inside p or inside q, and the glue p*q has m's precedence and event
+    order: it is m.
     """
     n = m.n
     pred = [sum(1 << a for a in range(n) if m.prec[a][e]) for e in range(n)]
@@ -740,13 +748,7 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     def place(e: int, left: int, mid: int, right: int) -> None:
         if e == n:
             lo, mi, hi = events(left), events(mid), events(right)
-            try:
-                p = _rebuild(m, lo + mi, m.source, mi)
-                q = _rebuild(m, mi + hi, mi, m.target)
-                if glue(p, q) == m:
-                    out.add((p, q))
-            except (InterfaceMismatch, AxiomViolation):
-                pass
+            out.add((_rebuild(m, lo + mi, m.source, mi), _rebuild(m, mi + hi, mi, m.target)))
             return
         bit = 1 << e
         if e not in m.target and not right & ~succ[e] and not mid & pred[e]:

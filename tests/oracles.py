@@ -7,7 +7,7 @@ import functools
 import itertools
 
 from hdalib.errors import AxiomViolation, InterfaceMismatch
-from hdalib.hda import DOWN, UP, Hda, Path, PathStep
+from hdalib.hda import DOWN, UP, DeterminismReport, Hda, Path, PathStep
 from hdalib.ipomset import Ipomset, canonicalize, glue
 
 
@@ -190,26 +190,16 @@ def oracle_accepting_paths(x: Hda, max_steps: int) -> list[Path]:
     every alternating path by every up and down step, one length at a time,
     with no cut; sorted by length, cells and positions."""
 
-    def face(name, upper, positions):
-        for p in sorted(positions, reverse=True):  # higher positions first
-            c = x.cells[name]
-            name = (c.upper if upper else c.lower)[p]
-        return name
-
-    def subsets(dim):
-        for r in range(1, dim + 1):
-            yield from (frozenset(a) for a in itertools.combinations(range(dim), r))
-
     @functools.cache
     def moves(name, kind):
         if kind == UP:
             return [
                 (y.name, a)
                 for y in x.cells.values()
-                for a in subsets(y.dim)
-                if face(y.name, False, a) == name
+                for a in _subsets(y.dim)
+                if _face(x, y.name, False, a) == name
             ]
-        return [(face(name, True, a), a) for a in subsets(x.cells[name].dim)]
+        return [(_face(x, name, True, a), a) for a in _subsets(x.cells[name].dim)]
 
     layer = [Path(cells=(s,), steps=()) for s in x.start]
     out = []
@@ -225,3 +215,45 @@ def oracle_accepting_paths(x: Hda, max_steps: int) -> list[Path]:
             for nxt, a in moves(p.target, kind)
         ]
     return sorted(out, key=lambda p: (len(p), p.cells, [sorted(s.positions) for s in p.steps]))
+
+
+def oracle_determinism(x: Hda) -> DeterminismReport:
+    """Start cells sharing a loset, and every pair of distinct essential
+    cells of one loset whose lower faces at the same positions are one
+    essential cell, found by trying all pairs over the singleton face
+    lists and :func:`oracle_reachability`."""
+    per_loset: dict = {}
+    for name in x.start:
+        per_loset.setdefault(x.cells[name].ev, []).append(name)
+    start = tuple(sorted(ev for ev, names in per_loset.items() if len(names) > 1))
+    fwd, bwd = oracle_reachability(x)
+    ess = fwd & bwd
+    clashes = []
+    for y, z in itertools.combinations(sorted(ess), 2):
+        for a in _subsets(x.cells[y].dim):
+            base = _face(x, y, False, a)
+            if (
+                x.cells[y].ev == x.cells[z].ev
+                and base in ess
+                and base == _face(x, z, False, a)
+            ):
+                clashes.append((base, x.cells[y].ev, tuple(sorted(a)), y, z))
+    branch = tuple((base, a, y, z) for base, _ev, a, y, z in sorted(clashes))
+    return DeterminismReport(
+        deterministic=not start and not branch, start_clashes=start, branch_clashes=branch
+    )
+
+
+def _face(x: Hda, name: str, upper: bool, positions) -> str:
+    """The upper or lower face of a cell at a set of positions, applying the
+    singleton faces from the highest position down."""
+    for p in sorted(positions, reverse=True):
+        c = x.cells[name]
+        name = (c.upper if upper else c.lower)[p]
+    return name
+
+
+def _subsets(dim: int):
+    """Every nonempty set of positions of a cell of dimension ``dim``."""
+    for r in range(1, dim + 1):
+        yield from (frozenset(a) for a in itertools.combinations(range(dim), r))

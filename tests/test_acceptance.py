@@ -14,13 +14,11 @@ from conftest import (
     all_small_ipomsets,
     n_shape,
     par,
-    random_ipomset,
-    random_language,
-    random_word,
     square_hda,
     word,
 )
 from oracles import oracle_divisions, oracle_refinements, oracle_subsumes
+from random_gen import random_ipomset, random_language, random_word
 
 from hdalib.formats import parse_expr, parse_hda
 from hdalib.hda import (

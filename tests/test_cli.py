@@ -140,6 +140,28 @@ class TestHdaCommands:
         code, out, _ = run(capsys, "hda", "det", DATA / "square2d.hda")
         assert code == 0 and "deterministic" in out
 
+    # the square with edge e's upper face zz, which names no cell, or the
+    # edge g instead of the vertex w
+    @pytest.fixture(params=["zz", "g"], ids=["undefined", "mistyped"])
+    def bad_face(self, request, tmp_path):
+        text = (DATA / "square2d.hda").read_text()
+        f = tmp_path / "bad.hda"
+        f.write_text(text.replace("d1(1)=w ;", f"d1(1)={request.param} ;"))
+        return f
+
+    @pytest.mark.parametrize(
+        "verb", [["lang"], ["ess"], ["det"], ["member", "--expr", "ab"]], ids=lambda v: v[0]
+    )
+    def test_bad_face_is_an_error(self, capsys, bad_face, verb):
+        code, out, err = run(capsys, "hda", verb[0], bad_face, *verb[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: FaceTypingError: cell e: ")
+
+    def test_bad_face_is_reported_by_validate(self, capsys, bad_face):
+        code, out, err = run(capsys, "hda", "validate", bad_face)
+        assert (code, err) == (1, "")
+        assert out.startswith("cell e: ")
+
 
 class TestLangCommands:
     def test_quotient(self, capsys):

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import n_shape, par, random_language, word
-from oracles import oracle_accepting_paths, oracle_reachability
+from conftest import n_shape, par, word
+from oracles import oracle_accepting_paths, oracle_determinism, oracle_reachability
+from random_gen import random_language
 
+from hdalib import hda as hda_mod
 from hdalib.errors import FaceTypingError, IdentityViolation
 from hdalib.formats import parse_hda, parse_ipomset_text
 from hdalib.hda import (
@@ -31,6 +33,7 @@ from hdalib.hda import (
     validate,
 )
 from hdalib.ipomset import (
+    Ipomset,
     canonicalize,
     down_close,
     glue,
@@ -40,6 +43,7 @@ from hdalib.ipomset import (
 from hdalib.myhill_nerode import SUBSIDIARY, build_mn
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+DATA_HDAS = sorted(p.name for p in DATA.glob("*.hda"))
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,29 @@ def chain():
 @pytest.fixture(scope="module")
 def loop():
     return parse_hda((DATA / "loop_ab.hda").read_text())
+
+
+@pytest.fixture(scope="module")
+def mn_slice():
+    """The MN automata of 12 seeded random languages, with dead,
+    inaccessible and subsidiary cells and a branch clash."""
+    rng = random.Random(3)
+    return [build_mn(random_language(rng, max_members=20)) for _ in range(12)]
+
+
+def with_c_upper(face):
+    """An edge c from s whose upper face is ``face``, beside an edge d
+    from s to the accept cell t: zz names no cell, d is not a vertex."""
+    return build_hda(
+        [
+            Cell("s", ()),
+            Cell("t", ()),
+            Cell("c", ("a",), ("s",), (face,)),
+            Cell("d", ("b",), ("s",), ("t",)),
+        ],
+        start=["s"],
+        accept=["t"],
+    )
 
 
 def up(*positions):
@@ -187,13 +214,18 @@ class TestEssential:
         rep = essential_report(square)
         assert rep.essential == frozenset(square.cells)
 
-    def test_matches_reachability_oracle(self, square, chain, loop):
-        for x in (square, chain, loop):
+    def test_matches_reachability_oracle(self, square, chain, loop, mn_slice):
+        dead = inaccessible = 0
+        for x in (square, chain, loop, *(mn.hda for mn in mn_slice)):
             fwd, bwd = oracle_reachability(x)
             rep = essential_report(x)
             assert rep.accessible == fwd
             assert rep.coaccessible == bwd
             assert rep.essential == fwd & bwd
+            dead += len(x.cells.keys() - bwd)
+            inaccessible += len(x.cells.keys() - fwd)
+        assert dead and inaccessible
+        assert any(c.kind == SUBSIDIARY for mn in mn_slice for c in mn.cells.values())
 
     def test_chain_bottom_row_inaccessible(self, chain):
         rep = essential_report(chain)
@@ -296,19 +328,16 @@ class TestEnumerateLanguage:
 
 
 class TestAcceptingPaths:
-    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.hda")))
+    @pytest.mark.parametrize("name", DATA_HDAS)
     def test_matches_oracle_on_data_files(self, name):
         x = parse_hda((DATA / name).read_text())
         for bound in range(11):
             assert accepting_paths(x, bound) == oracle_accepting_paths(x, bound)
 
-    def test_matches_oracle_on_mn_automata(self):
-        rng = random.Random(3)
+    def test_matches_oracle_on_mn_automata(self, mn_slice):
         empty_below_shortest = dead_cells = subsidiary = 0
-        for _ in range(12):
-            lang = random_language(rng, max_members=20)
-            mn = build_mn(lang)
-            b = max(len(sparse_decomposition(m).steps) for m in lang.members)
+        for mn in mn_slice:
+            b = max(len(sparse_decomposition(m).steps) for m in mn.lang.members)
             for bound in range(b + 3):
                 got = accepting_paths(mn.hda, bound)
                 assert got == oracle_accepting_paths(mn.hda, bound)
@@ -326,27 +355,52 @@ class TestAcceptingPaths:
             HdaPath(("v", "q", "y"), (up(0, 1), down(0, 1))),
         ]
 
-    def test_undefined_face_fails_as_uncut_search(self):
-        # c's upper face zz is not a cell, and no accept cell lies past c:
-        # the search still walks to zz and fails there once the bound
-        # leaves it a step to take
-        x = build_hda(
-            [
-                Cell("s", ()),
-                Cell("t", ()),
-                Cell("c", ("a",), ("s",), ("zz",)),
-                Cell("d", ("b",), ("s",), ("t",)),
-            ],
-            start=["s"],
-            accept=["t"],
-        )
-        path = HdaPath(("s", "d", "t"), (up(0), down(0)))
-        assert accepting_paths(x, 2) == oracle_accepting_paths(x, 2) == [path]
-        with pytest.raises(KeyError, match="zz"):
-            accepting_paths(x, 3)
+    def test_undefined_face_is_a_typing_error_at_every_bound(self):
+        # the faces are checked before any search, so the bound is moot
+        x = with_c_upper("zz")
+        for bound in range(-1, 5):
+            with pytest.raises(FaceTypingError, match="face 'zz' undefined"):
+                accepting_paths(x, bound)
+
+
+class TestStepIndex:
+    @pytest.mark.parametrize("face", ["zz", "d"])
+    def test_malformed_faces_fail_every_search(self, face):
+        x = with_c_upper(face)
+        assert not validate(x).ok
+        for search in (
+            lambda: enumerate_language(x, 4),
+            lambda: member(x, word("b")),
+            lambda: essential_report(x),
+            lambda: is_deterministic(x),
+        ):
+            with pytest.raises(FaceTypingError, match="cell c: "):
+                search()
+
+    def test_member_queries_share_one_index(self, monkeypatch):
+        text = (DATA / "loop_ab.hda").read_text()
+        words = sorted(enumerate_language(parse_hda(text), 8), key=Ipomset.sort_key)
+        x = parse_hda(text)
+        builds = []
+        real = hda_mod._face_typing  # the index checks the faces once, first
+        monkeypatch.setattr(hda_mod, "_face_typing", lambda x: builds.append(x) or real(x))
+        for p in words:
+            assert member(x, p) is not None
+        assert builds == [x] and len(words) > 1
+        assert x._index == build_hda(x.cells.values(), x.start, x.accept)._index
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("name", DATA_HDAS)
+    def test_matches_oracle_on_data_files(self, name):
+        x = parse_hda((DATA / name).read_text())
+        assert is_deterministic(x) == oracle_determinism(x)
+
+    def test_matches_oracle_on_mn_automata(self, mn_slice):
+        reports = [is_deterministic(mn.hda) for mn in mn_slice]
+        assert reports == [oracle_determinism(mn.hda) for mn in mn_slice]
+        assert any(rep.branch_clashes for rep in reports)
+
     def test_square_deterministic(self, square):
         rep = is_deterministic(square)
         assert rep.deterministic

@@ -5,8 +5,9 @@ import weakref
 
 import pytest
 
-from conftest import par, random_language, word
+from conftest import par, word
 from oracles import oracle_swap_violations
+from random_gen import random_language
 
 from hdalib.errors import NotDownClosed
 from hdalib.hda import is_deterministic

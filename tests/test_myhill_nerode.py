@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from conftest import par, random_language, word
+from conftest import par, word
 from oracles import oracle_refinements
+from random_gen import random_language
 
 from hdalib.errors import NotDownClosed
 from hdalib.formats import hda_to_text, parse_hda, parse_lang

@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import random_ipomset, random_language
+from random_gen import random_ipomset, random_language
 
 from hdalib.hda import enumerate_language, is_deterministic
 from hdalib.ipomset import (
