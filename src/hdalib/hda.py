@@ -19,6 +19,7 @@ from .ipomset import (
     Ipomset,
     Loset,
     STARTER,
+    clear_target_positions,
     glue,
     identity,
     sparse_decomposition,
@@ -243,13 +244,21 @@ def ev_of_path(x: Hda, path: Path) -> Ipomset:
     """The event ipomset of a path: glue of its per-step steps."""
     out = identity(x.cells[path.source].ev)
     for k, st in enumerate(path.steps):
-        if st.kind == UP:
-            big = x.cells[path.cells[k + 1]].ev
-            out = glue(out, starter(big, st.positions))
-        else:
-            big = x.cells[path.cells[k]].ev
-            out = glue(out, terminator(big, st.positions))
+        out = _ev_step(x, out, path.cells[k], path.cells[k + 1], st)
     return out
+
+
+def _ev_step(x: Hda, out: Ipomset, before: str, after: str, st: PathStep) -> Ipomset:
+    """The event ipomset ``out`` of a path followed by the step ``st`` from
+    ``before`` to ``after``.  Gluing a terminator onto the target loset only
+    drops events from the target (:func:`clear_target_positions`); a down
+    step from a cell whose loset is not the target loset keeps the glue,
+    which raises :class:`InterfaceMismatch`."""
+    if st.kind == UP:
+        return glue(out, starter(x.cells[after].ev, st.positions))
+    if out.target_loset() == x.cells[before].ev:
+        return clear_target_positions(out, st.positions)
+    return glue(out, terminator(x.cells[before].ev, st.positions))
 
 
 def sparse_normalize(x: Hda, path: Path) -> Path:
@@ -416,24 +425,59 @@ def _enqueue(parents, seen, queue, cur, nxt, step):
 
 
 def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
-    """All sparse accepting paths with at most ``max_steps`` steps.
+    """All sparse accepting paths with at most ``max_steps`` steps, sorted
+    by length, cells and positions."""
+    out: list[Path] = []
+    _walk(x, max_steps, lambda cells, steps, _ev: out.append(Path(cells, steps)))
+    out.sort(key=lambda p: (len(p.steps), p.cells, [sorted(s.positions) for s in p.steps]))
+    return out
 
-    A depth-first search from the start cells, sorted by length, cells and
-    positions.  It enters a cell only when an accept cell is still within
-    the remaining steps, judged by the fewest steps to one in either
-    direction; alternation only lengthens paths, so the cut drops no path.
+
+def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
+    """Event ipomsets of all sparse accepting paths within the bound."""
+    out: set[Ipomset] = set()
+    _walk(x, max_steps, lambda _cells, _steps, ev: out.add(ev()))
+    return frozenset(out)
+
+
+def _walk(
+    x: Hda,
+    max_steps: int,
+    visit: Callable[[tuple[str, ...], tuple[PathStep, ...], Callable[[], Ipomset]], None],
+) -> None:
+    """Call ``visit(cells, steps, ev)`` on every sparse accepting path with
+    at most ``max_steps`` steps, depth first from the start cells.
+
+    The search enters a cell only when an accept cell is still within the
+    remaining steps, judged by the fewest steps to one in either direction;
+    alternation only lengthens paths, so the cut drops no path.
+
+    ``ev()``, called during the visit, returns the path's event ipomset:
+    the fold of :func:`ev_of_path`, continued from the ipomsets of the
+    current path's prefixes, which are kept one per depth.  A prefix shared
+    by several accepting paths is glued once, and a prefix of none is not
+    glued at all.
     """
     idx = x._index
     dist = _steps_to_accept(x)
-    out: list[Path] = []
+    evs: list[Ipomset] = []  # evs[k]: event ipomset of the first k steps
+
+    def ev(cells: tuple[str, ...], steps: tuple[PathStep, ...]) -> Ipomset:
+        for k in range(len(evs), len(steps) + 1):
+            if not k:
+                evs.append(identity(x.cells[cells[0]].ev))
+            else:
+                evs.append(_ev_step(x, evs[-1], cells[k - 1], cells[k], steps[k - 1]))
+        return evs[-1]
 
     def in_reach(cell: str, steps: int) -> bool:
         return cell in dist and steps + dist[cell] <= max_steps
 
-    def extend(cells: list[str], steps: list[PathStep]):
+    def extend(cells: tuple[str, ...], steps: tuple[PathStep, ...]):
+        del evs[len(steps) :]  # those from here on belong to an earlier path
         cur = cells[-1]
         if cur in x.accept:
-            out.append(Path(cells=tuple(cells), steps=tuple(steps)))
+            visit(cells, steps, lambda: ev(cells, steps))
         if len(steps) == max_steps:
             return
         n = len(steps) + 1
@@ -441,22 +485,15 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
         if last != UP:
             for big, pos in idx.up[cur]:
                 if in_reach(big, n):
-                    extend(cells + [big], steps + [PathStep(UP, pos)])
+                    extend(cells + (big,), steps + (PathStep(UP, pos),))
         if last != DOWN:
             for tgt, pos in idx.down[cur]:
                 if in_reach(tgt, n):
-                    extend(cells + [tgt], steps + [PathStep(DOWN, pos)])
+                    extend(cells + (tgt,), steps + (PathStep(DOWN, pos),))
 
     for s in sorted(x.start):
         if in_reach(s, 0):
-            extend([s], [])
-    out.sort(key=lambda p: (len(p.steps), p.cells, [sorted(s.positions) for s in p.steps]))
-    return out
-
-
-def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
-    """Event ipomsets of all sparse accepting paths within the bound."""
-    return frozenset(ev_of_path(x, p) for p in accepting_paths(x, max_steps))
+            extend((s,), ())
 
 
 # ---------------------------------------------------------------------------

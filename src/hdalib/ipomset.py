@@ -18,7 +18,7 @@ Canonical form:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -227,7 +227,8 @@ def canonicalize(
 
     ``prec`` and ``evord`` are completed to their transitive closures.
     Raises :class:`AxiomViolation` on cyclic orders, uncovered pairs,
-    non-minimal sources, non-maximal targets, or a 2+2 obstruction.
+    non-minimal sources, non-maximal targets, or a 2+2 obstruction.  The
+    closed, checked relations then go to :func:`_renumber`.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -257,7 +258,22 @@ def canonicalize(
     for t in target:
         if any(prec_m[t][x] for x in range(n)):
             raise AxiomViolation("target event is not maximal")
+    return _renumber(labels, source, target, prec_m, ev_m, ants)
 
+
+def _renumber(
+    labels: tuple[Label, ...],
+    source: frozenset[int],
+    target: frozenset[int],
+    prec_m: Sequence[Sequence[bool]],
+    ev_m: Sequence[Sequence[bool]],
+    ants: list[frozenset[int]],
+) -> Ipomset:
+    """The canonical form of an ipomset given by closed relations that
+    satisfy the axioms, and by the :func:`moments` of its precedence:
+    renumber the events into canonical order and keep only the closure of
+    the essential event order."""
+    n = len(labels)
     order = _canonical_order(ants, source, ev_m)
     pos = {old: new for new, old in enumerate(order)}
     new_labels = tuple(labels[i] for i in order)
@@ -305,15 +321,34 @@ def _rebuild(
 ) -> Ipomset:
     """Canonical form of the events ``keep`` of p with their precedence and
     event order, plus ``extra_prec``.  Every argument names events of p;
-    interface events outside ``keep`` are dropped."""
+    interface events outside ``keep`` are dropped.
+
+    Without ``extra_prec`` this is a restriction, and the caller vouches
+    that its sources are minimal and its targets maximal in it.  It then
+    goes straight to :func:`_renumber`: a restriction of a transitive
+    relation is transitive, of an acyclic one acyclic, of an interval order
+    an interval order, and every pair of kept events stays related.  Only
+    the essential event order is recomputed there, since a pair of p's event
+    order may have come through a dropped event.  With ``extra_prec`` the
+    relations go through the closure and the checks of
+    :func:`canonicalize`."""
     keep = sorted(keep)
     idx = {e: k for k, e in enumerate(keep)}
+    labels = tuple(p.labels[e] for e in keep)
+    src = [idx[e] for e in source if e in idx]
+    tgt = [idx[e] for e in target if e in idx]
+    extra_prec = list(extra_prec)
+    if not extra_prec:
+        prec_m = [[p.prec[a][b] for b in keep] for a in keep]
+        ev_m = [[p.evord[a][b] for b in keep] for a in keep]
+        ants = moments(len(keep), prec_m)
+        return _renumber(labels, frozenset(src), frozenset(tgt), prec_m, ev_m, ants)
     prec = [(idx[a], idx[b]) for a in keep for b in keep if p.prec[a][b]]
     prec += [(idx[a], idx[b]) for a, b in extra_prec]
     return canonicalize(
-        [p.labels[e] for e in keep],
-        [idx[e] for e in source if e in idx],
-        [idx[e] for e in target if e in idx],
+        labels,
+        src,
+        tgt,
         prec,
         [(idx[a], idx[b]) for a in keep for b in keep if p.evord[a][b]],
     )
@@ -699,14 +734,33 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
 
 
 def remove_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
-    """P − A with A given as positions of the target loset."""
+    """P − A with A given as positions of the target loset.  A position
+    outside the target loset is not removable (:class:`NotRemovable`)."""
     tgt = p.target_events()
+    positions = frozenset(positions)
+    bad = [i for i in positions if not 0 <= i < len(tgt)]
+    if bad:
+        raise NotRemovable(f"positions {sorted(bad)} are outside the target loset")
     return remove_targets(p, (tgt[i] for i in positions))
 
 
 def clear_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
-    """P * (T_P ↓ A): terminate the target events at the given positions."""
-    return glue(p, terminator(p.target_loset(), positions))
+    """P * (T_P ↓ A): terminate the target events at the given positions.
+
+    This is p with those events dropped from its target, every other field
+    unchanged.  Gluing the terminator adds no event (its every event is a
+    source, glued onto a target of p), no precedence (it has no event
+    outside its source) and no essential event order (its order is the
+    target loset of p, already in p's event order); so the relations stay
+    closed and valid, a smaller target stays maximal, and
+    :func:`_canonical_order` never reads the targets.  Positions out of
+    range raise :class:`AxiomViolation` as :func:`terminator` does.
+    """
+    tgt = p.target_events()
+    positions = frozenset(positions)
+    if any(not 0 <= i < len(tgt) for i in positions):
+        raise AxiomViolation(f"{TERMINATOR} positions out of range")
+    return replace(p, target=p.target - {tgt[i] for i in positions})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import itertools
 
 from hdalib.errors import AxiomViolation, InterfaceMismatch
 from hdalib.hda import DOWN, UP, DeterminismReport, Hda, Path, PathStep
-from hdalib.ipomset import Ipomset, canonicalize, glue
+from hdalib.ipomset import Ipomset, canonicalize, glue, identity, starter, terminator
 
 
 def _bijections(p: Ipomset, q: Ipomset):
@@ -143,6 +143,11 @@ def oracle_swap_violations(
     return tuple(sorted(bad, key=lambda t: (t[0].sort_key(), t[1].sort_key())))
 
 
+def oracle_remove_targets(p: Ipomset, events) -> Ipomset:
+    """P − A by canonicalizing the other events with all their relations."""
+    return _restrict(p, [i for i in range(p.n) if i not in set(events)], p.source, p.target)
+
+
 def _restrict(m, events, source, target):
     keep = sorted(events)
     idx = {e: k for k, e in enumerate(keep)}
@@ -215,6 +220,19 @@ def oracle_accepting_paths(x: Hda, max_steps: int) -> list[Path]:
             for nxt, a in moves(p.target, kind)
         ]
     return sorted(out, key=lambda p: (len(p), p.cells, [sorted(s.positions) for s in p.steps]))
+
+
+def oracle_ev_of_path(x: Hda, path: Path) -> Ipomset:
+    """The event ipomset of a path: the identity on its first cell, glued
+    with a starter on the cell an up step enters and a terminator on the
+    cell a down step leaves, one step at a time."""
+    out = identity(x.cells[path.cells[0]].ev)
+    for k, st in enumerate(path.steps):
+        if st.kind == UP:
+            out = glue(out, starter(x.cells[path.cells[k + 1]].ev, st.positions))
+        else:
+            out = glue(out, terminator(x.cells[path.cells[k]].ev, st.positions))
+    return out
 
 
 def oracle_determinism(x: Hda) -> DeterminismReport:

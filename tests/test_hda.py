@@ -5,11 +5,16 @@ from pathlib import Path
 import pytest
 
 from conftest import n_shape, par, word
-from oracles import oracle_accepting_paths, oracle_determinism, oracle_reachability
+from oracles import (
+    oracle_accepting_paths,
+    oracle_determinism,
+    oracle_ev_of_path,
+    oracle_reachability,
+)
 from random_gen import random_language
 
 from hdalib import hda as hda_mod
-from hdalib.errors import FaceTypingError, IdentityViolation
+from hdalib.errors import FaceTypingError, IdentityViolation, InterfaceMismatch
 from hdalib.formats import parse_hda, parse_ipomset_text
 from hdalib.hda import (
     DOWN,
@@ -325,6 +330,32 @@ class TestEnumerateLanguage:
         assert dot_a in lang
         assert one in lang
         assert glue(one, one) in enumerate_language(loop, 10)
+
+    @pytest.mark.parametrize("name", DATA_HDAS)
+    def test_matches_oracle_on_data_files(self, name):
+        x = parse_hda((DATA / name).read_text())
+        for bound in range(11):
+            check_language_against_oracle(x, bound)
+
+    def test_matches_oracle_on_mn_automata(self, mn_slice):
+        for mn in mn_slice:
+            b = max(len(sparse_decomposition(m).steps) for m in mn.lang.members)
+            for bound in range(b + 3):
+                check_language_against_oracle(mn.hda, bound)
+
+    def test_down_step_from_another_loset_is_a_mismatch(self, square):
+        # terminating b in q leaves a, but the next step leaves h, a b
+        with pytest.raises(InterfaceMismatch):
+            ev_of_path(square, HdaPath(("q", "h", "y"), (down(1), down(0))))
+
+
+def check_language_against_oracle(x, bound):
+    """enumerate_language and ev_of_path against the glue fold of every
+    path of the uncut path oracle."""
+    paths = oracle_accepting_paths(x, bound)
+    evs = [oracle_ev_of_path(x, p) for p in paths]
+    assert [ev_of_path(x, p) for p in paths] == evs
+    assert enumerate_language(x, bound) == frozenset(evs)
 
 
 class TestAcceptingPaths:

@@ -3,7 +3,13 @@ import itertools
 import pytest
 
 from conftest import n_shape, par, word
-from oracles import oracle_divisions, oracle_isomorphic, oracle_refinements, oracle_subsumes
+from oracles import (
+    oracle_divisions,
+    oracle_isomorphic,
+    oracle_refinements,
+    oracle_remove_targets,
+    oracle_subsumes,
+)
 
 from hdalib.errors import AxiomViolation, InterfaceMismatch, NotRemovable
 from hdalib.ipomset import (
@@ -12,6 +18,7 @@ from hdalib.ipomset import (
     TERMINATOR,
     StarterTerminator,
     canonicalize,
+    clear_target_positions,
     down_close,
     enumerate_divisions,
     fin,
@@ -21,6 +28,7 @@ from hdalib.ipomset import (
     identity,
     interval_representation,
     refinements,
+    remove_target_positions,
     remove_targets,
     rfin_events,
     sorted_ipomsets,
@@ -32,7 +40,39 @@ from hdalib.ipomset import (
 )
 
 
+TWO_PLUS_TWO = dict(prec=[(0, 1), (2, 3)], evord=[(0, 2), (0, 3), (1, 2), (1, 3)])
+TWO_PLUS_TWO_MESSAGE = "precedence admits no interval representation (2+2)"
+
+# one input per axiom, then inputs that break two at once: the first check
+# in canonicalize's order names the error
+CANONICALIZE_ERRORS = [
+    (("a",), dict(source=[1]), "interface event out of range"),
+    (("a",), dict(target=[-1]), "interface event out of range"),
+    ("ab", dict(prec=[(0, 1), (1, 0)]), "cyclic precedence order"),
+    ("ab", dict(evord=[(0, 1), (1, 0)]), "cyclic event order"),
+    ("ab", {}, "events 0 and 1 unrelated by precedence and event order"),
+    ("abcd", TWO_PLUS_TWO, TWO_PLUS_TWO_MESSAGE),
+    ("ab", dict(source=[1], prec=[(0, 1)]), "source event is not minimal"),
+    ("ab", dict(target=[0], prec=[(0, 1)]), "target event is not maximal"),
+    ("ab", dict(source=[2], prec=[(0, 1), (1, 0)]), "interface event out of range"),
+    ("ab", dict(prec=[(0, 1), (1, 0)], evord=[(0, 1), (1, 0)]), "cyclic precedence order"),
+    ("abc", dict(evord=[(0, 1), (1, 0)]), "cyclic event order"),
+    ("abcd", dict(source=[1], **TWO_PLUS_TWO), TWO_PLUS_TWO_MESSAGE),
+    (
+        "abc",
+        dict(source=[1], target=[0], prec=[(0, 1)], evord=[(0, 2), (1, 2)]),
+        "source event is not minimal",
+    ),
+]
+
+
 class TestCanonicalize:
+    @pytest.mark.parametrize("labels,kw,message", CANONICALIZE_ERRORS)
+    def test_error_message_and_check_order(self, labels, kw, message):
+        with pytest.raises(AxiomViolation) as err:
+            canonicalize(labels, **kw)
+        assert str(err.value) == message
+
     def test_empty(self):
         assert EMPTY.n == 0
         assert canonicalize(()) == EMPTY
@@ -359,6 +399,40 @@ class TestTargetsAndSignatures:
         p = identity(("a",))
         with pytest.raises(NotRemovable):
             remove_targets(p, {0})
+
+    def test_remove_target_positions_outside_the_target_loset(self):
+        p = par(("a", 0, 1), ("b", 0, 1))
+        assert remove_target_positions(p, [1]) == par(("a", 0, 1))
+        for bad in ([-1], [2], [0, 2]):
+            with pytest.raises(NotRemovable):
+                remove_target_positions(p, bad)
+
+    def test_clear_target_positions_out_of_range(self):
+        p = par(("a", 0, 1), ("b", 0, 1))
+        assert clear_target_positions(p, [1]) == par(("a", 0, 1), ("b", 0, 0))
+        for bad in ([-1], [2], [0, 2]):
+            with pytest.raises(AxiomViolation, match="^terminator positions out of range$"):
+                clear_target_positions(p, bad)
+
+    def test_clear_is_terminator_glue(self, small_corpus):
+        cases = 0
+        for p in small_corpus:
+            loset = p.target_loset()
+            for k in range(len(loset) + 1):
+                for a in itertools.combinations(range(len(loset)), k):
+                    assert clear_target_positions(p, a) == glue(p, terminator(loset, a))
+                    cases += 1
+        assert cases == 3349
+
+    def test_remove_matches_restriction_oracle(self, small_corpus):
+        cases = 0
+        for p in small_corpus:
+            rf = sorted(rfin_events(p))
+            for k in range(len(rf) + 1):
+                for a in itertools.combinations(rf, k):
+                    assert remove_targets(p, a) == oracle_remove_targets(p, a)
+                    cases += 1
+        assert cases == 2383
 
     def test_signature_examples(self):
         p = canonicalize(
