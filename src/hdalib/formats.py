@@ -107,19 +107,19 @@ def _try_shorthand(p: Ipomset) -> Optional[str]:
     comps = _prec_components(p)
     rows = []
     for comp in comps:
-        chain = sorted(comp, key=lambda i: sum(p.prec[j][i] for j in comp))
+        chain = sorted(comp, key=lambda i: sum(p.lt(j, i) for j in comp))
         for a, b in zip(chain, chain[1:]):
-            if not p.prec[a][b]:
+            if not p.lt(a, b):
                 return None  # component is not a chain
         rows.append(chain)
     # order rows by event order; all cross pairs must agree with it
     firsts = [row[0] for row in rows]
-    rows.sort(key=lambda row: sum(1 for f in firsts if p.evord[f][row[0]]))
+    rows.sort(key=lambda row: sum(1 for f in firsts if p.ev(f, row[0])))
     for i, row in enumerate(rows):
         for later in rows[i + 1 :]:
             for a in row:
                 for b in later:
-                    if p.prec[a][b] or p.prec[b][a] or not p.evord[a][b]:
+                    if p.lt(a, b) or p.lt(b, a) or not p.ev(a, b):
                         return None
     text = "|".join(
         "".join(
@@ -142,7 +142,7 @@ def _prec_components(p: Ipomset) -> list[list[int]]:
 
     for i in range(p.n):
         for j in range(p.n):
-            if p.prec[i][j]:
+            if p.lt(i, j):
                 parent[find(i)] = find(j)
     comps: dict[int, list[int]] = {}
     for i in range(p.n):
@@ -234,24 +234,18 @@ def ipomset_to_block(p: Ipomset, name: str = "P") -> str:
         parts.append("source: " + " ".join(f"e{i}" for i in sorted(p.source)))
     if p.target:
         parts.append("target: " + " ".join(f"e{i}" for i in sorted(p.target)))
-    prec = _reduction(p.n, p.prec)
+    prec = _reduction(p.n, p.lt)
     if prec:
         parts.append("prec: " + " ".join(f"e{a}<e{b}" for a, b in prec))
-    ev = _reduction(p.n, _essential(p))
+    ev = _reduction(p.n, lambda i, j: p.ev(i, j) and p.is_concurrent(i, j))
     if ev:
         parts.append("evord: " + " ".join(f"e{a}<e{b}" for a, b in ev))
     return f"ipomset {name} {{ " + "; ".join(parts) + " }"
 
 
-def _essential(p: Ipomset):
-    return tuple(
-        tuple(p.evord[i][j] and p.is_concurrent(i, j) for j in range(p.n))
-        for i in range(p.n)
-    )
-
-
-def _reduction(n: int, mat) -> list[tuple[int, int]]:
+def _reduction(n: int, rel) -> list[tuple[int, int]]:
     # covering pairs of a DAG: drop edges implied by a two-step path
+    mat = [[rel(i, j) for j in range(n)] for i in range(n)]
     out = []
     for i in range(n):
         for j in range(n):
@@ -269,8 +263,8 @@ def ipomset_to_json(p: Ipomset) -> dict:
         "labels": list(p.labels),
         "source": sorted(p.source),
         "target": sorted(p.target),
-        "prec": [[i, j] for i in range(p.n) for j in range(p.n) if p.prec[i][j]],
-        "evord": [[i, j] for i in range(p.n) for j in range(p.n) if p.evord[i][j]],
+        "prec": [[i, j] for i in range(p.n) for j in range(p.n) if p.lt(i, j)],
+        "evord": [[i, j] for i in range(p.n) for j in range(p.n) if p.ev(i, j)],
     }
 
 

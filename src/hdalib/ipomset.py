@@ -2,8 +2,9 @@
 
 Values of the central type :class:`Ipomset` are always kept in a canonical
 form in which structural equality coincides with isomorphism.  Events are
-indexed 0..n-1; ``prec`` and ``evord`` are strict-order boolean matrices;
-``source`` and ``target`` hold the interface events.
+indexed 0..n-1; ``prec`` and ``evord`` are strict orders stored as row
+masks, read through :meth:`Ipomset.lt` and :meth:`Ipomset.ev`; ``source``
+and ``target`` hold the interface events.
 
 Canonical form:
 
@@ -27,8 +28,6 @@ from .errors import AxiomViolation, InterfaceMismatch, MalformedInterval, NotRem
 Label = str
 Loset = tuple[Label, ...]  # isomorphism class of a loset: labels in event order
 
-Matrix = tuple[tuple[bool, ...], ...]
-
 STARTER = "starter"
 TERMINATOR = "terminator"
 
@@ -36,27 +35,39 @@ TERMINATOR = "terminator"
 @dataclass(frozen=True)
 class Ipomset:
     """A canonical ipomset.  Build through :func:`canonicalize` or the
-    constructors below; direct instantiation skips validation."""
+    constructors below; direct instantiation skips validation.
+
+    ``prec`` and ``evord`` hold one row mask per event, with column j of
+    row i at bit n-1-j.  The encoding is private to this module: read the
+    relations through :meth:`lt` and :meth:`ev`."""
 
     labels: tuple[Label, ...]
     source: frozenset[int]
     target: frozenset[int]
-    prec: Matrix
-    evord: Matrix
+    prec: tuple[int, ...]
+    evord: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    def lt(self, i: int, j: int) -> bool:
+        """Event i precedes event j."""
+        return bool(self.prec[i] >> (len(self.labels) - 1 - j) & 1)
+
+    def ev(self, i: int, j: int) -> bool:
+        """Event i comes before event j in the event order."""
+        return bool(self.evord[i] >> (len(self.labels) - 1 - j) & 1)
+
     def is_concurrent(self, i: int, j: int) -> bool:
-        return i != j and not self.prec[i][j] and not self.prec[j][i]
+        return i != j and not self.lt(i, j) and not self.lt(j, i)
 
     def source_events(self) -> tuple[int, ...]:
         """Source events in event order (the source interface loset)."""
-        return _loset_sort(self.evord, self.source)
+        return _loset_sort(self.evord, _mask(self.n, self.source))
 
     def target_events(self) -> tuple[int, ...]:
-        return _loset_sort(self.evord, self.target)
+        return _loset_sort(self.evord, _mask(self.n, self.target))
 
     def source_loset(self) -> Loset:
         return tuple(self.labels[i] for i in self.source_events())
@@ -164,35 +175,89 @@ class IntervalRep:
 
 # ---------------------------------------------------------------------------
 # relation helpers
+#
+# A relation on events 0..n-1 is a list of n row masks: column j of row i
+# is bit n-1-j.  With the first column in the highest bit, rows of one width
+# compare as the rows of a boolean matrix would, so sort keys keep their
+# order, and the smallest event of a mask is its highest set bit.
 
 
-def _closure(n: int, pairs: set[tuple[int, int]]) -> list[list[bool]]:
-    m = [[False] * n for _ in range(n)]
+def _events(n: int, mask: int) -> list[int]:
+    """The events of a mask in increasing order."""
+    out = []
+    while mask:
+        top = mask.bit_length()
+        out.append(n - top)
+        mask ^= 1 << (top - 1)
+    return out
+
+
+def _mask(n: int, events: Iterable[int]) -> int:
+    out = 0
+    for i in events:
+        out |= 1 << (n - 1 - i)
+    return out
+
+
+def _rows(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    rows = [0] * n
     for i, j in pairs:
-        m[i][j] = True
+        if not (0 <= i < n and 0 <= j < n):
+            raise AxiomViolation("relation pair out of range")
+        rows[i] |= 1 << (n - 1 - j)
+    return rows
+
+
+def _remap(row: int, n: int, bits: Sequence[int]) -> int:
+    """The row with column j of an n-wide relation moved to the mask
+    ``bits[j]``."""
+    out = 0
+    while row:
+        top = row.bit_length()
+        out |= bits[n - top]
+        row ^= 1 << (top - 1)
+    return out
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The rows of the converse relation: row j holds the events i with
+    column j set in row i."""
+    n = len(rows)
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        bit = 1 << (n - 1 - i)
+        while row:
+            top = row.bit_length()
+            cols[n - top] |= bit
+            row ^= 1 << (top - 1)
+    return cols
+
+
+def _closure(rows: Sequence[int]) -> list[int]:
+    """Transitive closure by Warshall's algorithm over rows."""
+    n = len(rows)
+    rows = list(rows)
     for k in range(n):
-        mk = m[k]
+        bit, row = 1 << (n - 1 - k), rows[k]
         for i in range(n):
-            if m[i][k]:
-                mi = m[i]
-                for j in range(n):
-                    if mk[j]:
-                        mi[j] = True
-    return m
+            if rows[i] & bit:
+                rows[i] |= row
+    return rows
 
 
-def _freeze(m: Sequence[Sequence[bool]]) -> Matrix:
-    return tuple(tuple(row) for row in m)
+def _loset_sort(evord: Sequence[int], events: int) -> tuple[int, ...]:
+    """The events of a mask in event order."""
+    # the events are pairwise concurrent, so evord orders them totally and
+    # an earlier event has more of them after it
+    return tuple(
+        sorted(_events(len(evord), events), key=lambda i: -(evord[i] & events).bit_count())
+    )
 
 
-def _loset_sort(evord: Sequence[Sequence[bool]], events: Iterable[int]) -> tuple[int, ...]:
-    ev = list(events)
-    # the events are pairwise concurrent, so evord orders them totally
-    return tuple(sorted(ev, key=lambda i: sum(evord[j][i] for j in ev)))
-
-
-def moments(n: int, prec: Sequence[Sequence[bool]]) -> list[frozenset[int]]:
-    """The maximal antichains of an interval order, in temporal order.
+def moments(downs: Sequence[int]) -> list[int]:
+    """The maximal antichains of an interval order, in temporal order, as
+    masks; ``downs[x]`` is the mask of the events before x (the transpose
+    of the precedence rows).
 
     For interval orders the strict down-sets are nested; the maximal
     antichains are exactly {x : D(x) ⊆ D, x ∉ D} for each distinct
@@ -201,14 +266,13 @@ def moments(n: int, prec: Sequence[Sequence[bool]]) -> list[frozenset[int]]:
     Raises :class:`AxiomViolation` when the down-sets are not nested, which
     happens exactly when precedence contains a 2+2 (Fishburn 1985).
     """
-    downs = [frozenset(j for j in range(n) if prec[j][i]) for i in range(n)]
-    distinct = sorted(set(downs), key=len)
+    n = len(downs)
+    distinct = sorted(set(downs), key=int.bit_count)
     for a, b in zip(distinct, distinct[1:]):
-        if not a < b:
+        if a & ~b:
             raise AxiomViolation("precedence admits no interval representation (2+2)")
     return [
-        frozenset(x for x in range(n) if downs[x] <= d and x not in d)
-        for d in distinct
+        _mask(n, (x for x, dx in enumerate(downs) if not dx & ~d)) & ~d for d in distinct
     ]
 
 
@@ -226,9 +290,9 @@ def canonicalize(
     """Validate a raw iposet description and return its canonical form.
 
     ``prec`` and ``evord`` are completed to their transitive closures.
-    Raises :class:`AxiomViolation` on cyclic orders, uncovered pairs,
-    non-minimal sources, non-maximal targets, or a 2+2 obstruction.  The
-    closed, checked relations then go to :func:`_renumber`.
+    Raises :class:`AxiomViolation` on an interface event or relation pair
+    out of range, cyclic orders, uncovered pairs, non-minimal sources,
+    non-maximal targets, or a 2+2 obstruction.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -236,121 +300,124 @@ def canonicalize(
     target = frozenset(target)
     if any(not (0 <= i < n) for i in source | target):
         raise AxiomViolation("interface event out of range")
-    prec_m = _closure(n, {(i, j) for i, j in prec})
-    ev_m = _closure(n, {(i, j) for i, j in evord})
+    return _close_and_check(labels, source, target, _rows(n, prec), _rows(n, evord))
+
+
+def _close_and_check(
+    labels: tuple[Label, ...],
+    source: frozenset[int],
+    target: frozenset[int],
+    prec: Sequence[int],
+    evord: Sequence[int],
+) -> Ipomset:
+    """Close the relation rows, check the axioms in the order
+    :func:`canonicalize` documents, and hand the result to
+    :func:`_renumber`."""
+    n = len(labels)
+    prec = _closure(prec)
+    evord = _closure(evord)
     for i in range(n):
-        if prec_m[i][i]:
+        bit = 1 << (n - 1 - i)
+        if prec[i] & bit:
             raise AxiomViolation("cyclic precedence order")
-        if ev_m[i][i]:
+        if evord[i] & bit:
             raise AxiomViolation("cyclic event order")
+    related = [p | e for p, e in zip(prec, evord)]
     for i in range(n):
-        for j in range(n):
-            if i != j and not (
-                prec_m[i][j] or prec_m[j][i] or ev_m[i][j] or ev_m[j][i]
-            ):
+        # the first unrelated pair has i < j: a pair (i, j) with j < i
+        # shows up earlier, as (j, i)
+        bit = 1 << (n - 1 - i)
+        missing = (bit - 1) & ~related[i]
+        while missing:
+            top = missing.bit_length()
+            if not related[n - top] & bit:
                 raise AxiomViolation(
-                    f"events {i} and {j} unrelated by precedence and event order"
+                    f"events {i} and {n - top} unrelated by precedence and event order"
                 )
-    ants = moments(n, prec_m)
-    for s in source:
-        if any(prec_m[x][s] for x in range(n)):
-            raise AxiomViolation("source event is not minimal")
-    for t in target:
-        if any(prec_m[t][x] for x in range(n)):
-            raise AxiomViolation("target event is not maximal")
-    return _renumber(labels, source, target, prec_m, ev_m, ants)
+            missing ^= 1 << (top - 1)
+    downs = _transpose(prec)
+    ants = moments(downs)
+    if any(downs[s] for s in source):
+        raise AxiomViolation("source event is not minimal")
+    if any(prec[t] for t in target):
+        raise AxiomViolation("target event is not maximal")
+    return _renumber(labels, source, target, prec, evord, downs, ants)
 
 
 def _renumber(
     labels: tuple[Label, ...],
     source: frozenset[int],
     target: frozenset[int],
-    prec_m: Sequence[Sequence[bool]],
-    ev_m: Sequence[Sequence[bool]],
-    ants: list[frozenset[int]],
+    prec: Sequence[int],
+    evord: Sequence[int],
+    downs: Sequence[int],
+    ants: list[int],
 ) -> Ipomset:
-    """The canonical form of an ipomset given by closed relations that
-    satisfy the axioms, and by the :func:`moments` of its precedence:
-    renumber the events into canonical order and keep only the closure of
-    the essential event order."""
+    """The canonical form of an ipomset given by closed relation rows that
+    satisfy the axioms, the transpose ``downs`` of its precedence and its
+    :func:`moments`: renumber the events into canonical order and keep only
+    the closure of the essential event order."""
     n = len(labels)
-    order = _canonical_order(ants, source, ev_m)
-    pos = {old: new for new, old in enumerate(order)}
-    new_labels = tuple(labels[i] for i in order)
-    new_source = frozenset(pos[i] for i in source)
-    new_target = frozenset(pos[i] for i in target)
-    new_prec = [[prec_m[order[i]][order[j]] for j in range(n)] for i in range(n)]
-    new_ev = [[ev_m[order[i]][order[j]] for j in range(n)] for i in range(n)]
-    essential = {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if new_ev[i][j] and not new_prec[i][j] and not new_prec[j][i]
-    }
+    order = _canonical_order(n, ants, source, evord)
+    pos = [0] * n
+    for new, old in enumerate(order):
+        pos[old] = new
+    bits = [1 << (n - 1 - new) for new in pos]
+    essential = [e & ~(p | d) for p, e, d in zip(prec, evord, downs)]
     return Ipomset(
-        labels=new_labels,
-        source=new_source,
-        target=new_target,
-        prec=_freeze(new_prec),
-        evord=_freeze(_closure(n, essential)),
+        labels=tuple(labels[i] for i in order),
+        source=frozenset(pos[i] for i in source),
+        target=frozenset(pos[i] for i in target),
+        prec=tuple(_remap(prec[i], n, bits) for i in order),
+        evord=tuple(_closure([_remap(essential[i], n, bits) for i in order])),
     )
 
 
-def _canonical_order(ants, source, ev_m) -> list[int]:
+def _canonical_order(
+    n: int, ants: list[int], source: frozenset[int], evord: Sequence[int]
+) -> list[int]:
     """Events grouped by the starter step that introduces them, each group
     sorted by event order.  Group 0 is the source interface."""
-    groups: list[list[int]] = [sorted(source)]
-    seen = set(source)
+    seen = _mask(n, source)
+    order = list(_loset_sort(evord, seen))
     for ant in ants:
-        fresh = [x for x in ant if x not in seen]
-        seen |= set(fresh)
+        fresh = ant & ~seen
         if fresh:
-            groups.append(fresh)
-    order: list[int] = []
-    for g in groups:
-        order.extend(_loset_sort(ev_m, g))
+            order.extend(_loset_sort(evord, fresh))
+            seen |= fresh
     return order
 
 
-def _rebuild(
-    p: Ipomset,
-    keep: Iterable[int],
-    source: Iterable[int],
-    target: Iterable[int],
-    extra_prec: Iterable[tuple[int, int]] = (),
-) -> Ipomset:
-    """Canonical form of the events ``keep`` of p with their precedence and
-    event order, plus ``extra_prec``.  Every argument names events of p;
-    interface events outside ``keep`` are dropped.
+def _rebuild(p: Ipomset, keep: int, source: int, target: int) -> Ipomset:
+    """Canonical form of the events of p in the mask ``keep`` with their
+    precedence and event order; the masks ``source`` and ``target`` name
+    its interfaces among p's events, and interface events outside ``keep``
+    are dropped.
 
-    Without ``extra_prec`` this is a restriction, and the caller vouches
-    that its sources are minimal and its targets maximal in it.  It then
-    goes straight to :func:`_renumber`: a restriction of a transitive
-    relation is transitive, of an acyclic one acyclic, of an interval order
-    an interval order, and every pair of kept events stays related.  Only
-    the essential event order is recomputed there, since a pair of p's event
-    order may have come through a dropped event.  With ``extra_prec`` the
-    relations go through the closure and the checks of
-    :func:`canonicalize`."""
-    keep = sorted(keep)
-    idx = {e: k for k, e in enumerate(keep)}
-    labels = tuple(p.labels[e] for e in keep)
-    src = [idx[e] for e in source if e in idx]
-    tgt = [idx[e] for e in target if e in idx]
-    extra_prec = list(extra_prec)
-    if not extra_prec:
-        prec_m = [[p.prec[a][b] for b in keep] for a in keep]
-        ev_m = [[p.evord[a][b] for b in keep] for a in keep]
-        ants = moments(len(keep), prec_m)
-        return _renumber(labels, frozenset(src), frozenset(tgt), prec_m, ev_m, ants)
-    prec = [(idx[a], idx[b]) for a in keep for b in keep if p.prec[a][b]]
-    prec += [(idx[a], idx[b]) for a, b in extra_prec]
-    return canonicalize(
-        labels,
-        src,
-        tgt,
+    The caller vouches that the sources are minimal and the targets maximal
+    in the restriction.  It goes straight to :func:`_renumber`: a
+    restriction of a transitive relation is transitive, of an acyclic one
+    acyclic, of an interval order an interval order, and every pair of kept
+    events stays related.  Only the essential event order is recomputed
+    there, since a pair of p's event order may have come through a dropped
+    event."""
+    n = p.n
+    kept = _events(n, keep)
+    k = len(kept)
+    bits = [0] * n
+    for new, old in enumerate(kept):
+        bits[old] = 1 << (k - 1 - new)
+    prec = [_remap(p.prec[e] & keep, n, bits) for e in kept]
+    evord = [_remap(p.evord[e] & keep, n, bits) for e in kept]
+    downs = _transpose(prec)
+    return _renumber(
+        tuple(p.labels[e] for e in kept),
+        frozenset(t for t, e in enumerate(kept) if source >> (n - 1 - e) & 1),
+        frozenset(t for t, e in enumerate(kept) if target >> (n - 1 - e) & 1),
         prec,
-        [(idx[a], idx[b]) for a in keep for b in keep if p.evord[a][b]],
+        evord,
+        downs,
+        moments(downs),
     )
 
 
@@ -406,7 +473,7 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
     if len(p.source) != len(q.source) or len(p.target) != len(q.target):
         return None
     # subsumption can only forget precedence
-    if sum(map(sum, p.prec)) < sum(map(sum, q.prec)):
+    if sum(r.bit_count() for r in p.prec) < sum(r.bit_count() for r in q.prec):
         return None
     # interface events are forced: concurrent pairs keep their event order,
     # so the k-th source of p must map to the k-th source of q
@@ -431,14 +498,13 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
             return False
         for y in assigned:
             fy = image[y]
-            if (q.prec[fx][fy] and not p.prec[x][y]) or (
-                q.prec[fy][fx] and not p.prec[y][x]
-            ):
+            xy, yx = p.lt(x, y), p.lt(y, x)
+            if (q.lt(fx, fy) and not xy) or (q.lt(fy, fx) and not yx):
                 return False
-            if p.is_concurrent(x, y):
-                if p.evord[x][y] and not q.evord[fx][fy]:
+            if not xy and not yx:
+                if p.ev(x, y) and not q.ev(fx, fy):
                     return False
-                if p.evord[y][x] and not q.evord[fy][fx]:
+                if p.ev(y, x) and not q.ev(fy, fx):
                     return False
         return True
 
@@ -482,43 +548,30 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
             f"target loset {p.target_loset()} does not match source loset "
             f"{q.source_loset()}"
         )
-    qmap: dict[int, int] = {}
+    qmap = [-1] * q.n
     for a, b in zip(pt, qs):
         qmap[b] = a
-    fresh = p.n
+    n = p.n
     for j in range(q.n):
-        if j not in qmap:
-            qmap[j] = fresh
-            fresh += 1
-    n = fresh
+        if qmap[j] < 0:
+            qmap[j] = n
+            n += 1
     labels = list(p.labels) + [""] * (n - p.n)
-    for j in range(q.n):
-        labels[qmap[j]] = q.labels[j]
-    prec = set()
-    evord = set()
+    for j, i in enumerate(qmap):
+        labels[i] = q.labels[j]
+    # p's events keep their indices, so its rows only widen
+    prec = [r << (n - p.n) for r in p.prec] + [0] * (n - p.n)
+    evord = [r << (n - p.n) for r in p.evord] + [0] * (n - p.n)
+    bits = [1 << (n - 1 - i) for i in qmap]
+    for j, i in enumerate(qmap):
+        prec[i] |= _remap(q.prec[j], q.n, bits)
+        evord[i] |= _remap(q.evord[j], q.n, bits)
+    q_interior = _mask(n, (qmap[j] for j in range(q.n) if j not in q.source))
     for i in range(p.n):
-        for j in range(p.n):
-            if p.prec[i][j]:
-                prec.add((i, j))
-            if p.evord[i][j]:
-                evord.add((i, j))
-    for i in range(q.n):
-        for j in range(q.n):
-            if q.prec[i][j]:
-                prec.add((qmap[i], qmap[j]))
-            if q.evord[i][j]:
-                evord.add((qmap[i], qmap[j]))
-    p_interior = [i for i in range(p.n) if i not in p.target]
-    q_interior = [qmap[j] for j in range(q.n) if j not in q.source]
-    for i in p_interior:
-        for j in q_interior:
-            prec.add((i, j))
-    return canonicalize(
-        labels,
-        p.source,
-        (qmap[j] for j in q.target),
-        prec,
-        evord,
+        if i not in p.target:
+            prec[i] |= q_interior
+    return _close_and_check(
+        tuple(labels), p.source, frozenset(qmap[j] for j in q.target), prec, evord
     )
 
 
@@ -538,7 +591,7 @@ def glue_all(parts: Iterable[Ipomset]) -> Ipomset:
 
 def sparse_decomposition(p: Ipomset) -> StepSequence:
     """The unique alternating starter/terminator decomposition of p."""
-    ants = moments(p.n, p.prec)
+    ants = moments(_transpose(p.prec))
     init = p.source_events()
     steps: list[StarterTerminator] = []
 
@@ -548,7 +601,7 @@ def sparse_decomposition(p: Ipomset) -> StepSequence:
     prev = init
     for ant in ants:
         cur = _loset_sort(p.evord, ant)
-        gone = [i for i, e in enumerate(prev) if e not in ant]
+        gone = [i for i, e in enumerate(prev) if e not in cur]
         if gone:
             steps.append(StarterTerminator(TERMINATOR, loset_of(prev), frozenset(gone)))
         new = [i for i, e in enumerate(cur) if e not in prev]
@@ -616,17 +669,16 @@ def interval_representation(p: Ipomset) -> IntervalRep:
 
 def _evord_rank(p: Ipomset) -> list[int]:
     """Topological order of the event order, canonical index as tiebreak."""
-    pending = {i: sum(1 for j in range(p.n) if p.evord[j][i]) for i in range(p.n)}
+    pending = [d.bit_count() for d in _transpose(p.evord)]
     out: list[int] = []
-    ready = sorted(i for i, d in pending.items() if d == 0)
+    ready = [i for i, d in enumerate(pending) if d == 0]
     while ready:
         x = ready.pop(0)
         out.append(x)
-        for j in range(p.n):
-            if p.evord[x][j]:
-                pending[j] -= 1
-                if pending[j] == 0:
-                    ready.append(j)
+        for j in _events(p.n, p.evord[x]):
+            pending[j] -= 1
+            if pending[j] == 0:
+                ready.append(j)
         ready.sort()
     return out
 
@@ -688,14 +740,17 @@ def one_step_refinements(p: Ipomset) -> list[Ipomset]:
     with repeats; pairs the axioms reject give none.  :func:`refinements` is
     their fixpoint."""
     n = p.n
+    downs = _transpose(p.prec)
     out = []
     for i in range(n):
-        for j in range(n):
-            if p.is_concurrent(i, j):
-                try:
-                    out.append(_rebuild(p, range(n), p.source, p.target, [(i, j)]))
-                except AxiomViolation:
-                    continue
+        concurrent = (1 << n) - 1 & ~(p.prec[i] | downs[i] | 1 << (n - 1 - i))
+        for j in _events(n, concurrent):
+            prec = list(p.prec)
+            prec[i] |= 1 << (n - 1 - j)
+            try:
+                out.append(_close_and_check(p.labels, p.source, p.target, prec, p.evord))
+            except AxiomViolation:
+                continue
     return out
 
 
@@ -729,8 +784,9 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
     bad = drop - rfin_events(p)
     if bad:
         raise NotRemovable(f"events {sorted(bad)} are not removable targets")
-    keep = [i for i in range(p.n) if i not in drop]
-    return _rebuild(p, keep, p.source, p.target)
+    n = p.n
+    keep = (1 << n) - 1 & ~_mask(n, drop)
+    return _rebuild(p, keep, _mask(n, p.source), _mask(n, p.target))
 
 
 def remove_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
@@ -792,24 +848,21 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     order: it is m.
     """
     n = m.n
-    pred = [sum(1 << a for a in range(n) if m.prec[a][e]) for e in range(n)]
-    succ = [sum(1 << b for b in range(n) if m.prec[e][b]) for e in range(n)]
+    succ = m.prec
+    pred = _transpose(succ)
+    source, target = _mask(n, m.source), _mask(n, m.target)
     out: set[tuple[Ipomset, Ipomset]] = set()
-
-    def events(mask: int) -> list[int]:
-        return [i for i in range(n) if mask >> i & 1]
 
     def place(e: int, left: int, mid: int, right: int) -> None:
         if e == n:
-            lo, mi, hi = events(left), events(mid), events(right)
-            out.add((_rebuild(m, lo + mi, m.source, mi), _rebuild(m, mi + hi, mi, m.target)))
+            out.add((_rebuild(m, left | mid, source, mid), _rebuild(m, mid | right, mid, target)))
             return
-        bit = 1 << e
-        if e not in m.target and not right & ~succ[e] and not mid & pred[e]:
+        bit = 1 << (n - 1 - e)
+        if not target & bit and not right & ~succ[e] and not mid & pred[e]:
             place(e + 1, left | bit, mid, right)
         if not mid & (pred[e] | succ[e]) and not left & succ[e] and not right & pred[e]:
             place(e + 1, left, mid | bit, right)
-        if e not in m.source and not left & ~pred[e] and not mid & succ[e]:
+        if not source & bit and not left & ~pred[e] and not mid & succ[e]:
             place(e + 1, left, mid, right | bit)
 
     place(0, 0, 0, 0)

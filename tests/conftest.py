@@ -152,6 +152,13 @@ def mixed_corpus(small_corpus):
 
 
 @pytest.fixture(scope="session")
+def random_corpus():
+    """500 seeded random ipomsets of up to 7 events, repeats included."""
+    rng = random.Random(2718)
+    return [random_ipomset(rng, max_events=7, steps=6) for _ in range(500)]
+
+
+@pytest.fixture(scope="session")
 def square():
     return square_hda()
 

@@ -44,10 +44,10 @@ def oracle_isomorphic(p: Ipomset, q: Ipomset) -> bool:
             for y in range(p.n):
                 if x == y:
                     continue
-                if p.prec[x][y] != q.prec[f[x]][f[y]]:
+                if p.lt(x, y) != q.lt(f[x], f[y]):
                     good = False
                     break
-                if p.is_concurrent(x, y) and p.evord[x][y] != q.evord[f[x]][f[y]]:
+                if p.is_concurrent(x, y) and p.ev(x, y) != q.ev(f[x], f[y]):
                     good = False
                     break
             if not good:
@@ -66,10 +66,10 @@ def oracle_subsumes(p: Ipomset, q: Ipomset) -> bool:
             for y in range(p.n):
                 if x == y:
                     continue
-                if q.prec[f[x]][f[y]] and not p.prec[x][y]:
+                if q.lt(f[x], f[y]) and not p.lt(x, y):
                     good = False
                     break
-                if p.is_concurrent(x, y) and p.evord[x][y] and not q.evord[f[x]][f[y]]:
+                if p.is_concurrent(x, y) and p.ev(x, y) and not q.ev(f[x], f[y]):
                     good = False
                     break
             if not good:
@@ -79,13 +79,27 @@ def oracle_subsumes(p: Ipomset, q: Ipomset) -> bool:
     return False
 
 
+def oracle_sort_key(p: Ipomset) -> tuple:
+    """The order :meth:`Ipomset.sort_key` must give, with the relations
+    read through ``lt`` and ``ev`` into tuples of boolean rows."""
+    events = range(p.n)
+    return (
+        p.n,
+        p.labels,
+        tuple(sorted(p.source)),
+        tuple(sorted(p.target)),
+        tuple(tuple(p.lt(i, j) for j in events) for i in events),
+        tuple(tuple(p.ev(i, j) for j in events) for i in events),
+    )
+
+
 def oracle_refinements(p: Ipomset) -> frozenset[Ipomset]:
     """Every orientation of the event pairs, carrying p's event order on
     the pairs it leaves concurrent, filtered by brute-force subsumption."""
     n = p.n
     pairs = list(itertools.combinations(range(n), 2))
     essential = [
-        (i, j) for i in range(n) for j in range(n) if p.evord[i][j] and p.is_concurrent(i, j)
+        (i, j) for i in range(n) for j in range(n) if p.ev(i, j) and p.is_concurrent(i, j)
     ]
     out = set()
     for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
@@ -155,8 +169,8 @@ def _restrict(m, events, source, target):
         [m.labels[e] for e in keep],
         [idx[e] for e in source if e in idx],
         [idx[e] for e in target if e in idx],
-        [(idx[a], idx[b]) for a in keep for b in keep if m.prec[a][b]],
-        [(idx[a], idx[b]) for a in keep for b in keep if m.evord[a][b]],
+        [(idx[a], idx[b]) for a in keep for b in keep if m.lt(a, b)],
+        [(idx[a], idx[b]) for a in keep for b in keep if m.ev(a, b)],
     )
 
 

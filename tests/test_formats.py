@@ -5,7 +5,7 @@ import pytest
 
 from conftest import n_shape, par, word
 
-from hdalib.errors import MalformedInterval, ParseError
+from hdalib.errors import AxiomViolation, MalformedInterval, ParseError
 from hdalib.formats import (
     LogRecord,
     default_tie_break,
@@ -100,7 +100,7 @@ class TestBlocks:
 
     def test_repr_of_malformed_ipomset_raises(self):
         # direct instantiation skips validation; repr must not hide that
-        bad = Ipomset(("a", "b"), frozenset(), frozenset(), ((False,),), ((False,),))
+        bad = Ipomset(("a", "b"), frozenset(), frozenset(), (0,), (0,))
         with pytest.raises(IndexError):
             repr(bad)
 
@@ -109,6 +109,18 @@ class TestJson:
     def test_roundtrip_on_corpus(self, small_corpus):
         for p in small_corpus[::31]:
             assert ipomset_from_json(ipomset_to_json(p)) == p
+
+    def test_pairs_match_accessors(self, small_corpus, random_corpus):
+        for p in small_corpus + random_corpus:
+            obj = ipomset_to_json(p)
+            pairs = [[i, j] for i in range(p.n) for j in range(p.n)]
+            assert obj["prec"] == [[i, j] for i, j in pairs if p.lt(i, j)]
+            assert obj["evord"] == [[i, j] for i, j in pairs if p.ev(i, j)]
+            assert ipomset_from_json(obj) == p
+
+    def test_relation_pair_out_of_range(self):
+        with pytest.raises(AxiomViolation, match="relation pair out of range"):
+            ipomset_from_json({"labels": ["a", "b"], "prec": [[0, 2]]})
 
     def test_canonical_matrices_exposed(self):
         obj = ipomset_to_json(word("ab", tgt=[1]))

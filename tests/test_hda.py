@@ -469,6 +469,27 @@ class TestDeterminism:
         assert not rep.deterministic
         assert rep.branch_clashes == (("s", (0,), "e1", "e2"),)
 
+    def test_clash_at_the_first_essential_cell(self):
+        # a0 sorts first among the essential cells, so a loop over the
+        # bases that skipped its first one would miss this clash
+        x = parse_hda(
+            """
+            hda first_base {
+              cell a0: [] ;
+              cell t1: [] ;
+              cell t2: [] ;
+              cell e1: [a] d0(1)=a0 d1(1)=t1 ;
+              cell e2: [a] d0(1)=a0 d1(1)=t2 ;
+              start: a0 ;
+              accept: t1 t2 ;
+            }
+            """
+        )
+        rep = is_deterministic(x)
+        assert min(essential_report(x).essential) == "a0"
+        assert rep.branch_clashes == (("a0", (0,), "e1", "e2"),)
+        assert rep == oracle_determinism(x)
+
     def test_inessential_branch_tolerated(self):
         # e2 dangles: not coaccessible, so no clash is reported
         x = build_hda(

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from oracles import (
     oracle_isomorphic,
     oracle_refinements,
     oracle_remove_targets,
+    oracle_sort_key,
     oracle_subsumes,
 )
 
@@ -63,6 +65,11 @@ CANONICALIZE_ERRORS = [
         dict(source=[1], target=[0], prec=[(0, 1)], evord=[(0, 2), (1, 2)]),
         "source event is not minimal",
     ),
+    # relation pairs out of range, alone and beside a fault checked later
+    ("ab", dict(prec=[(0, -1)]), "relation pair out of range"),
+    ("ab", dict(evord=[(2, 0)]), "relation pair out of range"),
+    ("ab", dict(target=[2], prec=[(0, 2)]), "interface event out of range"),
+    ("ab", dict(prec=[(0, 1), (1, 0)], evord=[(0, 2)]), "relation pair out of range"),
 ]
 
 
@@ -116,21 +123,29 @@ class TestCanonicalize:
     def test_idempotent(self):
         p = n_shape()
         ij = list(itertools.product(range(p.n), repeat=2))
-        prec = [(i, j) for i, j in ij if p.prec[i][j]]
-        evord = [(i, j) for i, j in ij if p.evord[i][j]]
+        prec = [(i, j) for i, j in ij if p.lt(i, j)]
+        evord = [(i, j) for i, j in ij if p.ev(i, j)]
         assert canonicalize(p.labels, p.source, p.target, prec, evord) == p
 
     def test_idempotent_on_corpus(self, small_corpus):
         for p in small_corpus[::7]:
             ij = list(itertools.product(range(p.n), repeat=2))
-            prec = [(i, j) for i, j in ij if p.prec[i][j]]
-            evord = [(i, j) for i, j in ij if p.evord[i][j]]
+            prec = [(i, j) for i, j in ij if p.lt(i, j)]
+            evord = [(i, j) for i, j in ij if p.ev(i, j)]
             assert canonicalize(p.labels, p.source, p.target, prec, evord) == p
 
     def test_nonessential_event_order_is_pruned(self):
         plain = word("ab")
         decorated = canonicalize("ab", prec=[(0, 1)], evord=[(0, 1)])
         assert plain == decorated
+
+
+class TestSortKey:
+    def test_order_matches_boolean_rows(self, small_corpus, random_corpus):
+        for xs in (small_corpus, random_corpus):
+            shuffled = list(xs)
+            random.Random(5).shuffle(shuffled)
+            assert sorted_ipomsets(shuffled) == sorted(shuffled, key=oracle_sort_key)
 
 
 class TestIsomorphism:

@@ -89,8 +89,8 @@ SLOW = settings(max_examples=20, deadline=None)
 @given(ipomsets())
 def test_canonicalize_idempotent(p):
     ij = [(i, j) for i in range(p.n) for j in range(p.n)]
-    prec = [(i, j) for i, j in ij if p.prec[i][j]]
-    evord = [(i, j) for i, j in ij if p.evord[i][j]]
+    prec = [(i, j) for i, j in ij if p.lt(i, j)]
+    evord = [(i, j) for i, j in ij if p.ev(i, j)]
     assert canonicalize(p.labels, p.source, p.target, prec, evord) == p
 
 
