@@ -269,13 +269,33 @@ def ipomset_to_json(p: Ipomset) -> dict:
 
 
 def ipomset_from_json(obj: dict) -> Ipomset:
+    """The ipomset of an :func:`ipomset_to_json` object.  Raises
+    :class:`ParseError` on an object of another shape, and
+    :class:`AxiomViolation` as :func:`canonicalize` does."""
+    if not isinstance(obj, dict) or "labels" not in obj:
+        raise ParseError("ipomset JSON: expected an object with labels")
     return canonicalize(
-        obj["labels"],
-        obj.get("source", ()),
-        obj.get("target", ()),
-        [tuple(x) for x in obj.get("prec", ())],
-        [tuple(x) for x in obj.get("evord", ())],
+        _json_list(obj, "labels", lambda x: isinstance(x, str), "strings"),
+        _json_list(obj, "source", _is_int, "ints"),
+        _json_list(obj, "target", _is_int, "ints"),
+        _json_list(obj, "prec", _is_pair, "pairs of ints"),
+        _json_list(obj, "evord", _is_pair, "pairs of ints"),
     )
+
+
+def _json_list(obj: dict, key: str, ok: Callable[[object], bool], what: str) -> list:
+    items = obj.get(key, [])
+    if not isinstance(items, list) or not all(ok(x) for x in items):
+        raise ParseError(f"ipomset JSON: {key} must be a list of {what}")
+    return items
+
+
+def _is_int(x: object) -> bool:
+    return type(x) is int  # JSON true and false are not event indices
+
+
+def _is_pair(x: object) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
 
 
 # ---------------------------------------------------------------------------

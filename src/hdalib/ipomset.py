@@ -341,35 +341,47 @@ def _close_and_check(
         raise AxiomViolation("source event is not minimal")
     if any(prec[t] for t in target):
         raise AxiomViolation("target event is not maximal")
-    return _renumber(labels, source, target, prec, evord, downs, ants)
+    order = _canonical_order(n, ants, source, evord)
+    essential = _essential(prec, evord, downs)
+    return _renumber(labels, _mask(n, source), _mask(n, target), prec, essential, order)
+
+
+def _essential(prec: Sequence[int], evord: Sequence[int], downs: Sequence[int]) -> list[int]:
+    """The event order rows cut to the pairs concurrent under precedence."""
+    return [e & ~(p | d) for p, e, d in zip(prec, evord, downs)]
 
 
 def _renumber(
     labels: tuple[Label, ...],
-    source: frozenset[int],
-    target: frozenset[int],
+    source: int,
+    target: int,
     prec: Sequence[int],
-    evord: Sequence[int],
-    downs: Sequence[int],
-    ants: list[int],
+    essential: Sequence[int],
+    order: Sequence[int],
 ) -> Ipomset:
-    """The canonical form of an ipomset given by closed relation rows that
-    satisfy the axioms, the transpose ``downs`` of its precedence and its
-    :func:`moments`: renumber the events into canonical order and keep only
-    the closure of the essential event order."""
-    n = len(labels)
-    order = _canonical_order(n, ants, source, evord)
-    pos = [0] * n
+    """The ipomset on the events ``order`` of a valid one, given by its
+    labels, closed precedence rows and :func:`_essential` rows, with
+    ``order[k]`` renumbered to k; ``source`` and ``target`` mask its
+    interfaces, and events outside ``order`` are dropped.
+
+    The caller vouches that ``order`` is the canonical order of the result
+    and that its sources are minimal and its targets maximal.  A
+    restriction of a transitive relation is transitive, of an acyclic one
+    acyclic, of an interval order an interval order, and every pair of
+    kept events stays related, so nothing is checked again.  The essential
+    event order is closed again: a pair of the old closure may have come
+    through a dropped event."""
+    n, k = len(labels), len(order)
+    bits = [0] * n
     for new, old in enumerate(order):
-        pos[old] = new
-    bits = [1 << (n - 1 - new) for new in pos]
-    essential = [e & ~(p | d) for p, e, d in zip(prec, evord, downs)]
+        bits[old] = 1 << (k - 1 - new)
+    keep = _mask(n, order)
     return Ipomset(
         labels=tuple(labels[i] for i in order),
-        source=frozenset(pos[i] for i in source),
-        target=frozenset(pos[i] for i in target),
-        prec=tuple(_remap(prec[i], n, bits) for i in order),
-        evord=tuple(_closure([_remap(essential[i], n, bits) for i in order])),
+        source=frozenset(_events(k, _remap(source, n, bits))),
+        target=frozenset(_events(k, _remap(target, n, bits))),
+        prec=tuple(_remap(prec[i] & keep, n, bits) for i in order),
+        evord=tuple(_closure([_remap(essential[i] & keep, n, bits) for i in order])),
     )
 
 
@@ -377,7 +389,8 @@ def _canonical_order(
     n: int, ants: list[int], source: frozenset[int], evord: Sequence[int]
 ) -> list[int]:
     """Events grouped by the starter step that introduces them, each group
-    sorted by event order.  Group 0 is the source interface."""
+    sorted by event order.  Group 0 is the source interface; any other
+    event joins the moment of its own down-set, so groups rank by down-set."""
     seen = _mask(n, source)
     order = list(_loset_sort(evord, seen))
     for ant in ants:
@@ -386,39 +399,6 @@ def _canonical_order(
             order.extend(_loset_sort(evord, fresh))
             seen |= fresh
     return order
-
-
-def _rebuild(p: Ipomset, keep: int, source: int, target: int) -> Ipomset:
-    """Canonical form of the events of p in the mask ``keep`` with their
-    precedence and event order; the masks ``source`` and ``target`` name
-    its interfaces among p's events, and interface events outside ``keep``
-    are dropped.
-
-    The caller vouches that the sources are minimal and the targets maximal
-    in the restriction.  It goes straight to :func:`_renumber`: a
-    restriction of a transitive relation is transitive, of an acyclic one
-    acyclic, of an interval order an interval order, and every pair of kept
-    events stays related.  Only the essential event order is recomputed
-    there, since a pair of p's event order may have come through a dropped
-    event."""
-    n = p.n
-    kept = _events(n, keep)
-    k = len(kept)
-    bits = [0] * n
-    for new, old in enumerate(kept):
-        bits[old] = 1 << (k - 1 - new)
-    prec = [_remap(p.prec[e] & keep, n, bits) for e in kept]
-    evord = [_remap(p.evord[e] & keep, n, bits) for e in kept]
-    downs = _transpose(prec)
-    return _renumber(
-        tuple(p.labels[e] for e in kept),
-        frozenset(t for t, e in enumerate(kept) if source >> (n - 1 - e) & 1),
-        frozenset(t for t, e in enumerate(kept) if target >> (n - 1 - e) & 1),
-        prec,
-        evord,
-        downs,
-        moments(downs),
-    )
 
 
 EMPTY = canonicalize(())
@@ -779,14 +759,22 @@ def fin(p: Ipomset) -> StarterTerminator:
 
 
 def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
-    """P − A: drop removable target events, keeping all other structure."""
+    """P − A: drop removable target events, keeping all other structure.
+
+    The kept events stay in p's order.  Targets are maximal, so the kept
+    set is down-closed: each kept event keeps its down-set, and it holds
+    all of p's sources.  The groups of :func:`_canonical_order` are ranked
+    by down-set, so they keep their rank, and each group keeps the event
+    order of its events."""
     drop = frozenset(events)
     bad = drop - rfin_events(p)
     if bad:
         raise NotRemovable(f"events {sorted(bad)} are not removable targets")
     n = p.n
     keep = (1 << n) - 1 & ~_mask(n, drop)
-    return _rebuild(p, keep, _mask(n, p.source), _mask(n, p.target))
+    essential = _essential(p.prec, p.evord, _transpose(p.prec))
+    source, target = _mask(n, p.source), _mask(n, p.target)
+    return _renumber(p.labels, source, target, p.prec, essential, _events(n, keep))
 
 
 def remove_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
@@ -846,16 +834,27 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     left event precedes every right one, so every concurrent pair of m lies
     inside p or inside q, and the glue p*q has m's precedence and event
     order: it is m.
+
+    Both parts know their canonical order.  The left part is down-closed
+    and holds m's sources, so it keeps m's order, as in
+    :func:`remove_targets`.  The right part starts with its sources, the
+    interface, in event order.  The right events follow in m's order: each
+    has every left event below it, so its down-set in q is its down-set in
+    m minus the left part, which ranks them as m does.  Concurrency, and
+    with it the essential event order, is inherited by both parts.
     """
     n = m.n
     succ = m.prec
     pred = _transpose(succ)
+    essential = _essential(succ, m.evord, pred)
     source, target = _mask(n, m.source), _mask(n, m.target)
     out: set[tuple[Ipomset, Ipomset]] = set()
 
     def place(e: int, left: int, mid: int, right: int) -> None:
         if e == n:
-            out.add((_rebuild(m, left | mid, source, mid), _rebuild(m, mid | right, mid, target)))
+            p = _renumber(m.labels, source, mid, succ, essential, _events(n, left | mid))
+            right_order = [*_loset_sort(m.evord, mid), *_events(n, right)]
+            out.add((p, _renumber(m.labels, mid, target, succ, essential, right_order)))
             return
         bit = 1 << (n - 1 - e)
         if not target & bit and not right & ~succ[e] and not mid & pred[e]:

@@ -191,15 +191,12 @@ def strong_equiv(p: Ipomset, q: Ipomset, lang: LanguageSet) -> bool:
 
 
 def class_key(lang: LanguageSet, p: Ipomset):
-    """Hashable key whose equality is strong equivalence."""
-    fam = _removal_family(lang, p)
-    return (
-        fin(p),
-        tuple(
-            (tuple(sorted(a)), tuple(sorted_ipomsets(v)))
-            for a, v in sorted(fam.items(), key=lambda kv: tuple(sorted(kv[0])))
-        ),
-    )
+    """Hashable key whose equality is strong equivalence.
+
+    :func:`_removal_family` visits the removal sets in an order fixed by
+    the removable target positions, which ``fin(p)`` fixes, so the
+    quotients alone, in that order, say which set each belongs to."""
+    return (fin(p), tuple(_removal_family(lang, p).values()))
 
 
 # ---------------------------------------------------------------------------

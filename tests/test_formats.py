@@ -122,6 +122,24 @@ class TestJson:
         with pytest.raises(AxiomViolation, match="relation pair out of range"):
             ipomset_from_json({"labels": ["a", "b"], "prec": [[0, 2]]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"source": []},
+            {"labels": "ab"},
+            {"labels": ["a"], "source": [0.5]},
+            {"labels": ["a", "b"], "prec": [[0, 1.0]]},
+            {"labels": ["a", "b"], "prec": [["0", "1"]]},
+            {"labels": ["a", "b"], "prec": [[0]]},
+            {"labels": ["a", "b"], "evord": [[0, 1, 2]]},
+        ],
+        ids=["no labels", "labels not a list", "float source", "float pair",
+             "string pair", "short pair", "long pair"],
+    )
+    def test_malformed_entry_is_a_parse_error(self, obj):
+        with pytest.raises(ParseError):
+            ipomset_from_json(obj)
+
     def test_canonical_matrices_exposed(self):
         obj = ipomset_to_json(word("ab", tgt=[1]))
         assert obj["labels"] == ["a", "b"]

@@ -13,6 +13,7 @@ from oracles import (
     oracle_subsumes,
 )
 
+from hdalib import ipomset as ipomset_mod
 from hdalib.errors import AxiomViolation, InterfaceMismatch, NotRemovable
 from hdalib.ipomset import (
     EMPTY,
@@ -574,3 +575,36 @@ class TestDivisions:
         for m in mixed_corpus[::12]:
             for p, q in enumerate_divisions(m):
                 assert glue(p, q) == m
+
+    def test_right_part_lists_the_interface_first(self):
+        # a < b, a < c and c before b: canonical order a, c, b.  The split
+        # with left {a}, interface {b} and right {c} has a right part that
+        # lists its source b before c, although c comes before b in m
+        m = canonicalize("abc", prec=[(0, 1), (0, 2)], evord=[(2, 1)])
+        assert m.labels == ("a", "c", "b")
+        right = canonicalize("bc", source=[0], evord=[(1, 0)])
+        assert right.labels == ("b", "c")
+        assert (word("ab", tgt=[1]), right) in enumerate_divisions(m)
+        assert enumerate_divisions(m) == oracle_divisions(m)
+
+    def test_restrictions_take_the_parent_order(self, small_corpus, small_divisions, monkeypatch):
+        # divisions and target removals restrict a canonical ipomset in an
+        # order they already know, so they never sort events again
+        removals = [
+            (p, a, oracle_remove_targets(p, a))
+            for p in small_corpus
+            for k in range(len(p.target) + 1)
+            for a in itertools.combinations(sorted(rfin_events(p)), k)
+        ]
+        calls = []
+        for name in ("moments", "_canonical_order"):
+            real = getattr(ipomset_mod, name)
+            monkeypatch.setattr(
+                ipomset_mod, name, lambda *args, real=real: calls.append(real) or real(*args)
+            )
+        divisions = {m: enumerate_divisions(m) for m in small_corpus}
+        removed = [remove_targets(p, a) for p, a, _ in removals]
+        assert calls == []
+        assert divisions == small_divisions
+        assert removed == [want for _, _, want in removals]
+        assert len(small_corpus) == 1273 and len(removals) == 2383

@@ -1,6 +1,7 @@
-"""Fuzzing the text parsers: on any text over the grammar's characters and
-keywords, or any mutation of a data file, a parser returns a value or raises
-an HdalibError, and the CLI ends with exit code 0 or 2."""
+"""Fuzzing the parsers: on any text over the grammar's characters and
+keywords, or any mutation of a data file, a text parser returns a value or
+raises an HdalibError, and the CLI ends with exit code 0 or 2; so does
+ipomset_from_json on any JSON-shaped object."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ from hdalib import cli
 from hdalib.errors import HdalibError
 from hdalib.formats import (
     LOG_HEADER,
+    ipomset_from_json,
     parse_expr,
     parse_hda,
     parse_ipomset_block,
@@ -113,3 +115,27 @@ def test_cli_canon_exits_0_or_2(text):
     assume(not text.startswith("-"))  # argparse would read an option
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["ipo", "canon", text]) in (0, 2)
+
+
+# JSON-shaped values, and objects whose fields are well formed or not
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(-1, 3) | st.text("ab0", max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+INDICES = st.lists(st.integers(-1, 3), max_size=3)
+PAIRS = st.lists(st.lists(st.integers(-1, 3), min_size=2, max_size=2), max_size=4)
+OPTIONAL = {"source": INDICES, "target": INDICES, "prec": PAIRS, "evord": PAIRS}
+JSON_OBJECTS = JSON_VALUES | st.fixed_dictionaries(
+    {"labels": st.lists(st.sampled_from("ab"), max_size=4) | JSON_VALUES},
+    optional={key: field | JSON_VALUES for key, field in OPTIONAL.items()},
+)
+
+
+@FUZZ
+@given(obj=JSON_OBJECTS)
+def test_ipomset_from_json_raises_only_hdalib_errors(obj):
+    try:
+        ipomset_from_json(obj)
+    except HdalibError:
+        pass
