@@ -701,9 +701,9 @@ def from_intervals(rep: IntervalRep) -> Ipomset:
 def refinements(p: Ipomset) -> frozenset[Ipomset]:
     """All ipomsets subsumed by p (p itself included).
 
-    Fixpoint of single-pair precedence additions: orient one concurrent
-    pair, close transitively, re-canonicalize, drop anything that violates
-    the axioms.
+    The fixpoint of :func:`one_step_refinements`: each step orients one
+    concurrent pair by a rank-one update of the precedence rows and keeps
+    the results the axioms allow.
     """
     seen = {p}
     todo = [p]
@@ -718,19 +718,48 @@ def refinements(p: Ipomset) -> frozenset[Ipomset]:
 def one_step_refinements(p: Ipomset) -> list[Ipomset]:
     """The ipomsets that orient one concurrent pair of p, in pair order and
     with repeats; pairs the axioms reject give none.  :func:`refinements` is
-    their fixpoint."""
+    their fixpoint.
+
+    Orienting a concurrent pair i→j of p's closed precedence adds exactly
+    the pairs (a, b) with a ≤ i and j ≤ b, so the new relation is a
+    rank-one update: ``↑j ∪ {j}`` joins the rows of ``↓i ∪ {i}``, and
+    ``↓i ∪ {i}`` joins the down-sets of ``↑j ∪ {j}``.  The update is
+    already transitive.  It closes no cycle, since j ≤ i would have made
+    the pair comparable.  Relations only grow and the event order stays
+    p's, so every pair stays related.  Only i gains a successor and only j
+    a predecessor, since any other event that gains one already had one;
+    so the pair breaks the interface axioms exactly when i is a target or
+    j is a source.  What is left is the 2+2 check, which :func:`moments`
+    makes on the updated down-sets.
+    """
     n = p.n
-    downs = _transpose(p.prec)
+    prec = p.prec
+    downs = _transpose(prec)
+    source, target = _mask(n, p.source), _mask(n, p.target)
     out = []
     for i in range(n):
-        concurrent = (1 << n) - 1 & ~(p.prec[i] | downs[i] | 1 << (n - 1 - i))
+        bit = 1 << (n - 1 - i)
+        below = downs[i] | bit
+        # the events concurrent with i that are not sources
+        concurrent = (1 << n) - 1 & ~(prec[i] | below | source)
+        if target & bit or not concurrent:
+            continue
+        below_events = _events(n, below)
         for j in _events(n, concurrent):
-            prec = list(p.prec)
-            prec[i] |= 1 << (n - 1 - j)
+            above = prec[j] | 1 << (n - 1 - j)
+            new_prec = list(prec)
+            for a in below_events:
+                new_prec[a] |= above
+            new_downs = list(downs)
+            for b in _events(n, above):
+                new_downs[b] |= below
             try:
-                out.append(_close_and_check(p.labels, p.source, p.target, prec, p.evord))
+                ants = moments(new_downs)
             except AxiomViolation:
                 continue
+            order = _canonical_order(n, ants, p.source, p.evord)
+            essential = _essential(new_prec, p.evord, new_downs)
+            out.append(_renumber(p.labels, source, target, new_prec, essential, order))
     return out
 
 

@@ -30,11 +30,18 @@ EMPTY_QUOTIENT: Quotient = frozenset()
 
 @dataclass(frozen=True)
 class LanguageSet:
-    """A finite language: a down-closed set of canonical ipomsets."""
+    """A finite language: a down-closed set of canonical ipomsets.
+
+    :func:`language` closes or checks its members and sets ``_closed``.
+    :func:`build_mn` checks only a set without that mark, such as one built
+    directly or through ``dataclasses.replace``.  The mark is not a
+    constructor argument and takes no part in equality.
+    """
 
     members: frozenset[Ipomset]
     alphabet: frozenset[str]
     generators: frozenset[Ipomset] = field(default=frozenset(), compare=False)
+    _closed: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __contains__(self, p: Ipomset) -> bool:
         return p in self.members
@@ -70,7 +77,9 @@ def language(
 
     With ``closed=False`` the downward subsumption closure is taken; with
     ``closed=True`` the input is validated to already be down-closed and
-    :class:`NotDownClosed` is raised on a missing refinement.
+    :class:`NotDownClosed` is raised on a missing refinement.  Either way
+    the result is marked closed, so :func:`build_mn` does not check it
+    again.
     """
     gens = frozenset(members)
     if closed:
@@ -83,7 +92,9 @@ def language(
         if alphabet is None
         else alphabet
     )
-    return LanguageSet(members=mem, alphabet=sigma, generators=gens)
+    lang = LanguageSet(members=mem, alphabet=sigma, generators=gens)
+    object.__setattr__(lang, "_closed", True)
+    return lang
 
 
 def check_down_closed(members: frozenset[Ipomset]) -> None:
@@ -91,7 +102,9 @@ def check_down_closed(members: frozenset[Ipomset]) -> None:
 
     A set closed under one-step refinement is down-closed, because
     :func:`refinements` is the fixpoint of one-step refinement; the full
-    closure is computed only to name the witness.
+    closure is computed only to name the witness.  :func:`language` calls
+    this for ``closed=True``, and :func:`build_mn` for a
+    :class:`LanguageSet` that :func:`language` did not build.
     """
     for m in members:
         if any(r not in members for r in one_step_refinements(m)):

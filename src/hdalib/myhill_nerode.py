@@ -72,11 +72,14 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     members.
 
     Raises :class:`NotDownClosed` unless ``lang.members`` is closed under
-    one-step refinement.  Each ipomset's class key is computed once per
-    call, since faces, start cells and accept cells meet the same
-    ipomsets again.
+    one-step refinement.  That is checked only for a set that
+    :func:`language` did not build or check, since :func:`language`
+    already closed or checked its own.  Each ipomset's class key is
+    computed once per call, since faces, start cells and accept cells meet
+    the same ipomsets again.
     """
-    check_down_closed(lang.members)
+    if not lang._closed:
+        check_down_closed(lang.members)
 
     keys: dict[Ipomset, tuple] = {}
 

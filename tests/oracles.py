@@ -118,6 +118,25 @@ def oracle_refinements(p: Ipomset) -> frozenset[Ipomset]:
     return frozenset(out)
 
 
+def oracle_one_step_refinements(p: Ipomset) -> list[Ipomset]:
+    """For every concurrent pair (i, j) in pair order, p's relations read
+    through ``lt`` and ``ev`` with i < j added, canonicalized; pairs the
+    axioms reject give nothing, and repeats are kept."""
+    events = range(p.n)
+    prec = [(a, b) for a in events for b in events if p.lt(a, b)]
+    evord = [(a, b) for a in events for b in events if p.ev(a, b)]
+    out = []
+    for i in events:
+        for j in events:
+            if not p.is_concurrent(i, j):
+                continue
+            try:
+                out.append(canonicalize(p.labels, p.source, p.target, prec + [(i, j)], evord))
+            except AxiomViolation:
+                continue
+    return out
+
+
 def oracle_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     """Every three-way split, no pre-filtering: keep the pairs whose glue
     reproduces m."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,11 +8,13 @@ from conftest import n_shape, par, word
 from oracles import (
     oracle_divisions,
     oracle_isomorphic,
+    oracle_one_step_refinements,
     oracle_refinements,
     oracle_remove_targets,
     oracle_sort_key,
     oracle_subsumes,
 )
+from random_gen import random_ipomset
 
 from hdalib import ipomset as ipomset_mod
 from hdalib.errors import AxiomViolation, InterfaceMismatch, NotRemovable
@@ -30,6 +33,7 @@ from hdalib.ipomset import (
     glue_all,
     identity,
     interval_representation,
+    one_step_refinements,
     refinements,
     remove_target_positions,
     remove_targets,
@@ -391,6 +395,87 @@ class TestRefinements:
         larger = [p for p in mixed_corpus if p.n >= 4][:6]
         for p in larger:
             assert refinements(p) == oracle_refinements(p)
+
+
+def _one_step_mismatches(ps):
+    """The ipomsets whose one-step refinements differ from the oracle's as
+    multisets."""
+    return [
+        p
+        for p in ps
+        if Counter(one_step_refinements(p)) != Counter(oracle_one_step_refinements(p))
+    ]
+
+
+class TestOneStepRefinements:
+    def test_matches_oracle_on_small(self, small_corpus):
+        assert _one_step_mismatches(small_corpus) == []
+
+    def test_matches_oracle_on_random(self, random_corpus):
+        assert _one_step_mismatches(random_corpus) == []
+
+    def test_matches_oracle_on_random_closures(self):
+        rng = random.Random(4242)
+        closure = set()
+        for _ in range(100):
+            closure |= refinements(random_ipomset(rng, max_events=5))
+        assert len(closure) > 1000
+        assert _one_step_mismatches(closure) == []
+
+    def test_source_cannot_gain_a_predecessor(self):
+        # b before the source a would make a non-minimal
+        p = par(("a", 1, 0), ("b", 0, 0))
+        with pytest.raises(AxiomViolation):
+            canonicalize("ab", source=[0], prec=[(1, 0)])
+        got = one_step_refinements(p)
+        assert got == [word("ab", src=[0])]
+        assert _one_step_mismatches([p]) == []
+
+    def test_target_cannot_gain_a_successor(self):
+        # the target a before b would make a non-maximal
+        p = par(("a", 0, 1), ("b", 0, 0))
+        with pytest.raises(AxiomViolation):
+            canonicalize("ab", target=[0], prec=[(0, 1)])
+        got = one_step_refinements(p)
+        assert got == [word("ba", tgt=[1])]
+        assert _one_step_mismatches([p]) == []
+
+    def test_two_plus_two_is_rejected(self):
+        # [ab|c|d]: orienting c before d (or d before c) gives a 2+2
+        p = canonicalize(
+            "abcd",
+            prec=[(0, 1)],
+            evord=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        )
+        c, d = p.labels.index("c"), p.labels.index("d")
+        assert p.is_concurrent(c, d)
+        for i, j in ((c, d), (d, c)):
+            with pytest.raises(AxiomViolation, match="2\\+2"):
+                canonicalize(
+                    p.labels,
+                    prec=[(a, b) for a in range(4) for b in range(4) if p.lt(a, b)] + [(i, j)],
+                    evord=[(a, b) for a in range(4) for b in range(4) if p.ev(a, b)],
+                )
+        got = one_step_refinements(p)
+        assert len(got) == 8
+        assert _one_step_mismatches([p]) == []
+
+    def test_no_closure_is_taken(self, small_corpus, monkeypatch):
+        # orienting a concurrent pair is a rank-one update of relations
+        # that are already closed, so nothing is closed or checked again;
+        # the one closure per result is _renumber's, of the essential order
+        want = {p: one_step_refinements(p) for p in small_corpus}
+        calls = []
+        for name in ("_closure", "_close_and_check"):
+            real = getattr(ipomset_mod, name)
+            monkeypatch.setattr(
+                ipomset_mod,
+                name,
+                lambda *args, name=name, real=real: calls.append(name) or real(*args),
+            )
+        got = {p: one_step_refinements(p) for p in small_corpus}
+        assert got == want
+        assert calls == ["_closure"] * sum(len(v) for v in want.values())
 
 
 class TestTargetsAndSignatures:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -21,6 +22,7 @@ from hdalib.ipomset import (
     subsumes,
 )
 from hdalib.language import (
+    LanguageSet,
     is_swap_invariant,
     language,
     prefix_quotient,
@@ -56,6 +58,23 @@ class TestLanguageSet:
 
     def test_generators_remembered(self, table_lang):
         assert len(table_lang.generators) == 2
+
+    def test_closed_flag_is_not_a_constructor_argument(self, table_lang):
+        with pytest.raises(TypeError):
+            LanguageSet(members=table_lang.members, alphabet=table_lang.alphabet, _closed=True)
+
+    def test_replaced_members_are_checked_again(self, table_lang):
+        # dropping a refinement of [a|b] from a built language: build_mn
+        # names the same witness as for a hand-built set
+        members = table_lang.members - {word("ab")}
+        raw = LanguageSet(members=members, alphabet=table_lang.alphabet)
+        replaced = dataclasses.replace(table_lang, members=members)
+        errors = []
+        for lang in (raw, replaced):
+            with pytest.raises(NotDownClosed) as err:
+                build_mn(lang)
+            errors.append(str(err.value))
+        assert errors == [f"missing refinement {word('ab')!r}"] * 2
 
 
 class TestQuotients:

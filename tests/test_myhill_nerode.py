@@ -6,6 +6,7 @@ from conftest import par, word
 from oracles import oracle_refinements
 from random_gen import random_language
 
+from hdalib import language as language_mod
 from hdalib.errors import NotDownClosed
 from hdalib.formats import hda_to_text, parse_hda, parse_lang
 from hdalib.hda import (
@@ -18,6 +19,7 @@ from hdalib.hda import (
 )
 from hdalib.ipomset import (
     canonicalize,
+    down_close,
     enumerate_divisions,
     identity,
     sorted_ipomsets,
@@ -86,6 +88,35 @@ class TestBuildShape:
         with pytest.raises(NotDownClosed) as read:
             parse_lang(f"closed: true\nmembers:\n{member!r}\n")
         assert str(built.value) == str(read.value) == want
+
+    @pytest.fixture
+    def one_step_calls(self, monkeypatch):
+        """The members whose one-step refinements the closedness check
+        computes."""
+        calls = []
+        real = language_mod.one_step_refinements
+        monkeypatch.setattr(
+            language_mod, "one_step_refinements", lambda p: calls.append(p) or real(p)
+        )
+        return calls
+
+    def test_built_language_is_not_checked_again(self, one_step_calls):
+        lang = language([par(("a", 0, 0), ("b", 0, 0)), word("abc")])
+        build_mn(lang)
+        assert one_step_calls == []
+
+    def test_closed_input_is_checked_once(self, one_step_calls):
+        members = down_close([par(("a", 0, 0), ("b", 0, 0), ("c", 0, 1))])
+        lang = language(members, closed=True)
+        build_mn(lang)
+        assert sorted_ipomsets(one_step_calls) == sorted_ipomsets(members)
+
+    def test_hand_built_language_is_checked(self, one_step_calls):
+        lang = language([par(("a", 0, 0), ("b", 0, 0))])
+        raw = LanguageSet(members=lang.members, alphabet=lang.alphabet)
+        assert raw == lang
+        build_mn(raw)
+        assert sorted_ipomsets(one_step_calls) == sorted_ipomsets(lang.members)
 
     def test_table_language_essential_part(self, table_mn):
         dims = {}
