@@ -2,8 +2,8 @@
 
 Exit codes: 0 for a true verdict or successful computation, 1 for a false
 verdict or counterexample, 2 for errors (parse failures, axiom violations,
-interface mismatches).  ``--json`` switches verdict commands to a
-machine-readable object on stdout.  The HDALIB_MAX_STEPS environment
+interface mismatches).  ``--json`` switches any command to a
+machine-readable value on stdout.  The HDALIB_MAX_STEPS environment
 variable sets the default bound for language enumeration; a value that is
 not a positive integer is an error (exit code 2), as is a ``--max-steps``
 below 1.
@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import hda as hda_mod
@@ -92,349 +93,253 @@ def _read_ipomset(arg: str):
     return parse_ipomset_text(arg)
 
 
-def _read_lang(arg: str, alphabet=None):
-    out = parse_lang(_read_file(arg))
-    if alphabet:
-        out = lang_mod.language(
-            out.generators, closed=False, alphabet=alphabet.split()
-        )
-    return out
+def _read_lang(arg: str):
+    return parse_lang(_read_file(arg))
 
 
 def _read_hda(arg: str):
     return parse_hda(_read_file(arg))
 
 
-def _emit(obj, as_json: bool, text_lines) -> None:
-    if as_json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+class _UsageError(Exception):
+    """A misuse of a command that argparse cannot see; ``main`` prints it
+    as ``error: <message>`` and exits with code 2."""
 
 
-def _quotient_json(q):
-    return [ipomset_to_json(m) for m in sorted_ipomsets(q)]
+def _listed(q, as_json: bool) -> list:
+    """The members of ``q`` in canonical order, as JSON objects or text."""
+    show = ipomset_to_json if as_json else ipomset_to_text
+    return [show(m) for m in sorted_ipomsets(q)]
 
 
-def _set_text(q):
-    return "{" + ", ".join(ipomset_to_text(m) for m in sorted_ipomsets(q)) + "}"
+def _set_text(q) -> str:
+    return "{" + ", ".join(_listed(q, False)) + "}"
 
 
 # ---------------------------------------------------------------------------
-# ipo subcommands
+# Commands.  Each returns ``(exit_code, out)``: the JSON value under
+# ``--json``, else the lines of text; it builds only the form it returns.
 
 
-def cmd_ipo_canon(args) -> int:
+def cmd_ipo_canon(args):
     p = _read_ipomset(args.input)
     if args.json:
-        print(json.dumps(ipomset_to_json(p), indent=2, sort_keys=True))
-    else:
-        print(ipomset_to_block(p, args.name))
-        print(ipomset_to_text(p))
-    return 0
+        return 0, ipomset_to_json(p)
+    return 0, [ipomset_to_block(p, args.name), ipomset_to_text(p)]
 
 
-def cmd_ipo_glue(args) -> int:
+def cmd_ipo_glue(args):
     p = glue(_read_ipomset(args.left), _read_ipomset(args.right))
-    _emit(ipomset_to_json(p), args.json, [ipomset_to_text(p)])
-    return 0
+    return 0, ipomset_to_json(p) if args.json else [ipomset_to_text(p)]
 
 
-def cmd_ipo_subsume(args) -> int:
-    p = _read_ipomset(args.left)
-    q = _read_ipomset(args.right)
-    w = subsumes_witness(p, q)
+def cmd_ipo_subsume(args):
+    w = subsumes_witness(_read_ipomset(args.left), _read_ipomset(args.right))
+    code = 0 if w is not None else 1
     if args.json:
-        print(json.dumps({"subsumes": w is not None, "bijection": list(w) if w else None}))
-    elif w is None:
-        print("no subsumption")
-    else:
-        print("subsumes via " + " ".join(f"{i}->{j}" for i, j in enumerate(w)))
-    return 0 if w is not None else 1
+        return code, {"subsumes": w is not None, "bijection": list(w) if w else None}
+    if w is None:
+        return code, ["no subsumption"]
+    return code, ["subsumes via " + " ".join(f"{i}->{j}" for i, j in enumerate(w))]
 
 
-def cmd_ipo_decompose(args) -> int:
+def cmd_ipo_decompose(args):
     seq = sparse_decomposition(_read_ipomset(args.input))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "initial": list(seq.initial_loset),
-                    "steps": [
-                        {
-                            "kind": s.kind,
-                            "loset": list(s.loset),
-                            "active": sorted(s.active),
-                        }
-                        for s in seq.steps
-                    ],
-                }
-            )
-        )
-    else:
-        print("initial: " + (" ".join(seq.initial_loset) or "(empty)"))
-        for s in seq.steps:
-            print(f"  {s!r}")
-    return 0
+        steps = [
+            {"kind": s.kind, "loset": list(s.loset), "active": sorted(s.active)}
+            for s in seq.steps
+        ]
+        return 0, {"initial": list(seq.initial_loset), "steps": steps}
+    initial = "initial: " + (" ".join(seq.initial_loset) or "(empty)")
+    return 0, [initial] + [f"  {s!r}" for s in seq.steps]
 
 
-def cmd_ipo_refine(args) -> int:
-    refs = refinements(_read_ipomset(args.input))
-    _emit(
-        _quotient_json(refs),
-        args.json,
-        [ipomset_to_text(r) for r in sorted_ipomsets(refs)],
-    )
-    return 0
+def cmd_ipo_refine(args):
+    return 0, _listed(refinements(_read_ipomset(args.input)), args.json)
 
 
-def cmd_ipo_divide(args) -> int:
+def cmd_ipo_divide(args):
     divs = enumerate_divisions(_read_ipomset(args.input))
     pairs = sorted(divs, key=lambda t: (t[0].sort_key(), t[1].sort_key()))
-    _emit(
-        [[ipomset_to_json(a), ipomset_to_json(b)] for a, b in pairs],
-        args.json,
-        [f"({ipomset_to_text(a)} , {ipomset_to_text(b)})" for a, b in pairs],
-    )
-    return 0
+    if args.json:
+        return 0, [[ipomset_to_json(a), ipomset_to_json(b)] for a, b in pairs]
+    return 0, [f"({ipomset_to_text(a)} , {ipomset_to_text(b)})" for a, b in pairs]
 
 
-# ---------------------------------------------------------------------------
-# hda subcommands
-
-
-def cmd_hda_validate(args) -> int:
+def cmd_hda_validate(args):
     rep = hda_mod.validate(_read_hda(args.input))
-    _emit(
-        {"valid": rep.ok, "problems": list(rep.problems)},
-        args.json,
-        ["valid"] if rep.ok else list(rep.problems),
-    )
-    return 0 if rep.ok else 1
+    code = 0 if rep.ok else 1
+    if args.json:
+        return code, {"valid": rep.ok, "problems": list(rep.problems)}
+    return code, ["valid"] if rep.ok else list(rep.problems)
 
 
-def cmd_hda_lang(args) -> int:
+def cmd_hda_lang(args):
     bound = _default_max_steps() if args.max_steps is None else args.max_steps
     if bound < 1:
         raise ParseError(f"--max-steps must be a positive integer, got {bound}")
     members = hda_mod.enumerate_language(_read_hda(args.input), bound)
-    _emit(
-        _quotient_json(members),
-        args.json,
-        [ipomset_to_text(m) for m in sorted_ipomsets(members)],
-    )
-    return 0
+    return 0, _listed(members, args.json)
 
 
-def cmd_hda_member(args) -> int:
-    if bool(args.expr) == bool(args.ipomset):
-        print("error: give an ipomset file or --expr", file=sys.stderr)
-        return 2
+def cmd_hda_member(args):
+    if (args.expr is None) == (args.ipomset is None):
+        raise _UsageError("give an ipomset file or --expr")
     x = _read_hda(args.input)
-    p = parse_ipomset_text(args.expr) if args.expr else _read_ipomset(args.ipomset)
-    path = hda_mod.member(x, p)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "member": path is not None,
-                    "path": None
-                    if path is None
-                    else {
-                        "cells": list(path.cells),
-                        "steps": [
-                            {"kind": s.kind, "positions": sorted(s.positions)}
-                            for s in path.steps
-                        ],
-                    },
-                }
-            )
-        )
+    if args.expr is not None:
+        p = parse_ipomset_text(args.expr)
     else:
-        print("no accepting path" if path is None else f"witness: {path!r}")
-    return 0 if path is not None else 1
+        p = _read_ipomset(args.ipomset)
+    path = hda_mod.member(x, p)
+    code = 0 if path is not None else 1
+    if not args.json:
+        return code, ["no accepting path" if path is None else f"witness: {path!r}"]
+    if path is None:
+        return code, {"member": False, "path": None}
+    steps = [{"kind": s.kind, "positions": sorted(s.positions)} for s in path.steps]
+    return code, {"member": True, "path": {"cells": list(path.cells), "steps": steps}}
 
 
-def cmd_hda_ess(args) -> int:
+def cmd_hda_ess(args):
     rep = hda_mod.essential_report(_read_hda(args.input))
-    _emit(
-        {
-            "accessible": sorted(rep.accessible),
-            "coaccessible": sorted(rep.coaccessible),
-            "essential": sorted(rep.essential),
-        },
-        args.json,
-        [
-            "accessible:   " + " ".join(sorted(rep.accessible)),
-            "coaccessible: " + " ".join(sorted(rep.coaccessible)),
-            "essential:    " + " ".join(sorted(rep.essential)),
-        ],
-    )
-    return 0
+    parts = {
+        "accessible": sorted(rep.accessible),
+        "coaccessible": sorted(rep.coaccessible),
+        "essential": sorted(rep.essential),
+    }
+    if args.json:
+        return 0, parts
+    return 0, [f"{k}:".ljust(14) + " ".join(v) for k, v in parts.items()]
 
 
-def cmd_hda_det(args) -> int:
+def cmd_hda_det(args):
     rep = hda_mod.is_deterministic(_read_hda(args.input))
-    lines = ["deterministic" if rep.deterministic else "nondeterministic"]
-    for loset in rep.start_clashes:
-        lines.append(f"  several start cells of type [{' '.join(loset)}]")
-    for base, pos, a, b in rep.branch_clashes:
-        lines.append(f"  cells {a} and {b} share lower face {base} at positions "
-                     + ",".join(str(p + 1) for p in pos))
-    _emit(
-        {
+    code = 0 if rep.deterministic else 1
+    if args.json:
+        return code, {
             "deterministic": rep.deterministic,
             "start_clashes": [list(l) for l in rep.start_clashes],
             "branch_clashes": [
                 {"base": base, "positions": [p + 1 for p in pos], "cells": [a, b]}
                 for base, pos, a, b in rep.branch_clashes
             ],
-        },
-        args.json,
-        lines,
-    )
-    return 0 if rep.deterministic else 1
+        }
+    lines = ["deterministic" if rep.deterministic else "nondeterministic"]
+    for loset in rep.start_clashes:
+        lines.append(f"  several start cells of type [{' '.join(loset)}]")
+    for base, pos, a, b in rep.branch_clashes:
+        lines.append(f"  cells {a} and {b} share lower face {base} at positions "
+                     + ",".join(str(p + 1) for p in pos))
+    return code, lines
 
 
-# ---------------------------------------------------------------------------
-# lang subcommands
-
-
-def cmd_lang_quotient(args) -> int:
-    if bool(args.prefix) == bool(args.suffix):
-        print("error: give exactly one of --prefix or --suffix", file=sys.stderr)
-        return 2
-    lang = _read_lang(args.input, args.alphabet)
-    p = parse_ipomset_text(args.prefix if args.prefix else args.suffix)
-    q = (
-        lang_mod.prefix_quotient(lang, p)
-        if args.prefix
-        else lang_mod.suffix_quotient(lang, p)
-    )
-    _emit(_quotient_json(q), args.json, [_set_text(q)])
-    return 0
-
-
-def cmd_lang_swapinv(args) -> int:
-    lang = _read_lang(args.input, args.alphabet)
-    res = lang_mod.is_swap_invariant(lang)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "swap_invariant": res.invariant,
-                    "violations": [
-                        {
-                            "refined": ipomset_to_json(p),
-                            "subsuming": ipomset_to_json(q),
-                            "refined_quotient": _quotient_json(
-                                lang_mod.prefix_quotient(lang, p)
-                            ),
-                            "subsuming_quotient": _quotient_json(
-                                lang_mod.prefix_quotient(lang, q)
-                            ),
-                        }
-                        for p, q in res.violations
-                    ],
-                }
-            )
-        )
-    elif res.invariant:
-        print("swap-invariant")
+def cmd_lang_quotient(args):
+    if (args.prefix is None) == (args.suffix is None):
+        raise _UsageError("give exactly one of --prefix or --suffix")
+    lang = _read_lang(args.input)
+    if args.prefix is not None:
+        q = lang_mod.prefix_quotient(lang, parse_ipomset_text(args.prefix))
     else:
-        print("not swap-invariant")
-        for p, q in res.violations:
-            qp = _set_text(lang_mod.prefix_quotient(lang, p))
-            qq = _set_text(lang_mod.prefix_quotient(lang, q))
-            print(f"  {ipomset_to_text(p)} ⊑ {ipomset_to_text(q)} but {qp} != {qq}")
-    return 0 if res.invariant else 1
+        q = lang_mod.suffix_quotient(lang, parse_ipomset_text(args.suffix))
+    return 0, _listed(q, True) if args.json else [_set_text(q)]
 
 
-def cmd_lang_suff(args) -> int:
-    lang = _read_lang(args.input, args.alphabet)
-    fam = lang_mod.suffix_quotient_family(lang)
-    lines = [f"{len(fam)} distinct quotients"]
-    for rep, val in fam.entries:
-        who = ipomset_to_text(rep) if rep is not None else "(non-prefix)"
-        lines.append(f"  {who}: {_set_text(val)}")
-    _emit(
-        [
+def cmd_lang_swapinv(args):
+    lang = _read_lang(args.input)
+    res = lang_mod.is_swap_invariant(lang)
+    code = 0 if res.invariant else 1
+    pairs = [
+        (p, q, lang_mod.prefix_quotient(lang, p), lang_mod.prefix_quotient(lang, q))
+        for p, q in res.violations
+    ]
+    if args.json:
+        violations = [
+            {
+                "refined": ipomset_to_json(p),
+                "subsuming": ipomset_to_json(q),
+                "refined_quotient": _listed(qp, True),
+                "subsuming_quotient": _listed(qq, True),
+            }
+            for p, q, qp, qq in pairs
+        ]
+        return code, {"swap_invariant": res.invariant, "violations": violations}
+    if res.invariant:
+        return code, ["swap-invariant"]
+    return code, ["not swap-invariant"] + [
+        f"  {ipomset_to_text(p)} ⊑ {ipomset_to_text(q)} "
+        f"but {_set_text(qp)} != {_set_text(qq)}"
+        for p, q, qp, qq in pairs
+    ]
+
+
+def cmd_lang_suff(args):
+    fam = lang_mod.suffix_quotient_family(_read_lang(args.input))
+    if args.json:
+        return 0, [
             {
                 "representative": None if rep is None else ipomset_to_json(rep),
-                "quotient": _quotient_json(val),
+                "quotient": _listed(val, True),
             }
             for rep, val in fam.entries
-        ],
-        args.json,
-        lines,
-    )
-    return 0
+        ]
+    return 0, [f"{len(fam)} distinct quotients"] + [
+        f"  {'(non-prefix)' if rep is None else ipomset_to_text(rep)}: {_set_text(val)}"
+        for rep, val in fam.entries
+    ]
 
 
-# ---------------------------------------------------------------------------
-# mn subcommands
-
-
-def cmd_mn_build(args) -> int:
-    lang = _read_lang(args.input, args.alphabet)
-    mn = mn_mod.build_mn(lang)
+def cmd_mn_build(args):
+    mn = mn_mod.build_mn(_read_lang(args.input))
     if args.out:
         _write_file(args.out, hda_to_text(mn.hda))
     if args.classes:
         _write_file(args.classes, json.dumps(_class_table(mn), indent=2))
     if args.dot:
         _write_file(args.dot, hda_to_dot(mn.hda))
-    ess = [c for c in mn.cells.values() if c.essential]
-    dims: dict[int, int] = {}
-    for c in ess:
-        dims[len(c.loset)] = dims.get(len(c.loset), 0) + 1
-    summary = {
-        "cells": len(mn.cells),
-        "essential": len(ess),
-        "essential_by_dim": {str(k): v for k, v in sorted(dims.items())},
-        "subsidiary": sum(1 for c in mn.cells.values() if c.kind == mn_mod.SUBSIDIARY),
-    }
-    _emit(
-        summary,
-        args.json,
-        [
-            f"{summary['cells']} cells, {summary['essential']} essential "
-            f"({', '.join(f'dim {k}: {v}' for k, v in sorted(dims.items()))}), "
-            f"{summary['subsidiary']} subsidiary"
-        ],
-    )
-    return 0
+    dims = Counter(len(c.loset) for c in mn.cells.values() if c.essential)
+    dims = dict(sorted(dims.items()))
+    essential = sum(dims.values())
+    subsidiary = sum(c.kind == mn_mod.SUBSIDIARY for c in mn.cells.values())
+    if args.json:
+        return 0, {
+            "cells": len(mn.cells),
+            "essential": essential,
+            "essential_by_dim": {str(k): v for k, v in dims.items()},
+            "subsidiary": subsidiary,
+        }
+    by_dim = ", ".join(f"dim {k}: {v}" for k, v in dims.items())
+    return 0, [
+        f"{len(mn.cells)} cells, {essential} essential ({by_dim}), "
+        f"{subsidiary} subsidiary"
+    ]
 
 
 def _class_table(mn) -> dict:
+    def cell(c):
+        rep = c.representative
+        return {
+            "kind": c.kind,
+            "loset": list(c.loset),
+            "essential": c.essential,
+            "representative": None if rep is None else ipomset_to_json(rep),
+            "representative_text": None if rep is None else ipomset_to_text(rep),
+            "quotient": [ipomset_to_json(q) for q in c.quotient],
+        }
+
     return {
         "start": sorted(mn.hda.start),
         "accept": sorted(mn.hda.accept),
-        "cells": {
-            cid: {
-                "kind": c.kind,
-                "loset": list(c.loset),
-                "essential": c.essential,
-                "representative": None
-                if c.representative is None
-                else ipomset_to_json(c.representative),
-                "representative_text": None
-                if c.representative is None
-                else ipomset_to_text(c.representative),
-                "quotient": [ipomset_to_json(q) for q in c.quotient],
-            }
-            for cid, c in mn.cells.items()
-        },
+        "cells": {cid: cell(c) for cid, c in mn.cells.items()},
     }
 
 
-def cmd_mn_verify(args) -> int:
-    lang = _read_lang(args.input, args.alphabet)
-    mn = mn_mod.build_mn(lang)
-    rep = mn_mod.verify_mn(lang, mn)
-    _emit(
-        {
+def cmd_mn_verify(args):
+    lang = _read_lang(args.input)
+    rep = mn_mod.verify_mn(lang, mn_mod.build_mn(lang))
+    code = 0 if rep.ok else 1
+    if args.json:
+        return code, {
             "ok": rep.ok,
             "language_ok": rep.language_ok,
             "essential_ok": rep.essential_ok,
@@ -442,35 +347,78 @@ def cmd_mn_verify(args) -> int:
             "missing": [ipomset_to_text(m) for m in rep.missing],
             "extra": [ipomset_to_text(m) for m in rep.extra],
             "essential_diff": list(rep.essential_diff),
-        },
-        args.json,
-        [
-            "verified" if rep.ok else "verification failed",
-            f"  language: {'ok' if rep.language_ok else 'FAIL'}",
-            f"  essential cells: {'ok' if rep.essential_ok else 'FAIL'}",
-            f"  precubical identities: {'ok' if rep.valid_ok else 'FAIL'}",
-        ],
-    )
-    return 0 if rep.ok else 1
+        }
+    ok = {True: "ok", False: "FAIL"}
+    return code, [
+        "verified" if rep.ok else "verification failed",
+        f"  language: {ok[rep.language_ok]}",
+        f"  essential cells: {ok[rep.essential_ok]}",
+        f"  precubical identities: {ok[rep.valid_ok]}",
+    ]
 
 
-# ---------------------------------------------------------------------------
-# ingest
-
-
-def cmd_ingest(args) -> int:
-    records = parse_log(_read_file(args.input))
-    p = ingest_log(records, TIE_BREAKS[args.order])
+def cmd_ingest(args):
+    p = ingest_log(parse_log(_read_file(args.input)), TIE_BREAKS[args.order])
     if args.json:
-        print(json.dumps(ipomset_to_json(p), indent=2, sort_keys=True))
-    else:
-        print(ipomset_to_block(p, "ingested"))
-        print(ipomset_to_text(p))
-    return 0
+        return 0, ipomset_to_json(p)
+    return 0, [ipomset_to_block(p, "ingested"), ipomset_to_text(p)]
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# The command table
+
+
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+_INPUT = _arg("input")
+
+GROUPS = {
+    "ipo": "ipomset algebra",
+    "hda": "higher-dimensional automata",
+    "lang": "finite down-closed languages",
+    "mn": "Myhill-Nerode construction",
+}
+
+# the keyword arguments of json.dumps for the two JSON styles
+_COMPACT = {}
+_PRETTY = {"indent": 2, "sort_keys": True}
+
+# (group, or None for a top-level verb; name; function; help; JSON style;
+# arguments)
+COMMANDS = (
+    ("ipo", "canon", cmd_ipo_canon, "canonicalize a block or expression", _PRETTY,
+     [_INPUT, _arg("--name", default="P")]),
+    ("ipo", "glue", cmd_ipo_glue, "serial composition", _PRETTY,
+     [_arg("left"), _arg("right")]),
+    ("ipo", "subsume", cmd_ipo_subsume, "decide P ⊑ Q", _COMPACT,
+     [_arg("left"), _arg("right")]),
+    ("ipo", "decompose", cmd_ipo_decompose, "sparse step decomposition", _COMPACT,
+     [_INPUT]),
+    ("ipo", "refine", cmd_ipo_refine, "all refinements", _PRETTY, [_INPUT]),
+    ("ipo", "divide", cmd_ipo_divide, "all gluing divisions", _PRETTY, [_INPUT]),
+    ("hda", "validate", cmd_hda_validate, "face typing and identities", _PRETTY,
+     [_INPUT]),
+    ("hda", "lang", cmd_hda_lang, "bounded language enumeration", _PRETTY,
+     [_INPUT, _arg("--max-steps", type=int)]),
+    ("hda", "member", cmd_hda_member, "membership with witness path", _COMPACT,
+     [_INPUT, _arg("ipomset", nargs="?"), _arg("--expr")]),
+    ("hda", "ess", cmd_hda_ess, "accessible/coaccessible/essential cells", _PRETTY,
+     [_INPUT]),
+    ("hda", "det", cmd_hda_det, "determinism check", _PRETTY, [_INPUT]),
+    ("lang", "quotient", cmd_lang_quotient, "prefix or suffix quotient", _PRETTY,
+     [_INPUT, _arg("--prefix"), _arg("--suffix")]),
+    ("lang", "swapinv", cmd_lang_swapinv, "swap-invariance with witnesses", _COMPACT,
+     [_INPUT]),
+    ("lang", "suff", cmd_lang_suff, "the family of prefix quotients", _PRETTY,
+     [_INPUT]),
+    ("mn", "build", cmd_mn_build, "build the quotient automaton", _PRETTY,
+     [_INPUT, _arg("-o", "--out"), _arg("--classes"), _arg("--dot")]),
+    ("mn", "verify", cmd_mn_verify, "round-trip verification", _PRETTY, [_INPUT]),
+    (None, "ingest", cmd_ingest, "interval log to canonical ipomset", _PRETTY,
+     [_INPUT, _arg("--order", choices=sorted(TIE_BREAKS), default="begin")]),
+)
 
 
 @functools.cache
@@ -482,88 +430,33 @@ def make_parser() -> argparse.ArgumentParser:
         description="ipomsets, higher-dimensional automata, and their languages",
     )
     sub = top.add_subparsers(dest="group", required=True)
-
-    def add(parent, name, fn, **kw):
-        p = parent.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+    groups = {None: sub}
+    for group, name, fn, help_text, style, arguments in COMMANDS:
+        if group not in groups:
+            g = sub.add_parser(group, help=GROUPS[group])
+            groups[group] = g.add_subparsers(dest="command", required=True)
+        p = groups[group].add_parser(name, help=help_text)
+        p.set_defaults(fn=fn, style=style)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    ipo = top_group(sub, "ipo", "ipomset algebra")
-    p = add(ipo, "canon", cmd_ipo_canon, help="canonicalize a block or expression")
-    p.add_argument("input")
-    p.add_argument("--name", default="P")
-    p = add(ipo, "glue", cmd_ipo_glue, help="serial composition")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add(ipo, "subsume", cmd_ipo_subsume, help="decide P ⊑ Q")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add(ipo, "decompose", cmd_ipo_decompose, help="sparse step decomposition")
-    p.add_argument("input")
-    p = add(ipo, "refine", cmd_ipo_refine, help="all refinements")
-    p.add_argument("input")
-    p = add(ipo, "divide", cmd_ipo_divide, help="all gluing divisions")
-    p.add_argument("input")
-
-    hd = top_group(sub, "hda", "higher-dimensional automata")
-    p = add(hd, "validate", cmd_hda_validate, help="face typing and identities")
-    p.add_argument("input")
-    p = add(hd, "lang", cmd_hda_lang, help="bounded language enumeration")
-    p.add_argument("input")
-    p.add_argument("--max-steps", type=int)
-    p = add(hd, "member", cmd_hda_member, help="membership with witness path")
-    p.add_argument("input")
-    p.add_argument("ipomset", nargs="?")
-    p.add_argument("--expr")
-    p = add(hd, "ess", cmd_hda_ess, help="accessible/coaccessible/essential cells")
-    p.add_argument("input")
-    p = add(hd, "det", cmd_hda_det, help="determinism check")
-    p.add_argument("input")
-
-    lg = top_group(sub, "lang", "finite down-closed languages")
-    p = add(lg, "quotient", cmd_lang_quotient, help="prefix or suffix quotient")
-    p.add_argument("input")
-    p.add_argument("--prefix")
-    p.add_argument("--suffix")
-    p.add_argument("--alphabet")
-    p = add(lg, "swapinv", cmd_lang_swapinv, help="swap-invariance with witnesses")
-    p.add_argument("input")
-    p.add_argument("--alphabet")
-    p = add(lg, "suff", cmd_lang_suff, help="the family of prefix quotients")
-    p.add_argument("input")
-    p.add_argument("--alphabet")
-
-    mn = top_group(sub, "mn", "Myhill-Nerode construction")
-    p = add(mn, "build", cmd_mn_build, help="build the quotient automaton")
-    p.add_argument("input")
-    p.add_argument("-o", "--out")
-    p.add_argument("--classes")
-    p.add_argument("--dot")
-    p.add_argument("--alphabet")
-    p = add(mn, "verify", cmd_mn_verify, help="round-trip verification")
-    p.add_argument("input")
-    p.add_argument("--alphabet")
-
-    p = add(sub, "ingest", cmd_ingest, help="interval log to canonical ipomset")
-    p.add_argument("input")
-    p.add_argument("--order", choices=sorted(TIE_BREAKS), default="begin")
+        for flags, kw in arguments:
+            p.add_argument(*flags, **kw)
     return top
 
 
-def top_group(sub, name, help_text):
-    g = sub.add_parser(name, help=help_text)
-    inner = g.add_subparsers(dest="command", required=True)
-    return inner
-
-
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        code, out = args.fn(args)
+        if args.json:
+            print(json.dumps(out, **args.style))
+        else:
+            for line in out:
+                print(line)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except HdalibError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

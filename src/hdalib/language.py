@@ -49,9 +49,6 @@ class LanguageSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def sorted_members(self) -> list[Ipomset]:
-        return sorted_ipomsets(self.members)
-
     @cached_property
     def _index(self) -> _DivisionIndex:
         """The division index, built on the first quotient query and kept

@@ -30,3 +30,19 @@ def test_relations_read_only_through_accessors():
         and node.value.attr in ("prec", "evord")
     ]
     assert SRC.is_dir() and not found
+
+
+def test_cli_prints_only_in_main():
+    # commands return their output; main is the one renderer that writes it
+    tree = ast.parse((SRC / "cli.py").read_text())
+    mains = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    inside = {id(node) for m in mains for node in ast.walk(m)}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and id(node) not in inside
+    ]
+    assert len(mains) == 1 and not found
