@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hdalib.formats import (
+    class_table,
     hda_to_dot,
     hda_to_text,
     ipomset_to_text,
@@ -25,7 +26,6 @@ from hdalib.hda import accepting_paths, enumerate_language, ev_of_path, is_deter
 from hdalib.ipomset import sorted_ipomsets, sparse_decomposition
 from hdalib.language import is_swap_invariant, prefix_quotient, prefixes, suffix_quotient_family
 from hdalib.myhill_nerode import build_mn, verify_mn
-from hdalib.cli import _class_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -74,7 +74,7 @@ def main() -> int:
         ess = sum(1 for c in mn.cells.values() if c.essential)
         print(f"  {len(mn.cells)} cells, {ess} essential, deterministic={det.deterministic}, verified={rep.ok}")
         (out / f"mn_{name}.hda").write_text(hda_to_text(mn.hda))
-        (out / f"mn_{name}.json").write_text(json.dumps(_class_table(mn), indent=2))
+        (out / f"mn_{name}.json").write_text(json.dumps(class_table(mn), indent=2))
         (out / f"mn_{name}.dot").write_text(hda_to_dot(mn.hda))
         print(f"  wrote mn_{name}.hda / .json / .dot to {out}/")
     return 0

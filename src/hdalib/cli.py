@@ -25,6 +25,7 @@ from . import myhill_nerode as mn_mod
 from .errors import HdalibError, ParseError
 from .formats import (
     TIE_BREAKS,
+    class_table,
     hda_to_dot,
     hda_to_text,
     ingest_log,
@@ -137,10 +138,12 @@ def cmd_ipo_subsume(args):
     w = subsumes_witness(_read_ipomset(args.left), _read_ipomset(args.right))
     code = 0 if w is not None else 1
     if args.json:
-        return code, {"subsumes": w is not None, "bijection": list(w) if w else None}
+        # the witness is a tuple or None: JSON writes [] for the empty one
+        return code, {"subsumes": w is not None, "bijection": w}
     if w is None:
         return code, ["no subsumption"]
-    return code, ["subsumes via " + " ".join(f"{i}->{j}" for i, j in enumerate(w))]
+    pairs = " ".join(f"{i}->{j}" for i, j in enumerate(w)) or "the empty bijection"
+    return code, ["subsumes via " + pairs]
 
 
 def cmd_ipo_decompose(args):
@@ -281,11 +284,11 @@ def cmd_lang_suff(args):
                 "representative": None if rep is None else ipomset_to_json(rep),
                 "quotient": _listed(val, True),
             }
-            for rep, val in fam.entries
+            for rep, val in fam
         ]
     return 0, [f"{len(fam)} distinct quotients"] + [
         f"  {'(non-prefix)' if rep is None else ipomset_to_text(rep)}: {_set_text(val)}"
-        for rep, val in fam.entries
+        for rep, val in fam
     ]
 
 
@@ -294,7 +297,7 @@ def cmd_mn_build(args):
     if args.out:
         _write_file(args.out, hda_to_text(mn.hda))
     if args.classes:
-        _write_file(args.classes, json.dumps(_class_table(mn), indent=2))
+        _write_file(args.classes, json.dumps(class_table(mn), indent=2))
     if args.dot:
         _write_file(args.dot, hda_to_dot(mn.hda))
     dims = Counter(len(c.loset) for c in mn.cells.values() if c.essential)
@@ -313,25 +316,6 @@ def cmd_mn_build(args):
         f"{len(mn.cells)} cells, {essential} essential ({by_dim}), "
         f"{subsidiary} subsidiary"
     ]
-
-
-def _class_table(mn) -> dict:
-    def cell(c):
-        rep = c.representative
-        return {
-            "kind": c.kind,
-            "loset": list(c.loset),
-            "essential": c.essential,
-            "representative": None if rep is None else ipomset_to_json(rep),
-            "representative_text": None if rep is None else ipomset_to_text(rep),
-            "quotient": [ipomset_to_json(q) for q in c.quotient],
-        }
-
-    return {
-        "start": sorted(mn.hda.start),
-        "accept": sorted(mn.hda.accept),
-        "cells": {cid: cell(c) for cid, c in mn.cells.items()},
-    }
 
 
 def cmd_mn_verify(args):

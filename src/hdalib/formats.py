@@ -298,6 +298,28 @@ def _is_pair(x: object) -> bool:
     return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
 
 
+def class_table(mn) -> dict:
+    """The class table of a Myhill-Nerode automaton, as a JSON value: the
+    table that ``mn build --classes`` writes."""
+
+    def cell(c):
+        rep = c.representative
+        return {
+            "kind": c.kind,
+            "loset": list(c.loset),
+            "essential": c.essential,
+            "representative": None if rep is None else ipomset_to_json(rep),
+            "representative_text": None if rep is None else ipomset_to_text(rep),
+            "quotient": [ipomset_to_json(q) for q in c.quotient],
+        }
+
+    return {
+        "start": sorted(mn.hda.start),
+        "accept": sorted(mn.hda.accept),
+        "cells": {cid: cell(c) for cid, c in mn.cells.items()},
+    }
+
+
 # ---------------------------------------------------------------------------
 # .lang files
 

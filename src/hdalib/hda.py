@@ -55,12 +55,6 @@ class Hda:
     accept: frozenset[str]
     name: str = "hda"
 
-    def __getitem__(self, name: str) -> Cell:
-        return self.cells[name]
-
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(itertools.chain.from_iterable(c.ev for c in self.cells.values()))
-
     @cached_property
     def _index(self) -> _StepIndex:
         """Every up and down step over a nonempty set of positions, built on

@@ -138,37 +138,21 @@ def prefixes(lang: LanguageSet) -> frozenset[Ipomset]:
 # quotient families
 
 
-@dataclass(frozen=True)
-class QuotientFamily:
-    """The distinct quotient values of a language, each with a witness.
+def suffix_quotient_family(
+    lang: LanguageSet,
+) -> tuple[tuple[Optional[Ipomset], Quotient], ...]:
+    """suff(L): all distinct values of P\\L, as (representative, quotient)
+    pairs, each value with the least prefix that produces it.
 
-    The empty quotient is always present; its representative is ``None``
-    because no prefix produces it.
+    Prefixes are visited in sorted order, so the pairs come in the order of
+    their representatives.  The empty quotient comes last, with ``None``:
+    no prefix produces it.
     """
-
-    entries: tuple[tuple[Optional[Ipomset], Quotient], ...]
-
-    def values(self) -> frozenset[Quotient]:
-        return frozenset(v for _, v in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def suffix_quotient_family(lang: LanguageSet) -> QuotientFamily:
-    """suff(L): all distinct values of P\\L."""
     chosen: dict[Quotient, Optional[Ipomset]] = {}
     for p in sorted_ipomsets(prefixes(lang)):
         chosen.setdefault(prefix_quotient(lang, p), p)
     chosen.setdefault(EMPTY_QUOTIENT, None)
-    entries = tuple(
-        (rep, val)
-        for val, rep in sorted(
-            chosen.items(),
-            key=lambda kv: (kv[1] is None, kv[1].sort_key() if kv[1] else ()),
-        )
-    )
-    return QuotientFamily(entries=entries)
+    return tuple((rep, val) for val, rep in chosen.items())
 
 
 # ---------------------------------------------------------------------------
@@ -180,33 +164,28 @@ def weak_equiv(p: Ipomset, q: Ipomset, lang: LanguageSet) -> bool:
     return fin(p) == fin(q) and prefix_quotient(lang, p) == prefix_quotient(lang, q)
 
 
-def _removal_family(lang: LanguageSet, p: Ipomset):
-    """Quotients of P−A for every A of removable target-loset positions."""
-    tgt = p.target_events()
-    rpos = [i for i, e in enumerate(tgt) if e not in p.source]
-    fam = {}
-    for k in range(len(rpos) + 1):
-        for combo in itertools.combinations(rpos, k):
-            # p is canonical, so removing nothing needs no rebuild
-            removed = remove_targets(p, {tgt[i] for i in combo}) if combo else p
-            fam[frozenset(combo)] = prefix_quotient(lang, removed)
-    return fam
-
-
 def strong_equiv(p: Ipomset, q: Ipomset, lang: LanguageSet) -> bool:
-    """Weak equivalence plus equal quotients after every target removal."""
-    if fin(p) != fin(q):
-        return False
-    return _removal_family(lang, p) == _removal_family(lang, q)
+    """Weak equivalence plus equal quotients after every target removal:
+    equal class keys (:func:`class_key` gives the argument)."""
+    return class_key(lang, p) == class_key(lang, q)
 
 
 def class_key(lang: LanguageSet, p: Ipomset):
-    """Hashable key whose equality is strong equivalence.
-
-    :func:`_removal_family` visits the removal sets in an order fixed by
-    the removable target positions, which ``fin(p)`` fixes, so the
-    quotients alone, in that order, say which set each belongs to."""
-    return (fin(p), tuple(_removal_family(lang, p).values()))
+    """Hashable key whose equality is strong equivalence: ``fin(p)``, then
+    the quotients of P−A for the sets A of removable target-loset positions,
+    by size and then lexicographically.  Those positions are the active
+    ones of ``fin(p)``, so ipomsets with equal signatures visit the same
+    sets in the same order, and the quotients alone, in that order, say
+    which set each belongs to."""
+    sig = fin(p)
+    tgt = p.target_events()
+    quotients = []
+    for k in range(len(sig.active) + 1):
+        for combo in itertools.combinations(sorted(sig.active), k):
+            # p is canonical, so removing nothing needs no rebuild
+            removed = remove_targets(p, {tgt[i] for i in combo}) if combo else p
+            quotients.append(prefix_quotient(lang, removed))
+    return (sig, tuple(quotients))
 
 
 # ---------------------------------------------------------------------------

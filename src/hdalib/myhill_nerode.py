@@ -16,6 +16,7 @@ from .ipomset import (
     Ipomset,
     Loset,
     clear_target_positions,
+    fin,
     identity,
     remove_target_positions,
     sorted_ipomsets,
@@ -54,12 +55,6 @@ class MnAutomaton:
         """The id of the class of an ipomset arising in the construction."""
         return self._by_key[class_key(self.lang, p)]
 
-    def representative(self, cell_id: str) -> Optional[Ipomset]:
-        return self.cells[cell_id].representative
-
-    def essential_ids(self) -> frozenset[str]:
-        return frozenset(c.cell_id for c in self.cells.values() if c.essential)
-
 
 def build_mn(lang: LanguageSet) -> MnAutomaton:
     """Construct the face-closure of the prefix classes of ``lang``.
@@ -69,7 +64,9 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     comes out non-essential, and blocked lower faces produce one
     subsidiary cell per loset.  Start cells are the classes of the
     identities on member source interfaces, accept cells the classes of
-    members.
+    members.  Regular cells are numbered as their classes are first met:
+    prefixes in sorted order, then the faces of each regular cell in id
+    order, the lower before the upper face at each target position.
 
     Raises :class:`NotDownClosed` unless ``lang.members`` is closed under
     one-step refinement.  That is checked only for a set that
@@ -81,33 +78,23 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     if not lang._closed:
         check_down_closed(lang.members)
 
-    keys: dict[Ipomset, tuple] = {}
-
-    def key_of(p: Ipomset) -> tuple:
-        if p not in keys:
-            keys[p] = class_key(lang, p)
-        return keys[p]
-
+    cid_of: dict[Ipomset, str] = {}
     by_key: dict = {}
-    records: dict[str, dict] = {}
-    order: list[str] = []
-    todo: list[str] = []
+    cells: dict[str, MnCell] = {}
+    faces: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    reps: list[Ipomset] = []  # one per regular cell, in id order
 
     def intern(p: Ipomset) -> str:
-        key = key_of(p)
-        if key in by_key:
-            return by_key[key]
-        cid = f"q{len(by_key)}"
-        by_key[key] = cid
-        records[cid] = {
-            "kind": REGULAR,
-            "loset": p.target_loset(),
-            "rep": p,
-            "quotient": tuple(sorted_ipomsets(prefix_quotient(lang, p))),
-        }
-        order.append(cid)
-        todo.append(cid)
-        return cid
+        if p not in cid_of:
+            key = class_key(lang, p)
+            if key not in by_key:
+                cid = by_key[key] = f"q{len(by_key)}"
+                quotient = tuple(sorted_ipomsets(prefix_quotient(lang, p)))
+                loset = p.target_loset()
+                cells[cid] = MnCell(cid, REGULAR, loset, p, bool(quotient), quotient)
+                reps.append(p)
+            cid_of[p] = by_key[key]
+        return cid_of[p]
 
     subs: dict[Loset, str] = {}
 
@@ -117,77 +104,41 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
             # the suffix is not "#k" because "#" starts a .hda comment
             base = cid = "w_" + "".join(loset)
             k = 0
-            while cid in records:
+            while cid in cells:
                 k += 1
                 cid = f"{base}~{k}"
             subs[loset] = cid
-            records[cid] = {
-                "kind": SUBSIDIARY,
-                "loset": loset,
-                "rep": None,
-                "quotient": (),
-            }
-            order.append(cid)
+            cells[cid] = MnCell(cid, SUBSIDIARY, loset, None, False, ())
             # faces of subsidiary cells are subsidiary all the way down
             lower = tuple(
                 subsidiary(loset[:i] + loset[i + 1 :]) for i in range(len(loset))
             )
-            records[cid]["lower"] = lower
-            records[cid]["upper"] = lower
+            faces[cid] = (lower, lower)
         return subs[loset]
 
     for p in sorted_ipomsets(prefixes(lang)):
         intern(p)
 
-    while todo:
-        cid = todo.pop(0)
-        rec = records[cid]
-        p = rec["rep"]
-        dim = len(rec["loset"])
+    for p in reps:  # the worklist: it grows while it is read
+        loset = p.target_loset()
+        removable = fin(p).active
         lower = []
         upper = []
-        src_positions = {
-            i for i, e in enumerate(p.target_events()) if e in p.source
-        }
-        for pos in range(dim):
-            if pos in src_positions:
-                lower.append(subsidiary(rec["loset"][:pos] + rec["loset"][pos + 1 :]))
-            else:
+        for pos in range(len(loset)):
+            if pos in removable:
                 lower.append(intern(remove_target_positions(p, [pos])))
+            else:
+                lower.append(subsidiary(loset[:pos] + loset[pos + 1 :]))
             upper.append(intern(clear_target_positions(p, [pos])))
-        rec["lower"] = tuple(lower)
-        rec["upper"] = tuple(upper)
+        faces[cid_of[p]] = (tuple(lower), tuple(upper))
 
-    start_ids = {by_key[key_of(identity(m.source_loset()))] for m in lang.members}
-    accept_ids = {by_key[key_of(m)] for m in lang.members}
-
-    cells = {
-        cid: Cell(
-            name=cid,
-            ev=records[cid]["loset"],
-            lower=records[cid].get("lower", ()),
-            upper=records[cid].get("upper", ()),
-        )
-        for cid in order
-    }
     hda = Hda(
-        cells=cells,
-        start=frozenset(start_ids),
-        accept=frozenset(accept_ids),
+        cells={cid: Cell(cid, c.loset, *faces[cid]) for cid, c in cells.items()},
+        start=frozenset(intern(identity(m.source_loset())) for m in lang.members),
+        accept=frozenset(intern(m) for m in lang.members),
         name="mn",
     )
-    mn_cells = {
-        cid: MnCell(
-            cell_id=cid,
-            kind=records[cid]["kind"],
-            loset=records[cid]["loset"],
-            representative=records[cid]["rep"],
-            essential=bool(records[cid]["quotient"]),
-            quotient=records[cid]["quotient"],
-        )
-        for cid in order
-    }
-    return MnAutomaton(hda=hda, cells=mn_cells, lang=lang, _by_key=by_key)
+    return MnAutomaton(hda=hda, cells=cells, lang=lang, _by_key=by_key)
 
 
 @dataclass(frozen=True)
@@ -213,21 +164,19 @@ def verify_mn(lang: LanguageSet, mn: MnAutomaton) -> MnReport:
     extra = tuple(sorted_ipomsets(found - lang.members))
 
     er = essential_report(mn.hda)
-    expected = mn.essential_ids()
+    expected = frozenset(cid for cid, c in mn.cells.items() if c.essential)
     diff = tuple(sorted(er.essential ^ expected))
     subsidiary_reached = tuple(
         sorted(c for c in er.accessible if mn.cells[c].kind == SUBSIDIARY)
     )
 
     rep = validate(mn.hda)
+    language_ok = not missing and not extra
+    essential_ok = not diff and not subsidiary_reached
     return MnReport(
-        ok=not missing
-        and not extra
-        and not diff
-        and not subsidiary_reached
-        and rep.ok,
-        language_ok=not missing and not extra,
-        essential_ok=not diff and not subsidiary_reached,
+        ok=language_ok and essential_ok and rep.ok,
+        language_ok=language_ok,
+        essential_ok=essential_ok,
         valid_ok=rep.ok,
         missing=missing,
         extra=extra,

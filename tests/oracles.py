@@ -156,6 +156,15 @@ def oracle_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     return frozenset(out)
 
 
+def _oracle_quotients(lang, divisions=oracle_divisions) -> dict:
+    """P -> P\\L for every prefix P, from the divisions of every member."""
+    quotient: dict[Ipomset, set[Ipomset]] = {}
+    for m in lang.members:
+        for p, q in divisions(m):
+            quotient.setdefault(p, set()).add(q)
+    return quotient
+
+
 def oracle_swap_violations(
     lang, divisions=oracle_divisions
 ) -> tuple[tuple[Ipomset, Ipomset], ...]:
@@ -164,16 +173,48 @@ def oracle_swap_violations(
     (``divisions`` may look up :func:`oracle_divisions` computed earlier),
     subsumption from :func:`oracle_subsumes`; sorted by the sort keys of P
     and Q."""
-    quotient: dict[Ipomset, set[Ipomset]] = {}
-    for m in lang.members:
-        for p, q in divisions(m):
-            quotient.setdefault(p, set()).add(q)
+    quotient = _oracle_quotients(lang, divisions)
     bad = [
         (p, q)
         for p, q in itertools.permutations(quotient, 2)
         if oracle_subsumes(p, q) and quotient[p] != quotient[q]
     ]
     return tuple(sorted(bad, key=lambda t: (t[0].sort_key(), t[1].sort_key())))
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_quotients_of(lang) -> dict[Ipomset, set[Ipomset]]:
+    # the pairs of one language are checked one after another
+    return _oracle_quotients(lang)
+
+
+def oracle_strong_equiv(lang, p: Ipomset, q: Ipomset) -> bool:
+    """P and Q are strongly equivalent: equal target signatures, and for
+    every set A of removable target positions, (P−A)\\L = (Q−A)\\L.
+
+    The signature is the target loset's labels with the positions of the
+    targets that are not sources.  Quotients come from
+    :func:`oracle_divisions` of every member, removals from
+    :func:`oracle_remove_targets`."""
+
+    def signature(x):
+        # the target loset orders the targets by event order
+        tgt = sorted(x.target, key=lambda e: sum(x.ev(f, e) for f in x.target))
+        removable = tuple(i for i, e in enumerate(tgt) if e not in x.source)
+        return tgt, tuple(x.labels[e] for e in tgt), removable
+
+    tp, labels_p, removable = signature(p)
+    tq, labels_q, removable_q = signature(q)
+    if (labels_p, removable) != (labels_q, removable_q):
+        return False
+    quotient = _oracle_quotients_of(lang)
+    for k in range(len(removable) + 1):
+        for positions in itertools.combinations(removable, k):
+            rp = oracle_remove_targets(p, [tp[i] for i in positions])
+            rq = oracle_remove_targets(q, [tq[i] for i in positions])
+            if quotient.get(rp, set()) != quotient.get(rq, set()):
+                return False
+    return True
 
 
 def oracle_remove_targets(p: Ipomset, events) -> Ipomset:

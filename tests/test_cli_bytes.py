@@ -578,13 +578,13 @@ EXPECTED = {
     ),
     ("subsume_eps", "text"): (
         0,
-        "subsumes via \n",
+        "subsumes via the empty bijection\n",
         "",
         {},
     ),
     ("subsume_eps", "json"): (
         0,
-        "{\"subsumes\": true, \"bijection\": null}\n",
+        "{\"subsumes\": true, \"bijection\": []}\n",
         "",
         {},
     ),

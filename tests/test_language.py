@@ -140,17 +140,17 @@ class TestQuotientFamilies:
     def test_family_size_for_table_language(self, table_lang):
         fam = suffix_quotient_family(table_lang)
         assert len(fam) == 13
-        assert frozenset() in fam.values()
+        assert frozenset() in {v for _, v in fam}
 
     def test_empty_language(self):
         fam = suffix_quotient_family(language([]))
         assert len(fam) == 1
-        assert fam.values() == frozenset({frozenset()})
+        assert {v for _, v in fam} == {frozenset()}
 
     def test_single_letter(self):
         lang = language([word("a")])
         fam = suffix_quotient_family(lang)
-        values = fam.values()
+        values = {v for _, v in fam}
         assert values == frozenset(
             {
                 frozenset({word("a")}),

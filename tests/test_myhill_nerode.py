@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import par, word
-from oracles import oracle_refinements
+from oracles import oracle_refinements, oracle_strong_equiv
 from random_gen import random_language
 
 from hdalib import language as language_mod
@@ -24,7 +25,15 @@ from hdalib.ipomset import (
     identity,
     sorted_ipomsets,
 )
-from hdalib.language import LanguageSet, class_key, is_swap_invariant, language, prefixes
+from hdalib.language import (
+    LanguageSet,
+    class_key,
+    is_swap_invariant,
+    language,
+    prefixes,
+    strong_equiv,
+    weak_equiv,
+)
 from hdalib.myhill_nerode import (
     REGULAR,
     SUBSIDIARY,
@@ -249,16 +258,42 @@ class TestInterfaceLanguage:
         assert again.cells == mn.hda.cells
 
 
-class TestClassify:
-    def test_key_equality_is_strong_equivalence(self, table_lang):
-        from hdalib.language import strong_equiv
+def _weak_not_strong(lang, pairs):
+    """Check class-key equality against the strong-equivalence oracle on
+    ``pairs``; return the pairs that are weakly but not strongly
+    equivalent."""
+    found = []
+    for p, q in pairs:
+        strong = oracle_strong_equiv(lang, p, q)
+        assert (class_key(lang, p) == class_key(lang, q)) == strong, (p, q)
+        assert strong_equiv(p, q, lang) == strong, (p, q)
+        if weak_equiv(p, q, lang) and not strong:
+            found.append((p, q))
+    return found
 
-        pres = sorted_ipomsets(prefixes(table_lang))
-        for p in pres[:8]:
-            for q in pres[:8]:
-                assert (class_key(table_lang, p) == class_key(table_lang, q)) == (
-                    strong_equiv(p, q, table_lang)
-                )
+
+class TestClassify:
+    def test_key_equality_is_strong_equivalence(self, table_lang, strongeq_lang):
+        found = []
+        for lang in (table_lang, strongeq_lang):
+            pres = sorted_ipomsets(prefixes(lang))
+            found += _weak_not_strong(lang, itertools.product(pres, pres))
+        # the corpus reaches a pair that only the removal quotients separate
+        assert found
+
+    def test_key_equality_on_random_languages(self):
+        rng = random.Random(1313)
+        found = []
+        for _ in range(10):
+            lang = random_language(rng)
+            buckets: dict = {}
+            for p in prefixes(lang):
+                buckets.setdefault(p.target_loset(), []).append(p)
+            pairs = [
+                pair for ps in buckets.values() for pair in itertools.combinations(ps, 2)
+            ]
+            found += _weak_not_strong(lang, pairs)
+        assert found
 
     def test_trivial_reflexivity(self, table_lang):
         p = word("ab")

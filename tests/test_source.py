@@ -46,3 +46,20 @@ def test_cli_prints_only_in_main():
         and id(node) not in inside
     ]
     assert len(mains) == 1 and not found
+
+
+def test_scripts_import_no_private_hdalib_names():
+    # scripts use the library's public interface, as any caller must
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(scripts.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "hdalib"
+        and any(
+            part.startswith("_")
+            for part in node.module.split(".") + [a.name for a in node.names]
+        )
+    ]
+    assert scripts.is_dir() and not found
