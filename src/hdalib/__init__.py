@@ -14,7 +14,6 @@ from .errors import (
 from .ipomset import (
     EMPTY,
     Ipomset,
-    IntervalRep,
     IntervalRow,
     Loset,
     StarterTerminator,

@@ -24,11 +24,9 @@ from . import language as lang_mod
 from . import myhill_nerode as mn_mod
 from .errors import HdalibError, ParseError
 from .formats import (
-    TIE_BREAKS,
     class_table,
     hda_to_dot,
     hda_to_text,
-    ingest_log,
     ipomset_to_block,
     ipomset_to_json,
     ipomset_to_text,
@@ -39,6 +37,7 @@ from .formats import (
 )
 from .ipomset import (
     enumerate_divisions,
+    from_intervals,
     glue,
     refinements,
     sorted_ipomsets,
@@ -342,7 +341,11 @@ def cmd_mn_verify(args):
 
 
 def cmd_ingest(args):
-    p = ingest_log(parse_log(_read_file(args.input)), TIE_BREAKS[args.order])
+    rows = parse_log(_read_file(args.input))
+    if args.order == "begin":
+        # a stable sort: concurrent events rank by begin, then input order
+        rows = sorted(rows, key=lambda r: r.begin)
+    p = from_intervals(rows)
     if args.json:
         return 0, ipomset_to_json(p)
     return 0, [ipomset_to_block(p, "ingested"), ipomset_to_text(p)]
@@ -401,7 +404,7 @@ COMMANDS = (
      [_INPUT, _arg("-o", "--out"), _arg("--classes"), _arg("--dot")]),
     ("mn", "verify", cmd_mn_verify, "round-trip verification", _PRETTY, [_INPUT]),
     (None, "ingest", cmd_ingest, "interval log to canonical ipomset", _PRETTY,
-     [_INPUT, _arg("--order", choices=sorted(TIE_BREAKS), default="begin")]),
+     [_INPUT, _arg("--order", choices=("begin", "input"), default="begin")]),
 )
 
 

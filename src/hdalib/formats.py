@@ -1,5 +1,6 @@
 """Text formats: .ipo blocks, shorthand expressions, .lang and .hda files,
-JSON emission, DOT emission, and interval-log ingestion.
+JSON emission, DOT emission, and interval logs, read as rows of
+:class:`~hdalib.ipomset.IntervalRow` for :func:`~hdalib.ipomset.from_intervals`.
 
 Shorthand grammar: rows separated by ``|`` (row order = event order), each
 row a juxtaposed chain of single-letter labels, ``•`` (or ``.``) before or
@@ -11,19 +12,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .errors import MalformedInterval, ParseError
 from .hda import LOWER, UPPER, Cell, Hda, build_hda, composite_face
 from .ipomset import (
     EMPTY,
-    IntervalRep,
     IntervalRow,
     Ipomset,
     canonicalize,
-    from_intervals,
     sorted_ipomsets,
 )
 from .language import LanguageSet, language
@@ -433,17 +431,21 @@ def _parse_cell(stmt: str) -> Cell:
 def hda_to_text(x: Hda) -> str:
     lines = [f"hda {x.name} {{"]
     for c in x.cells.values():
-        faces = " ".join(
-            f"d0({i + 1})={c.lower[i]} d1({i + 1})={c.upper[i]}" for i in range(c.dim)
-        )
         stmt = f"  cell {c.name}: [{' '.join(c.ev)}]"
-        if faces:
-            stmt += " " + faces
+        if c.dim:
+            stmt += " " + _faces(c, " ")
         lines.append(stmt + " ;")
     lines.append("  start: " + " ".join(sorted(x.start)) + " ;")
     lines.append("  accept: " + " ".join(sorted(x.accept)) + " ;")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _faces(c: Cell, sep: str) -> str:
+    """The face list ``d0(i)=… d1(i)=…`` of a cell, positions joined by sep."""
+    return sep.join(
+        f"d0({i + 1})={c.lower[i]} d1({i + 1})={c.upper[i]}" for i in range(c.dim)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +470,7 @@ def hda_to_dot(x: Hda) -> str:
     for c in sorted(x.cells.values(), key=lambda c: c.name):
         if c.dim < 2:
             continue
-        faces = ", ".join(
-            f"d0({i + 1})={c.lower[i]} d1({i + 1})={c.upper[i]}" for i in range(c.dim)
-        )
-        out.append(f"  // cell {c.name} [{' '.join(c.ev)}]: {faces}")
+        out.append(f"  // cell {c.name} [{' '.join(c.ev)}]: {_faces(c, ', ')}")
         if c.dim == 2:
             corners = sorted(
                 {
@@ -503,40 +502,33 @@ def _dot_id(name: str) -> str:
 # interval logs
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    event_id: str
-    label: str
-    begin: Fraction
-    end: Fraction
-    open_left: bool   # active before the observation started: source event
-    open_right: bool  # still active at the end: target event
-
-
 LOG_HEADER = ["event_id", "label", "begin", "end", "open_left", "open_right"]
 
 
-def parse_log(text: str) -> list[LogRecord]:
+def parse_log(text: str) -> tuple[IntervalRow, ...]:
+    """The rows of an interval log, in input order.  ``open_left`` (active
+    before the observation started) marks a source event, ``open_right``
+    (still active at the end) a target event."""
     lines = [l.strip() for l in text.splitlines() if l.strip()]
     if not lines or [c.strip() for c in lines[0].split(",")] != LOG_HEADER:
         raise ParseError(f"log must start with header {','.join(LOG_HEADER)}")
-    records = []
+    rows = []
     for line in lines[1:]:
         parts = [c.strip() for c in line.split(",")]
         if len(parts) != 6:
             raise ParseError(f"bad log line {line!r}")
         eid, lab, b, e, ol, orr = parts
-        records.append(
-            LogRecord(
-                event_id=eid,
+        rows.append(
+            IntervalRow(
+                event=eid,
                 label=lab,
                 begin=_fraction(b),
                 end=_fraction(e),
-                open_left=_flag(ol),
-                open_right=_flag(orr),
+                left_closed=_flag(ol),
+                right_closed=_flag(orr),
             )
         )
-    return records
+    return tuple(rows)
 
 
 def _fraction(text: str) -> Fraction:
@@ -553,36 +545,3 @@ def _flag(text: str) -> bool:
     if val in ("false", "0", "no"):
         return False
     raise ParseError(f"bad boolean {text!r}")
-
-
-def default_tie_break(records: Sequence[LogRecord]) -> list[int]:
-    """Event-order rank: ascending begin, then input order."""
-    return sorted(range(len(records)), key=lambda i: (records[i].begin, i))
-
-
-def input_order_tie_break(records: Sequence[LogRecord]) -> list[int]:
-    """Event-order rank: the order the records were supplied in."""
-    return list(range(len(records)))
-
-
-TIE_BREAKS = {"begin": default_tie_break, "input": input_order_tie_break}
-
-
-def ingest_log(
-    records: Sequence[LogRecord],
-    tie_break: Optional[Callable[[Sequence[LogRecord]], list[int]]] = None,
-) -> Ipomset:
-    """Turn timestamped activity spans into a canonical ipomset."""
-    order = (tie_break or default_tie_break)(records)
-    rows = tuple(
-        IntervalRow(
-            event=records[i].event_id,
-            label=records[i].label,
-            begin=records[i].begin,
-            end=records[i].end,
-            left_closed=records[i].open_left,
-            right_closed=records[i].open_right,
-        )
-        for i in order
-    )
-    return from_intervals(IntervalRep(rows=rows))

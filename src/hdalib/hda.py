@@ -157,7 +157,7 @@ def _face_typing(x: Hda) -> Iterator[str]:
                     yield f"cell {c.name}: face {tgt!r} undefined"
                 elif face.ev != want:
                     yield f"cell {c.name}: d{kind}({pos + 1}) has loset {face.ev}, expected {want}"
-    for name in x.start | x.accept:
+    for name in sorted(x.start | x.accept):
         if name not in x.cells:
             yield f"start/accept cell {name!r} undefined"
 
@@ -377,7 +377,7 @@ def member(
     seq = sparse_decomposition(p)
     steps = seq.steps
     idx = x._index
-    frontier = [name for name in srcs if x.cells[name].ev == seq.initial_loset]
+    frontier = [name for name in sorted(srcs) if x.cells[name].ev == seq.initial_loset]
     parents: dict[tuple[int, str], tuple[int, str, PathStep]] = {}
     seen = {(0, name) for name in frontier}
     queue = [(0, name) for name in frontier]

@@ -157,7 +157,8 @@ class StepSequence:
 
 @dataclass(frozen=True)
 class IntervalRow:
-    """One event of an interval representation.  Row order doubles as the
+    """One event of an interval representation, and one line of an
+    interval log (``hdalib.formats.parse_log``).  Row order doubles as the
     event-order rank for concurrent pairs."""
 
     event: str
@@ -166,11 +167,6 @@ class IntervalRow:
     end: Fraction
     left_closed: bool  # event belongs to the source interface
     right_closed: bool  # event belongs to the target interface
-
-
-@dataclass(frozen=True)
-class IntervalRep:
-    rows: tuple[IntervalRow, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -598,79 +594,47 @@ def sparse_decomposition(p: Ipomset) -> StepSequence:
 # interval representations
 
 
-def interval_representation(p: Ipomset) -> IntervalRep:
-    """Integer-endpoint intervals read off the sparse decomposition.
+def interval_representation(p: Ipomset) -> tuple[IntervalRow, ...]:
+    """Integer-endpoint intervals read off the moments of p.
 
-    Rows come out in an event-order-compatible rank, so feeding the result
-    back through :func:`from_intervals` reproduces p.
+    Event x spans the moments (:func:`moments`, indexed 0..m-1) from the
+    first that holds it to the last.  In an interval order each event's
+    moments are contiguous, and x precedes y exactly when last(x) <
+    first(y) (Fishburn 1985), so strict interval precedence gives back
+    ``prec``.  Sources are minimal and lie in moment 0; targets are maximal
+    and lie in moment m-1.
+
+    Rows are ordered by the number of event-order predecessors, then by
+    index.  That count grows strictly along the closed event order, so row
+    order extends it, and :func:`from_intervals` reproduces p.
     """
-    seq = sparse_decomposition(p)
-    m = len(seq.steps)
-    begin: dict[int, int] = {}
-    end: dict[int, int] = {}
-    active = list(p.source_events())
-    for i in active:
-        begin[i] = 0
-    for k, step in enumerate(seq.steps, start=1):
-        if step.kind == STARTER:
-            # canonical numbering lists each starter group in loset order,
-            # so the not-yet-begun events fill the active slots in sequence
-            fresh = iter(e for e in range(p.n) if e not in begin)
-            survivors = iter(active)
-            rebuilt: list[int] = []
-            for pos in range(len(step.loset)):
-                if pos in step.active:
-                    e = next(fresh)
-                    begin[e] = k
-                    rebuilt.append(e)
-                else:
-                    rebuilt.append(next(survivors))
-            active = rebuilt
-        else:
-            for pos in sorted(step.active, reverse=True):
-                end[active[pos]] = k
-                del active[pos]
-    for e in active:
-        end[e] = m + 1
-    rank = _evord_rank(p)
-    rows = tuple(
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for k, ant in enumerate(moments(_transpose(p.prec))):
+        for x in _events(p.n, ant):
+            first.setdefault(x, k)
+            last[x] = k
+    preds = [d.bit_count() for d in _transpose(p.evord)]
+    return tuple(
         IntervalRow(
-            event=f"e{e}",
-            label=p.labels[e],
-            begin=Fraction(begin[e]),
-            end=Fraction(end[e]),
-            left_closed=e in p.source,
-            right_closed=e in p.target,
+            event=f"e{x}",
+            label=p.labels[x],
+            begin=Fraction(first[x]),
+            end=Fraction(last[x]),
+            left_closed=x in p.source,
+            right_closed=x in p.target,
         )
-        for e in rank
+        for x in sorted(range(p.n), key=lambda x: (preds[x], x))
     )
-    return IntervalRep(rows=rows)
 
 
-def _evord_rank(p: Ipomset) -> list[int]:
-    """Topological order of the event order, canonical index as tiebreak."""
-    pending = [d.bit_count() for d in _transpose(p.evord)]
-    out: list[int] = []
-    ready = [i for i, d in enumerate(pending) if d == 0]
-    while ready:
-        x = ready.pop(0)
-        out.append(x)
-        for j in _events(p.n, p.evord[x]):
-            pending[j] -= 1
-            if pending[j] == 0:
-                ready.append(j)
-        ready.sort()
-    return out
-
-
-def from_intervals(rep: IntervalRep) -> Ipomset:
+def from_intervals(rows: Sequence[IntervalRow]) -> Ipomset:
     """Build the ipomset of an interval representation.
 
     Precedence is strict interval precedence (end(x) < begin(y)); event
     order on concurrent pairs follows row order; interfaces follow the
     closed flags.
     """
-    rows = rep.rows
     for r in rows:
         if r.begin > r.end:
             raise MalformedInterval(f"event {r.event}: end before begin")
@@ -678,12 +642,10 @@ def from_intervals(rep: IntervalRep) -> Ipomset:
     prec = [
         (i, j) for i in range(n) for j in range(n) if rows[i].end < rows[j].begin
     ]
-    prec_set = set(prec)
     evord = [
         (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i < j and (i, j) not in prec_set and (j, i) not in prec_set
+        for i, j in itertools.combinations(range(n), 2)
+        if rows[j].begin <= rows[i].end and rows[i].begin <= rows[j].end
     ]
     return canonicalize(
         [r.label for r in rows],

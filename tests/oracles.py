@@ -217,6 +217,31 @@ def oracle_strong_equiv(lang, p: Ipomset, q: Ipomset) -> bool:
     return True
 
 
+def oracle_moments(p: Ipomset) -> list[frozenset[int]]:
+    """The maximal antichains of p's precedence, found among all subsets of
+    events, in temporal order: by the number of events below them."""
+
+    def concurrent(i, j):
+        return not p.lt(i, j) and not p.lt(j, i)
+
+    def antichain(a):
+        return all(concurrent(i, j) for i, j in itertools.combinations(a, 2))
+
+    def maximal(a):
+        return not any(all(concurrent(x, i) for i in a) for x in range(p.n) if x not in a)
+
+    def below(a):
+        return sum(any(p.lt(x, i) for i in a) for x in range(p.n))
+
+    found = [
+        frozenset(a)
+        for k in range(1, p.n + 1)
+        for a in itertools.combinations(range(p.n), k)
+        if antichain(a) and maximal(a)
+    ]
+    return sorted(found, key=below)
+
+
 def oracle_remove_targets(p: Ipomset, events) -> Ipomset:
     """P − A by canonicalizing the other events with all their relations."""
     return _restrict(p, [i for i in range(p.n) if i not in set(events)], p.source, p.target)

@@ -7,12 +7,8 @@ from conftest import n_shape, par, word
 
 from hdalib.errors import AxiomViolation, MalformedInterval, ParseError
 from hdalib.formats import (
-    LogRecord,
-    default_tie_break,
     hda_to_dot,
     hda_to_text,
-    ingest_log,
-    input_order_tie_break,
     ipomset_from_json,
     ipomset_to_block,
     ipomset_to_json,
@@ -26,7 +22,14 @@ from hdalib.formats import (
     parse_log,
 )
 from hdalib.hda import validate
-from hdalib.ipomset import EMPTY, Ipomset, canonicalize, sorted_ipomsets
+from hdalib.ipomset import (
+    EMPTY,
+    IntervalRow,
+    Ipomset,
+    canonicalize,
+    from_intervals,
+    sorted_ipomsets,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -235,12 +238,13 @@ class TestDot:
 
 class TestLogs:
     def test_parse_and_ingest_shipped(self):
-        records = parse_log((DATA / "n_shape_intervals.csv").read_text())
-        assert ingest_log(records, input_order_tie_break) == n_shape()
+        rows = parse_log((DATA / "n_shape_intervals.csv").read_text())
+        assert from_intervals(rows) == n_shape()
 
     def test_default_rule_orders_by_begin(self):
-        records = parse_log((DATA / "n_shape_intervals.csv").read_text())
-        p = ingest_log(records)  # ascending begin flips the a/b event order
+        rows = parse_log((DATA / "n_shape_intervals.csv").read_text())
+        # ascending begin flips the a/b event order
+        p = from_intervals(sorted(rows, key=lambda r: r.begin))
         expect = canonicalize(
             "abcd",
             source=[1],
@@ -251,20 +255,20 @@ class TestLogs:
         assert p == expect
 
     def test_single_record(self):
-        rec = LogRecord("x", "a", Fraction(1), Fraction(2), False, False)
-        assert ingest_log([rec]) == word("a")
+        rec = IntervalRow("x", "a", Fraction(1), Fraction(2), False, False)
+        assert from_intervals([rec]) == word("a")
 
     def test_two_disjoint_intervals(self):
         recs = [
-            LogRecord("x", "a", Fraction(0), Fraction(1), False, False),
-            LogRecord("y", "b", Fraction(2), Fraction(3), False, False),
+            IntervalRow("x", "a", Fraction(0), Fraction(1), False, False),
+            IntervalRow("y", "b", Fraction(2), Fraction(3), False, False),
         ]
-        assert ingest_log(recs) == word("ab")
+        assert from_intervals(recs) == word("ab")
 
     def test_bad_timestamps(self):
-        recs = [LogRecord("x", "a", Fraction(3), Fraction(1), False, False)]
+        recs = [IntervalRow("x", "a", Fraction(3), Fraction(1), False, False)]
         with pytest.raises(MalformedInterval):
-            ingest_log(recs)
+            from_intervals(recs)
 
     def test_header_required(self):
         with pytest.raises(ParseError):
@@ -277,5 +281,5 @@ class TestLogs:
             "x,a,0.1,0.3,false,false\n"
             "y,b,0.3,0.5,false,false\n"
         )
-        p = ingest_log(recs)
+        p = from_intervals(recs)
         assert p == canonicalize("ab", evord=[(0, 1)])  # touching, concurrent

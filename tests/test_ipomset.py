@@ -8,6 +8,7 @@ from conftest import n_shape, par, word
 from oracles import (
     oracle_divisions,
     oracle_isomorphic,
+    oracle_moments,
     oracle_one_step_refinements,
     oracle_refinements,
     oracle_remove_targets,
@@ -22,6 +23,7 @@ from hdalib.ipomset import (
     EMPTY,
     STARTER,
     TERMINATOR,
+    IntervalRow,
     StarterTerminator,
     canonicalize,
     clear_target_positions,
@@ -302,33 +304,49 @@ class TestIntervals:
         for p in mixed_corpus[::5]:
             assert from_intervals(interval_representation(p)) == p
 
+    def test_rows_span_their_moments(self, small_corpus, random_corpus):
+        # each row runs from the first to the last maximal antichain that
+        # holds its event; sources open at 0 and targets close at the end;
+        # rows list concurrent events in event order; the rows give p back
+        for p in small_corpus + random_corpus:
+            ants = oracle_moments(p)
+            rows = interval_representation(p)
+            events = [int(r.event[1:]) for r in rows]
+            assert sorted(events) == list(range(p.n))
+            for r, x in zip(rows, events):
+                held = [k for k, a in enumerate(ants) if x in a]
+                assert (r.begin, r.end) == (held[0], held[-1])
+                assert (r.label, r.left_closed, r.right_closed) == (
+                    p.labels[x], x in p.source, x in p.target
+                )
+                if r.left_closed:
+                    assert r.begin == 0
+                if r.right_closed:
+                    assert r.end == len(ants) - 1
+            for i, j in itertools.combinations(range(p.n), 2):
+                x, y = events[i], events[j]
+                if p.is_concurrent(x, y):
+                    assert p.ev(x, y)
+            assert from_intervals(rows) == p
+
     def test_n_shape_roundtrip(self):
         rep = interval_representation(n_shape())
         assert from_intervals(rep) == n_shape()
-        for row in rep.rows:
+        for row in rep:
             assert row.begin <= row.end
 
     def test_single_closed_interval(self):
         from fractions import Fraction
 
-        from hdalib.ipomset import IntervalRep, IntervalRow
-
-        rep = IntervalRep(
-            rows=(
-                IntervalRow("x", "a", Fraction(1), Fraction(2), False, False),
-            )
-        )
+        rep = (IntervalRow("x", "a", Fraction(1), Fraction(2), False, False),)
         assert from_intervals(rep) == word("a")
 
     def test_malformed(self):
         from fractions import Fraction
 
         from hdalib.errors import MalformedInterval
-        from hdalib.ipomset import IntervalRep, IntervalRow
 
-        rep = IntervalRep(
-            rows=(IntervalRow("x", "a", Fraction(3), Fraction(2), False, False),)
-        )
+        rep = (IntervalRow("x", "a", Fraction(3), Fraction(2), False, False),)
         with pytest.raises(MalformedInterval):
             from_intervals(rep)
 
@@ -337,18 +355,14 @@ class TestIntervals:
         # boundary; each picture subsumes into the next
         from fractions import Fraction
 
-        from hdalib.ipomset import IntervalRep, IntervalRow
-
         def picture(a_end, b_begin, c_end):
             def F(x):
                 return Fraction(x).limit_denominator()
 
-            return IntervalRep(
-                rows=(
-                    IntervalRow("a", "a", F(0), F(a_end), True, False),
-                    IntervalRow("b", "b", F(b_begin), F("1.9"), False, False),
-                    IntervalRow("c", "c", F("0.5"), F(c_end), False, False),
-                )
+            return (
+                IntervalRow("a", "a", F(0), F(a_end), True, False),
+                IntervalRow("b", "b", F(b_begin), F("1.9"), False, False),
+                IntervalRow("c", "c", F("0.5"), F(c_end), False, False),
             )
 
         pics = [
