@@ -157,9 +157,8 @@ def _face_typing(x: Hda) -> Iterator[str]:
                     yield f"cell {c.name}: face {tgt!r} undefined"
                 elif face.ev != want:
                     yield f"cell {c.name}: d{kind}({pos + 1}) has loset {face.ev}, expected {want}"
-    for name in sorted(x.start | x.accept):
-        if name not in x.cells:
-            yield f"start/accept cell {name!r} undefined"
+    for name in sorted(n for n in x.start | x.accept if n not in x.cells):
+        yield f"start/accept cell {name!r} undefined"
 
 
 def _face(x: Hda, name: str, kind: int, pos: int) -> str:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import n_shape, par, word
 
+from hdalib.cli import main
 from hdalib.errors import AxiomViolation, MalformedInterval, ParseError
 from hdalib.formats import (
     hda_to_dot,
@@ -241,10 +243,11 @@ class TestLogs:
         rows = parse_log((DATA / "n_shape_intervals.csv").read_text())
         assert from_intervals(rows) == n_shape()
 
-    def test_default_rule_orders_by_begin(self):
-        rows = parse_log((DATA / "n_shape_intervals.csv").read_text())
-        # ascending begin flips the a/b event order
-        p = from_intervals(sorted(rows, key=lambda r: r.begin))
+    def test_default_rule_orders_by_begin(self, capsys):
+        # `ingest` orders rows by ascending begin by default, which flips
+        # the a/b event order of the input-order ingestion
+        assert main(["ingest", str(DATA / "n_shape_intervals.csv"), "--json"]) == 0
+        p = ipomset_from_json(json.loads(capsys.readouterr().out))
         expect = canonicalize(
             "abcd",
             source=[1],
