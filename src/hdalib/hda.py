@@ -14,17 +14,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import FaceTypingError, IdentityViolation
+from .errors import (
+    AxiomViolation,
+    FaceTypingError,
+    IdentityViolation,
+    InterfaceMismatch,
+)
 from .ipomset import (
     Ipomset,
     Loset,
     STARTER,
+    TERMINATOR,
     clear_target_positions,
-    glue,
     identity,
     sparse_decomposition,
-    starter,
-    terminator,
+    start_positions,
 )
 
 LOWER = 0
@@ -234,7 +238,8 @@ def check_path(x: Hda, path: Path) -> None:
 
 
 def ev_of_path(x: Hda, path: Path) -> Ipomset:
-    """The event ipomset of a path: glue of its per-step steps."""
+    """The event ipomset of a path: the identity on its first cell, folded
+    with one starter or terminator per step (:func:`_ev_step`)."""
     out = identity(x.cells[path.source].ev)
     for k, st in enumerate(path.steps):
         out = _ev_step(x, out, path.cells[k], path.cells[k + 1], st)
@@ -243,15 +248,21 @@ def ev_of_path(x: Hda, path: Path) -> Ipomset:
 
 def _ev_step(x: Hda, out: Ipomset, before: str, after: str, st: PathStep) -> Ipomset:
     """The event ipomset ``out`` of a path followed by the step ``st`` from
-    ``before`` to ``after``.  Gluing a terminator onto the target loset only
-    drops events from the target (:func:`clear_target_positions`); a down
-    step from a cell whose loset is not the target loset keeps the glue,
-    which raises :class:`InterfaceMismatch`."""
+    ``before`` to ``after``: ``out`` glued with the starter on ``after`` or
+    the terminator on ``before``.  No glue runs: an up step appends the
+    started events (:func:`start_positions`) and a down step drops targets
+    (:func:`clear_target_positions`).  A down step from a cell whose loset
+    is not the target loset raises :class:`InterfaceMismatch` as the glue
+    would, after the same range check of the positions (the
+    :class:`AxiomViolation` of :func:`terminator`)."""
     if st.kind == UP:
-        return glue(out, starter(x.cells[after].ev, st.positions))
-    if out.target_loset() == x.cells[before].ev:
+        return start_positions(out, x.cells[after].ev, st.positions)
+    loset, have = x.cells[before].ev, out.target_loset()
+    if have == loset:
         return clear_target_positions(out, st.positions)
-    return glue(out, terminator(x.cells[before].ev, st.positions))
+    if any(not 0 <= i < len(loset) for i in st.positions):
+        raise AxiomViolation(f"{TERMINATOR} positions out of range")
+    raise InterfaceMismatch(f"target loset {have} does not match source loset {loset}")
 
 
 def sparse_normalize(x: Hda, path: Path) -> Path:
@@ -381,8 +392,7 @@ def member(
     seen = {(0, name) for name in frontier}
     queue = [(0, name) for name in frontier]
     goal = None
-    while queue:
-        k, cell = queue.pop(0)
+    for k, cell in queue:  # grows while it is read: a FIFO queue
         if k == len(steps):
             if cell in tgts:
                 goal = (k, cell)
@@ -448,8 +458,8 @@ def _walk(
     ``ev()``, called during the visit, returns the path's event ipomset:
     the fold of :func:`ev_of_path`, continued from the ipomsets of the
     current path's prefixes, which are kept one per depth.  A prefix shared
-    by several accepting paths is glued once, and a prefix of none is not
-    glued at all.
+    by several accepting paths is folded once, and a prefix of none is not
+    folded at all.
     """
     idx = x._index
     dist = _steps_to_accept(x)

@@ -418,8 +418,17 @@ def _discrete(kind: str, loset: Loset, active: Iterable[int]) -> Ipomset:
 
 
 def identity(loset: Loset) -> Ipomset:
-    """The discrete ipomset id_U: every event in both interfaces."""
-    return _discrete(STARTER, loset, ())
+    """The discrete ipomset id_U: every event in both interfaces.  Its
+    canonical order is the loset, which is also its event order."""
+    n = len(loset)
+    every = frozenset(range(n))
+    return Ipomset(
+        labels=tuple(loset),
+        source=every,
+        target=every,
+        prec=(0,) * n,
+        evord=tuple((1 << (n - 1 - i)) - 1 for i in range(n)),
+    )
 
 
 def starter(loset: Loset, active: Iterable[int]) -> Ipomset:
@@ -796,6 +805,75 @@ def clear_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
     if any(not 0 <= i < len(tgt) for i in positions):
         raise AxiomViolation(f"{TERMINATOR} positions out of range")
     return replace(p, target=p.target - {tgt[i] for i in positions})
+
+
+def start_positions(p: Ipomset, loset: Loset, positions: Iterable[int]) -> Ipomset:
+    """P * (U↑A): start the events at the given positions of the loset U.
+
+    This is p with the started events appended in loset order, every
+    event of p keeping its index.  Gluing the starter puts its sources onto
+    the targets of p, so only the started events are new.  They come
+    after every non-target of p in precedence and are concurrent with its
+    targets.  That keeps precedence closed, since any predecessor of a
+    non-target is a non-target.  It also breaks no axiom: the new events
+    are maximal targets, and their down-set, the non-targets of p, holds
+    every other down-set, so the down-sets stay nested.  Every pair the
+    starter orders is concurrent, so its order joins the essential event
+    order, which is closed once.
+
+    Every event of p keeps its down-set, and the sources stay, so p's
+    canonical order stays (:func:`_canonical_order` ranks groups by
+    down-set), and the new events join the group of their down-set.  That
+    is a fresh last group, already in loset order, unless a non-source
+    event of p has that down-set too, as after an up step.  Then the
+    merged last group is sorted by event order through :func:`_renumber`.
+    Positions out of range raise :class:`AxiomViolation` as
+    :func:`starter` does.  A loset whose other positions do not spell p's
+    target loset raises :class:`InterfaceMismatch` as :func:`glue` does.
+    """
+    positions = frozenset(positions)
+    if any(not 0 <= i < len(loset) for i in positions):
+        raise AxiomViolation(f"{STARTER} positions out of range")
+    tgt = p.target_events()
+    have = tuple(p.labels[i] for i in tgt)
+    kept = tuple(l for i, l in enumerate(loset) if i not in positions)
+    if have != kept:
+        raise InterfaceMismatch(f"target loset {have} does not match source loset {kept}")
+    old, k = p.n, len(positions)
+    n = old + k
+    # the result's index of each loset position
+    fresh, rest = iter(range(old, n)), iter(tgt)
+    slots = [next(fresh) if i in positions else next(rest) for i in range(len(loset))]
+    started = (1 << k) - 1
+    prec = [r << k | (0 if i in p.target else started) for i, r in enumerate(p.prec)]
+    prec += [0] * k
+    evord = [r << k for r in p.evord] + [0] * k
+    later = 0
+    for i in reversed(slots):
+        evord[i] |= later
+        later |= 1 << (n - 1 - i)
+    evord = _closure(evord)
+    labels = p.labels + tuple(loset[i] for i in sorted(positions))
+    target = p.target | frozenset(range(old, n))
+    # the non-source events of p that every non-target precedes
+    merged = (1 << old) - 1 & ~_mask(old, p.source)
+    for i, r in enumerate(p.prec):
+        if i not in p.target:
+            merged &= r
+    if merged:
+        group = merged << k | started
+        order = [i for i in range(n) if not group >> (n - 1 - i) & 1]
+        order += _loset_sort(evord, group)
+        essential = _essential(prec, evord, _transpose(prec))
+        source = _mask(n, p.source)
+        return _renumber(labels, source, _mask(n, target), prec, essential, order)
+    return Ipomset(
+        labels=labels,
+        source=p.source,
+        target=target,
+        prec=tuple(prec),
+        evord=tuple(evord),
+    )
 
 
 # ---------------------------------------------------------------------------

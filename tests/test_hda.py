@@ -14,8 +14,14 @@ from oracles import (
 from random_gen import random_language
 
 from hdalib import hda as hda_mod
-from hdalib.errors import FaceTypingError, IdentityViolation, InterfaceMismatch
-from hdalib.formats import parse_hda, parse_ipomset_text
+from hdalib import ipomset as ipomset_mod
+from hdalib.errors import (
+    AxiomViolation,
+    FaceTypingError,
+    IdentityViolation,
+    InterfaceMismatch,
+)
+from hdalib.formats import parse_hda, parse_ipomset_text, parse_lang
 from hdalib.hda import (
     DOWN,
     LOWER,
@@ -49,6 +55,7 @@ from hdalib.myhill_nerode import SUBSIDIARY, build_mn
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DATA_HDAS = sorted(p.name for p in DATA.glob("*.hda"))
+DATA_LANGS = sorted(p.name for p in DATA.glob("*.lang"))
 
 
 @pytest.fixture(scope="module")
@@ -344,9 +351,48 @@ class TestEnumerateLanguage:
                 check_language_against_oracle(mn.hda, bound)
 
     def test_down_step_from_another_loset_is_a_mismatch(self, square):
-        # terminating b in q leaves a, but the next step leaves h, a b
-        with pytest.raises(InterfaceMismatch):
-            ev_of_path(square, HdaPath(("q", "h", "y"), (down(1), down(0))))
+        # terminating b in q leaves a, but the next step leaves h, a b; the
+        # message is the one the glue fold raises
+        path = HdaPath(("q", "h", "y"), (down(1), down(0)))
+        with pytest.raises(InterfaceMismatch) as want:
+            oracle_ev_of_path(square, path)
+        with pytest.raises(InterfaceMismatch) as got:
+            ev_of_path(square, path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "target loset ('a',) does not match source loset ('b',)"
+        # positions out of range are named first, as the terminator does
+        path = HdaPath(("q", "h", "y"), (down(1), down(1)))
+        for fold in (oracle_ev_of_path, ev_of_path):
+            with pytest.raises(AxiomViolation, match="^terminator positions out of range$"):
+                fold(square, path)
+
+    def test_fold_makes_no_glue_or_canonicalize_call(self, square, monkeypatch):
+        automata = [parse_hda((DATA / name).read_text()) for name in DATA_HDAS]
+        automata += [
+            build_mn(parse_lang((DATA / name).read_text())).hda for name in DATA_LANGS
+        ]
+        # non-sparse paths: two up steps in a row, then two down steps
+        detours = [
+            HdaPath(("v", "e", "q"), (up(0), up(1))),
+            HdaPath(("v", "g", "q", "f", "y"), (up(0), up(0), down(1), down(0))),
+            HdaPath(("v", "e", "q", "h", "y"), (up(0), up(1), down(0), down(0))),
+        ]
+        for path in detours:
+            check_path(square, path)
+        paths = [(x, p) for x in automata for p in accepting_paths(x, 8)]
+        paths += [(square, p) for p in detours]
+        evs = [oracle_ev_of_path(x, p) for x, p in paths]
+        langs = [frozenset(ev for (y, _), ev in zip(paths, evs) if y is x) for x in automata]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the path fold glued or canonicalized")
+
+        # both run _close_and_check, however they are imported
+        for name in ("glue", "canonicalize", "_close_and_check"):
+            monkeypatch.setattr(ipomset_mod, name, refuse)
+        assert [ev_of_path(x, p) for x, p in paths] == evs
+        assert [enumerate_language(x, 8) for x in automata] == langs
+        assert len(automata) == len(DATA_HDAS) + len(DATA_LANGS) == 6
 
 
 def check_language_against_oracle(x, bound):

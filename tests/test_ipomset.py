@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -42,6 +43,7 @@ from hdalib.ipomset import (
     rfin_events,
     sorted_ipomsets,
     sparse_decomposition,
+    start_positions,
     starter,
     subsumes,
     subsumes_witness,
@@ -242,6 +244,12 @@ class TestGlue:
 class TestConstructors:
     def test_identity_empty(self):
         assert identity(()) == EMPTY
+
+    def test_identity_is_canonical(self):
+        for loset in (("a",), ("b", "a"), ("a", "b", "a", "c")):
+            every = range(len(loset))
+            pairs = itertools.combinations(every, 2)
+            assert identity(loset) == canonicalize(loset, every, every, (), pairs)
 
     def test_starter_interfaces(self):
         # starting a next to an already-active b
@@ -538,6 +546,52 @@ class TestTargetsAndSignatures:
                     assert clear_target_positions(p, a) == glue(p, terminator(loset, a))
                     cases += 1
         assert cases == 3349
+
+    def test_start_positions_errors(self):
+        p = par(("a", 0, 1), ("b", 0, 1))
+        assert start_positions(p, ("a", "c", "b"), [1]) == glue(
+            p, starter(("a", "c", "b"), [1])
+        )
+        # the range check comes first, as in starter, then glue's mismatch
+        for loset, bad in ((("a", "b"), [2]), (("a", "c"), [-1]), (("c",), [0, 1])):
+            with pytest.raises(AxiomViolation, match="^starter positions out of range$"):
+                start_positions(p, loset, bad)
+        mismatch = "target loset ('a', 'b') does not match source loset ('b', 'a')"
+        for loset, a in ((("b", "a", "c"), [2]), (("b", "a"), [])):
+            with pytest.raises(InterfaceMismatch) as got:
+                start_positions(p, loset, a)
+            assert str(got.value) == mismatch
+            with pytest.raises(InterfaceMismatch, match=f"^{re.escape(mismatch)}$"):
+                glue(p, starter(loset, a))
+
+    def test_start_is_starter_glue(self, small_corpus, random_corpus, monkeypatch):
+        # start_positions calls _renumber only in the merged-group branch
+        renumbered = []
+        real = ipomset_mod._renumber
+        monkeypatch.setattr(
+            ipomset_mod, "_renumber", lambda *a: renumbered.append(1) or real(*a)
+        )
+        cases = merged = 0
+        # every loset that inserts up to two labels into p's target loset on
+        # the small corpus, up to one on the distinct random ipomsets
+        for corpus, most in ((small_corpus, 2), (sorted_ipomsets(set(random_corpus)), 1)):
+            for p in corpus:
+                t = p.target_loset()
+                for k in range(most + 1):
+                    for a in itertools.combinations(range(len(t) + k), k):
+                        for labels in itertools.product("ab", repeat=k):
+                            rest, new = iter(t), iter(labels)
+                            loset = tuple(
+                                next(new) if i in a else next(rest)
+                                for i in range(len(t) + k)
+                            )
+                            before = len(renumbered)
+                            got = start_positions(p, loset, a)
+                            merged += len(renumbered) > before
+                            assert got == glue(p, starter(loset, a))
+                            cases += 1
+        assert cases == 28096
+        assert 0 < merged < cases
 
     def test_remove_matches_restriction_oracle(self, small_corpus):
         cases = 0
