@@ -20,6 +20,7 @@ from .ipomset import (
     StepSequence,
     STARTER,
     TERMINATOR,
+    apply_step,
     canonicalize,
     down_close,
     enumerate_divisions,
@@ -30,7 +31,6 @@ from .ipomset import (
     identity,
     interval_representation,
     refinements,
-    remove_target_positions,
     remove_targets,
     rfin_events,
     sparse_decomposition,

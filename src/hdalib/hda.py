@@ -14,21 +14,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    AxiomViolation,
-    FaceTypingError,
-    IdentityViolation,
-    InterfaceMismatch,
-)
+from .errors import FaceTypingError, IdentityViolation
 from .ipomset import (
     Ipomset,
     Loset,
     STARTER,
     TERMINATOR,
-    clear_target_positions,
+    apply_step,
     identity,
     sparse_decomposition,
-    start_positions,
 )
 
 LOWER = 0
@@ -249,20 +243,10 @@ def ev_of_path(x: Hda, path: Path) -> Ipomset:
 def _ev_step(x: Hda, out: Ipomset, before: str, after: str, st: PathStep) -> Ipomset:
     """The event ipomset ``out`` of a path followed by the step ``st`` from
     ``before`` to ``after``: ``out`` glued with the starter on ``after`` or
-    the terminator on ``before``.  No glue runs: an up step appends the
-    started events (:func:`start_positions`) and a down step drops targets
-    (:func:`clear_target_positions`).  A down step from a cell whose loset
-    is not the target loset raises :class:`InterfaceMismatch` as the glue
-    would, after the same range check of the positions (the
-    :class:`AxiomViolation` of :func:`terminator`)."""
+    the terminator on ``before``, by :func:`apply_step`."""
     if st.kind == UP:
-        return start_positions(out, x.cells[after].ev, st.positions)
-    loset, have = x.cells[before].ev, out.target_loset()
-    if have == loset:
-        return clear_target_positions(out, st.positions)
-    if any(not 0 <= i < len(loset) for i in st.positions):
-        raise AxiomViolation(f"{TERMINATOR} positions out of range")
-    raise InterfaceMismatch(f"target loset {have} does not match source loset {loset}")
+        return apply_step(out, STARTER, x.cells[after].ev, st.positions)
+    return apply_step(out, TERMINATOR, x.cells[before].ev, st.positions)
 
 
 def sparse_normalize(x: Hda, path: Path) -> Path:

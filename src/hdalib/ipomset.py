@@ -19,7 +19,7 @@ Canonical form:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -112,18 +112,14 @@ class StarterTerminator:
 
     @property
     def source_loset(self) -> Loset:
-        if self.kind == STARTER:
-            return tuple(l for i, l in enumerate(self.loset) if i not in self.active)
-        return self.loset
+        return _without(self.loset, self.active) if self.kind == STARTER else self.loset
 
     @property
     def target_loset(self) -> Loset:
-        if self.kind == TERMINATOR:
-            return tuple(l for i, l in enumerate(self.loset) if i not in self.active)
-        return self.loset
+        return _without(self.loset, self.active) if self.kind == TERMINATOR else self.loset
 
     def as_ipomset(self) -> Ipomset:
-        return _discrete(self.kind, self.loset, self.active)
+        return apply_step(identity(self.source_loset), self.kind, self.loset, self.active)
 
     def __repr__(self) -> str:
         arrow = "↑" if self.kind == STARTER else "↓"
@@ -148,10 +144,10 @@ class StepSequence:
         return all(a != b for a, b in zip(kinds, kinds[1:]))
 
     def compose(self) -> Ipomset:
-        """Glue the steps back together (round-trip check for decompose)."""
+        """Fold the steps back together (round-trip check for decompose)."""
         out = identity(self.initial_loset)
         for step in self.steps:
-            out = glue(out, step.as_ipomset())
+            out = apply_step(out, step.kind, step.loset, step.active)
         return out
 
 
@@ -404,19 +400,6 @@ EMPTY = canonicalize(())
 # constructors
 
 
-def _discrete(kind: str, loset: Loset, active: Iterable[int]) -> Ipomset:
-    """The discrete ipomset on ``loset`` whose events at positions ``active``
-    start (STARTER) or terminate (TERMINATOR); all others span it."""
-    n = len(loset)
-    active = frozenset(active)
-    if any(not (0 <= i < n) for i in active):
-        raise AxiomViolation(f"{kind} positions out of range")
-    every = range(n)
-    rest = [i for i in every if i not in active]
-    source, target = (rest, every) if kind == STARTER else (every, rest)
-    return canonicalize(loset, source, target, (), itertools.combinations(every, 2))
-
-
 def identity(loset: Loset) -> Ipomset:
     """The discrete ipomset id_U: every event in both interfaces.  Its
     canonical order is the loset, which is also its event order."""
@@ -433,12 +416,18 @@ def identity(loset: Loset) -> Ipomset:
 
 def starter(loset: Loset, active: Iterable[int]) -> Ipomset:
     """U↑A: the events at positions ``active`` start, the rest stay active."""
-    return _discrete(STARTER, loset, active)
+    active = frozenset(active)
+    return apply_step(identity(_without(loset, active)), STARTER, loset, active)
 
 
 def terminator(loset: Loset, active: Iterable[int]) -> Ipomset:
     """U↓A: the events at positions ``active`` terminate."""
-    return _discrete(TERMINATOR, loset, active)
+    return apply_step(identity(loset), TERMINATOR, loset, active)
+
+
+def _without(loset: Loset, positions: frozenset[int]) -> Loset:
+    """The loset with the events at ``positions`` left out."""
+    return tuple(l for i, l in enumerate(loset) if i not in positions)
 
 
 # ---------------------------------------------------------------------------
@@ -777,68 +766,54 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
     return _renumber(p.labels, source, target, p.prec, essential, _events(n, keep))
 
 
-def remove_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
-    """P − A with A given as positions of the target loset.  A position
-    outside the target loset is not removable (:class:`NotRemovable`)."""
-    tgt = p.target_events()
-    positions = frozenset(positions)
-    bad = [i for i in positions if not 0 <= i < len(tgt)]
-    if bad:
-        raise NotRemovable(f"positions {sorted(bad)} are outside the target loset")
-    return remove_targets(p, (tgt[i] for i in positions))
+def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) -> Ipomset:
+    """P * (U↑A) for ``kind`` STARTER, P * (U↓A) for TERMINATOR: glue p
+    with the step that starts or terminates the events at ``positions`` of
+    the loset U.  The errors are those of ``glue(p, starter(U, A))`` and
+    ``glue(p, terminator(U, A))``: positions out of range raise
+    :class:`AxiomViolation`, then a source loset of the step that is not
+    p's target loset raises :class:`InterfaceMismatch`.  Neither branch
+    checks or canonicalizes again.
 
+    A terminator glued onto p adds no event (its every event is a source,
+    glued onto a target of p), no precedence (it has no event outside its
+    source) and no essential event order (its order is p's target loset,
+    already in p's event order).  So P * (U↓A) is p with the terminated
+    events dropped from its target: the relations stay closed and valid,
+    a smaller target stays maximal, and :func:`_canonical_order` never
+    reads the targets.
 
-def clear_target_positions(p: Ipomset, positions: Iterable[int]) -> Ipomset:
-    """P * (T_P ↓ A): terminate the target events at the given positions.
-
-    This is p with those events dropped from its target, every other field
-    unchanged.  Gluing the terminator adds no event (its every event is a
-    source, glued onto a target of p), no precedence (it has no event
-    outside its source) and no essential event order (its order is the
-    target loset of p, already in p's event order); so the relations stay
-    closed and valid, a smaller target stays maximal, and
-    :func:`_canonical_order` never reads the targets.  Positions out of
-    range raise :class:`AxiomViolation` as :func:`terminator` does.
-    """
-    tgt = p.target_events()
-    positions = frozenset(positions)
-    if any(not 0 <= i < len(tgt) for i in positions):
-        raise AxiomViolation(f"{TERMINATOR} positions out of range")
-    return replace(p, target=p.target - {tgt[i] for i in positions})
-
-
-def start_positions(p: Ipomset, loset: Loset, positions: Iterable[int]) -> Ipomset:
-    """P * (U↑A): start the events at the given positions of the loset U.
-
-    This is p with the started events appended in loset order, every
-    event of p keeping its index.  Gluing the starter puts its sources onto
-    the targets of p, so only the started events are new.  They come
-    after every non-target of p in precedence and are concurrent with its
-    targets.  That keeps precedence closed, since any predecessor of a
-    non-target is a non-target.  It also breaks no axiom: the new events
-    are maximal targets, and their down-set, the non-targets of p, holds
-    every other down-set, so the down-sets stay nested.  Every pair the
-    starter orders is concurrent, so its order joins the essential event
-    order, which is closed once.
-
+    A starter puts its sources onto the targets of p, so only the started
+    events are new, and P * (U↑A) appends them in loset order, every event
+    of p keeping its index.  They come after every non-target of p in
+    precedence and are concurrent with its targets.  That keeps precedence
+    closed, since any predecessor of a non-target is a non-target.  It
+    also breaks no axiom: the new events are maximal targets, and their
+    down-set, the non-targets of p, holds every other down-set, so the
+    down-sets stay nested.  Every pair the starter orders is concurrent,
+    so its order joins the essential event order, which is closed once.
     Every event of p keeps its down-set, and the sources stay, so p's
     canonical order stays (:func:`_canonical_order` ranks groups by
     down-set), and the new events join the group of their down-set.  That
     is a fresh last group, already in loset order, unless a non-source
     event of p has that down-set too, as after an up step.  Then the
     merged last group is sorted by event order through :func:`_renumber`.
-    Positions out of range raise :class:`AxiomViolation` as
-    :func:`starter` does.  A loset whose other positions do not spell p's
-    target loset raises :class:`InterfaceMismatch` as :func:`glue` does.
     """
+    if kind not in (STARTER, TERMINATOR):
+        raise ValueError(f"bad step kind {kind!r}")
     positions = frozenset(positions)
     if any(not 0 <= i < len(loset) for i in positions):
-        raise AxiomViolation(f"{STARTER} positions out of range")
+        raise AxiomViolation(f"{kind} positions out of range")
     tgt = p.target_events()
     have = tuple(p.labels[i] for i in tgt)
-    kept = tuple(l for i, l in enumerate(loset) if i not in positions)
-    if have != kept:
-        raise InterfaceMismatch(f"target loset {have} does not match source loset {kept}")
+    glued = _without(loset, positions) if kind == STARTER else tuple(loset)
+    if have != glued:
+        raise InterfaceMismatch(f"target loset {have} does not match source loset {glued}")
+    if kind == TERMINATOR:
+        target = p.target - {tgt[i] for i in positions}
+        return Ipomset(
+            labels=p.labels, source=p.source, target=target, prec=p.prec, evord=p.evord
+        )
     old, k = p.n, len(positions)
     n = old + k
     # the result's index of each loset position

@@ -1,8 +1,8 @@
 """Finite subsumption-closed languages and their quotient structure.
 
-Quotients are computed once per language by enumerating all divisions of
-all members; the resulting left/right index answers every prefix and
-suffix query, which keeps the Myhill-Nerode construction cheap.
+Prefix quotients are computed once per language by enumerating all
+divisions of all members; the resulting index answers every prefix query,
+which keeps the Myhill-Nerode construction cheap.
 """
 
 from __future__ import annotations
@@ -50,19 +50,15 @@ class LanguageSet:
         return len(self.members)
 
     @cached_property
-    def _index(self) -> _DivisionIndex:
-        """The division index, built on the first quotient query and kept
-        for the life of this language only."""
+    def _index(self) -> dict[Ipomset, Quotient]:
+        """Every prefix with its quotient, from the divisions of the
+        members; built on the first prefix query and kept for the life of
+        this language only."""
         by_left: dict[Ipomset, set[Ipomset]] = {}
-        by_right: dict[Ipomset, set[Ipomset]] = {}
         for m in self.members:
             for p, q in enumerate_divisions(m):
                 by_left.setdefault(p, set()).add(q)
-                by_right.setdefault(q, set()).add(p)
-        return _DivisionIndex(
-            by_left={k: frozenset(v) for k, v in by_left.items()},
-            by_right={k: frozenset(v) for k, v in by_right.items()},
-        )
+        return {k: frozenset(v) for k, v in by_left.items()}
 
 
 def language(
@@ -110,28 +106,25 @@ def check_down_closed(members: frozenset[Ipomset]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the division index
-
-
-@dataclass(frozen=True)
-class _DivisionIndex:
-    by_left: dict
-    by_right: dict
+# quotients
 
 
 def prefix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
     """P\\L = {Q | P*Q ∈ L}."""
-    return lang._index.by_left.get(p, EMPTY_QUOTIENT)
+    return lang._index.get(p, EMPTY_QUOTIENT)
 
 
 def suffix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
-    """L/P = {Q | Q*P ∈ L}."""
-    return lang._index.by_right.get(p, EMPTY_QUOTIENT)
+    """L/P = {Q | Q*P ∈ L}, from the divisions of the members.  Only
+    ``lang quotient --suffix`` asks for it, so no index keeps it."""
+    return frozenset(
+        q for m in lang.members for q, right in enumerate_divisions(m) if right == p
+    )
 
 
 def prefixes(lang: LanguageSet) -> frozenset[Ipomset]:
     """All P with nonempty prefix quotient (left parts of divisions)."""
-    return frozenset(lang._index.by_left)
+    return frozenset(lang._index)
 
 
 # ---------------------------------------------------------------------------

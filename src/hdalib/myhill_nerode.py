@@ -15,10 +15,10 @@ from .hda import Cell, Hda, enumerate_language, essential_report, validate
 from .ipomset import (
     Ipomset,
     Loset,
-    clear_target_positions,
-    fin,
+    TERMINATOR,
+    apply_step,
     identity,
-    remove_target_positions,
+    remove_targets,
     sorted_ipomsets,
     sparse_decomposition,
 )
@@ -120,16 +120,16 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         intern(p)
 
     for p in reps:  # the worklist: it grows while it is read
-        loset = p.target_loset()
-        removable = fin(p).active
+        tgt = p.target_events()
+        loset = tuple(p.labels[e] for e in tgt)
         lower = []
         upper = []
-        for pos in range(len(loset)):
-            if pos in removable:
-                lower.append(intern(remove_target_positions(p, [pos])))
-            else:
+        for pos, e in enumerate(tgt):
+            if e in p.source:
                 lower.append(subsidiary(loset[:pos] + loset[pos + 1 :]))
-            upper.append(intern(clear_target_positions(p, [pos])))
+            else:
+                lower.append(intern(remove_targets(p, [e])))
+            upper.append(intern(apply_step(p, TERMINATOR, loset, [pos])))
         faces[cid_of[p]] = (tuple(lower), tuple(upper))
 
     hda = Hda(

@@ -26,8 +26,8 @@ from hdalib.ipomset import (
     TERMINATOR,
     IntervalRow,
     StarterTerminator,
+    apply_step,
     canonicalize,
-    clear_target_positions,
     down_close,
     enumerate_divisions,
     fin,
@@ -38,12 +38,10 @@ from hdalib.ipomset import (
     interval_representation,
     one_step_refinements,
     refinements,
-    remove_target_positions,
     remove_targets,
     rfin_events,
     sorted_ipomsets,
     sparse_decomposition,
-    start_positions,
     starter,
     subsumes,
     subsumes_witness,
@@ -270,6 +268,23 @@ class TestConstructors:
         with pytest.raises(AxiomViolation):
             starter(("a",), [3])
 
+    def test_steps_match_canonicalize(self):
+        # starter and terminator are folds of apply_step, and the oracles
+        # glue them, so they are checked against the definition directly
+        cases = 0
+        for n in range(4):
+            every = range(n)
+            pairs = list(itertools.combinations(every, 2))
+            for loset, mask in itertools.product(
+                itertools.product("ab", repeat=n), itertools.product((0, 1), repeat=n)
+            ):
+                a = [i for i in every if mask[i]]
+                rest = [i for i in every if not mask[i]]
+                assert starter(loset, a) == canonicalize(loset, rest, every, (), pairs)
+                assert terminator(loset, a) == canonicalize(loset, every, rest, (), pairs)
+                cases += 1
+        assert cases == 85
+
 
 class TestSparseDecomposition:
     def test_n_shape_golden_six_steps(self):
@@ -305,6 +320,8 @@ class TestSparseDecomposition:
             seq = sparse_decomposition(p)
             assert seq.sparse
             assert seq.compose() == p
+            steps = (s.as_ipomset() for s in seq.steps)
+            assert glue_all([identity(seq.initial_loset), *steps]) == p
 
 
 class TestIntervals:
@@ -523,19 +540,22 @@ class TestTargetsAndSignatures:
         with pytest.raises(NotRemovable):
             remove_targets(p, {0})
 
-    def test_remove_target_positions_outside_the_target_loset(self):
+    def test_apply_step_down_errors(self):
         p = par(("a", 0, 1), ("b", 0, 1))
-        assert remove_target_positions(p, [1]) == par(("a", 0, 1))
-        for bad in ([-1], [2], [0, 2]):
-            with pytest.raises(NotRemovable):
-                remove_target_positions(p, bad)
-
-    def test_clear_target_positions_out_of_range(self):
-        p = par(("a", 0, 1), ("b", 0, 1))
-        assert clear_target_positions(p, [1]) == par(("a", 0, 1), ("b", 0, 0))
-        for bad in ([-1], [2], [0, 2]):
+        assert apply_step(p, TERMINATOR, ("a", "b"), [1]) == par(("a", 0, 1), ("b", 0, 0))
+        # the range check comes first, as in terminator, then glue's mismatch
+        for loset, bad in ((("a", "b"), [-1]), (("a", "b"), [2]), (("c",), [0, 2])):
             with pytest.raises(AxiomViolation, match="^terminator positions out of range$"):
-                clear_target_positions(p, bad)
+                apply_step(p, TERMINATOR, loset, bad)
+        mismatch = "target loset ('a', 'b') does not match source loset ('b', 'a')"
+        for a in ([0], []):
+            with pytest.raises(InterfaceMismatch) as got:
+                apply_step(p, TERMINATOR, ("b", "a"), a)
+            assert str(got.value) == mismatch
+            with pytest.raises(InterfaceMismatch, match=f"^{re.escape(mismatch)}$"):
+                glue(p, terminator(("b", "a"), a))
+        with pytest.raises(ValueError, match="^bad step kind 'up'$"):
+            apply_step(p, "up", ("a", "b"), [0])
 
     def test_clear_is_terminator_glue(self, small_corpus):
         cases = 0
@@ -543,29 +563,30 @@ class TestTargetsAndSignatures:
             loset = p.target_loset()
             for k in range(len(loset) + 1):
                 for a in itertools.combinations(range(len(loset)), k):
-                    assert clear_target_positions(p, a) == glue(p, terminator(loset, a))
+                    got = apply_step(p, TERMINATOR, loset, a)
+                    assert got == glue(p, terminator(loset, a))
                     cases += 1
         assert cases == 3349
 
-    def test_start_positions_errors(self):
+    def test_apply_step_up_errors(self):
         p = par(("a", 0, 1), ("b", 0, 1))
-        assert start_positions(p, ("a", "c", "b"), [1]) == glue(
+        assert apply_step(p, STARTER, ("a", "c", "b"), [1]) == glue(
             p, starter(("a", "c", "b"), [1])
         )
         # the range check comes first, as in starter, then glue's mismatch
         for loset, bad in ((("a", "b"), [2]), (("a", "c"), [-1]), (("c",), [0, 1])):
             with pytest.raises(AxiomViolation, match="^starter positions out of range$"):
-                start_positions(p, loset, bad)
+                apply_step(p, STARTER, loset, bad)
         mismatch = "target loset ('a', 'b') does not match source loset ('b', 'a')"
         for loset, a in ((("b", "a", "c"), [2]), (("b", "a"), [])):
             with pytest.raises(InterfaceMismatch) as got:
-                start_positions(p, loset, a)
+                apply_step(p, STARTER, loset, a)
             assert str(got.value) == mismatch
             with pytest.raises(InterfaceMismatch, match=f"^{re.escape(mismatch)}$"):
                 glue(p, starter(loset, a))
 
     def test_start_is_starter_glue(self, small_corpus, random_corpus, monkeypatch):
-        # start_positions calls _renumber only in the merged-group branch
+        # an up step calls _renumber only in the merged-group branch
         renumbered = []
         real = ipomset_mod._renumber
         monkeypatch.setattr(
@@ -586,7 +607,7 @@ class TestTargetsAndSignatures:
                                 for i in range(len(t) + k)
                             )
                             before = len(renumbered)
-                            got = start_positions(p, loset, a)
+                            got = apply_step(p, STARTER, loset, a)
                             merged += len(renumbered) > before
                             assert got == glue(p, starter(loset, a))
                             cases += 1

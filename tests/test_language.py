@@ -7,10 +7,11 @@ import weakref
 import pytest
 
 from conftest import par, word
-from oracles import oracle_swap_violations
+from oracles import oracle_divisions, oracle_swap_violations
 from random_gen import random_language
 
 from hdalib.errors import NotDownClosed
+from hdalib.formats import parse_lang
 from hdalib.hda import is_deterministic
 from hdalib.ipomset import (
     EMPTY,
@@ -99,6 +100,21 @@ class TestQuotients:
         assert suffix_quotient(table_lang, word("c")) == frozenset({word("ab")})
         assert suffix_quotient(table_lang, EMPTY) == table_lang.members
         assert suffix_quotient(table_lang, word("d")) == frozenset()
+
+    def test_suffix_quotient_matches_division_oracle(self, data_dir):
+        langs = [parse_lang(path.read_text()) for path in sorted(data_dir.glob("*.lang"))]
+        rng = random.Random(4747)
+        langs += [random_language(rng, max_members=20) for _ in range(20)]
+        cases = 0
+        for lang in langs:
+            want: dict = {}
+            for m in lang.members:
+                for p, q in oracle_divisions(m):
+                    want.setdefault(q, set()).add(p)
+            for q, ps in want.items():
+                assert suffix_quotient(lang, q) == ps
+                cases += 1
+        assert cases == 343
 
     def test_prefixes_of_single_word(self):
         lang = language([word("ab")])

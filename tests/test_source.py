@@ -63,3 +63,27 @@ def test_scripts_import_no_private_hdalib_names():
         )
     ]
     assert scripts.is_dir() and not found
+
+
+def _name(node):
+    """The name that ``f``, ``m.f``, ``f(...)`` or ``m.f(...)`` refers to."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_ipomsets_built_and_glue_errors_raised_only_in_ipomset():
+    # ipomset.py alone makes canonical forms, and raises glue's interface
+    # error, so no other module can skip a check or copy the message
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "ipomset.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and _name(node) == "Ipomset"
+        or isinstance(node, ast.Raise)
+        and node.exc is not None
+        and _name(node.exc) == "InterfaceMismatch"
+    ]
+    assert SRC.is_dir() and not found
