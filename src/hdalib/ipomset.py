@@ -658,76 +658,81 @@ def from_intervals(rows: Sequence[IntervalRow]) -> Ipomset:
 # refinement and down-closure
 
 
-def refinements(p: Ipomset) -> frozenset[Ipomset]:
-    """All ipomsets subsumed by p (p itself included).
+def refinements(g: Ipomset) -> frozenset[Ipomset]:
+    """All ipomsets subsumed by g, g included: the folds of g's schedules.
 
-    The fixpoint of :func:`one_step_refinements`: each step orients one
-    concurrent pair by a rank-one update of the precedence rows and keeps
-    the results the axioms allow.
+    A schedule starts with g's sources running and alternates starters,
+    which start unstarted events whose g-predecessors have all ended, and
+    terminators, which end running non-targets, until all have started and
+    g's targets run.  Its fold puts x before y when x ended before y
+    started; events that run together are concurrent in g and keep g's
+    event order, so the fold refines g.  Sparse step decompositions are
+    unique (Fahrenberg, Johansen, Struth, Ziemiański, MSCS 2021), so each
+    refinement is the fold of the schedules whose steps read alike in
+    labels, with distinct labels of one; a reading seen before is skipped.
+    A fold is one :func:`_renumber` of its down-sets (y's holds the events
+    ended when y started) in canonical order: g's sources, then each
+    starter's events in event order.  g's own down-sets give g itself.
     """
-    seen = {p}
-    todo = [p]
-    while todo:
-        for nxt in one_step_refinements(todo.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return frozenset(seen)
+    n = g.n
+    if sum(r.bit_count() for r in g.prec) == n * (n - 1) // 2:
+        return frozenset({g})  # a chain has no schedule but its own
+    full = (1 << n) - 1
+    g_downs = _transpose(g.prec)
+    source, target = _mask(n, g.source), _mask(n, g.target)
+    # sources first, then by event-order predecessors, more further along
+    rank = [d.bit_count() - n * (y in g.source) for y, d in enumerate(_transpose(g.evord))]
+    downs = [0] * n
+    seen, out = set(), {g}
 
+    def walk(started: int, done: int, last: Optional[str], steps: tuple) -> None:
+        running = started & ~done
+        if started == full and running == target:
+            read = None if len(set(g.labels)) == n else tuple(
+                tuple((g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u))
+                for u, a in steps
+            )
+            if downs == g_downs or read in seen:
+                return
+            if read:
+                seen.add(read)
+            prec = _transpose(downs)
+            essential = _essential(prec, g.evord, downs)
+            order = sorted(range(n), key=lambda y: (downs[y].bit_count(), rank[y]))
+            out.add(_renumber(g.labels, source, target, prec, essential, order))
+            return
+        # canonical order ranks events by down-set: the ready ones come first
+        unstarted = _events(n, full & ~started) if last != STARTER else []
+        ready = _mask(n, itertools.takewhile(lambda y: not g_downs[y] & ~done, unstarted))
+        step = ready
+        while step:
+            for y in _events(n, step):
+                downs[y] = done
+            walk(started | step, done, STARTER, steps + ((running | step, step),))
+            step = (step - 1) & ready
+        stoppable = running & ~target if last != TERMINATOR else 0
+        step = stoppable
+        while step:
+            walk(started, done | step, TERMINATOR, steps + ((running, step),))
+            step = (step - 1) & stoppable
 
-def one_step_refinements(p: Ipomset) -> list[Ipomset]:
-    """The ipomsets that orient one concurrent pair of p, in pair order and
-    with repeats; pairs the axioms reject give none.  :func:`refinements` is
-    their fixpoint.
-
-    Orienting a concurrent pair i→j of p's closed precedence adds exactly
-    the pairs (a, b) with a ≤ i and j ≤ b, so the new relation is a
-    rank-one update: ``↑j ∪ {j}`` joins the rows of ``↓i ∪ {i}``, and
-    ``↓i ∪ {i}`` joins the down-sets of ``↑j ∪ {j}``.  The update is
-    already transitive.  It closes no cycle, since j ≤ i would have made
-    the pair comparable.  Relations only grow and the event order stays
-    p's, so every pair stays related.  Only i gains a successor and only j
-    a predecessor, since any other event that gains one already had one;
-    so the pair breaks the interface axioms exactly when i is a target or
-    j is a source.  What is left is the 2+2 check, which :func:`moments`
-    makes on the updated down-sets.
-    """
-    n = p.n
-    prec = p.prec
-    downs = _transpose(prec)
-    source, target = _mask(n, p.source), _mask(n, p.target)
-    out = []
-    for i in range(n):
-        bit = 1 << (n - 1 - i)
-        below = downs[i] | bit
-        # the events concurrent with i that are not sources
-        concurrent = (1 << n) - 1 & ~(prec[i] | below | source)
-        if target & bit or not concurrent:
-            continue
-        below_events = _events(n, below)
-        for j in _events(n, concurrent):
-            above = prec[j] | 1 << (n - 1 - j)
-            new_prec = list(prec)
-            for a in below_events:
-                new_prec[a] |= above
-            new_downs = list(downs)
-            for b in _events(n, above):
-                new_downs[b] |= below
-            try:
-                ants = moments(new_downs)
-            except AxiomViolation:
-                continue
-            order = _canonical_order(n, ants, p.source, p.evord)
-            essential = _essential(new_prec, p.evord, new_downs)
-            out.append(_renumber(p.labels, source, target, new_prec, essential, order))
-    return out
+    walk(source, 0, None, ())
+    return frozenset(out)
 
 
 def down_close(xs: Iterable[Ipomset]) -> frozenset[Ipomset]:
-    """Downward subsumption closure of a finite set of ipomsets."""
+    """Downward subsumption closure of a finite set of ipomsets.
+
+    Inputs go by ascending number of precedence pairs, and
+    :func:`refinements` walks only those not yet reached.  That is exact:
+    a strict refinement of q has more pairs, so it comes after q, when the
+    result, a union of down-closed sets holding q, holds it too.  So only
+    the maximal inputs are walked.
+    """
     out: set[Ipomset] = set()
-    for x in xs:
-        out |= refinements(x)
+    for x in sorted(xs, key=lambda p: sum(r.bit_count() for r in p.prec)):
+        if x not in out:
+            out |= refinements(x)
     return frozenset(out)
 
 

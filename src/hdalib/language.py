@@ -18,7 +18,6 @@ from .ipomset import (
     down_close,
     enumerate_divisions,
     fin,
-    one_step_refinements,
     remove_targets,
     sorted_ipomsets,
     subsumes,
@@ -70,16 +69,14 @@ def language(
 
     With ``closed=False`` the downward subsumption closure is taken; with
     ``closed=True`` the input is validated to already be down-closed and
-    :class:`NotDownClosed` is raised on a missing refinement.  Either way
-    the result is marked closed, so :func:`build_mn` does not check it
-    again.
+    :class:`NotDownClosed` is raised on a missing refinement.  Both walk
+    the schedules of the maximal inputs only.  Either way the result is
+    marked closed, so :func:`build_mn` does not check it again.
     """
     gens = frozenset(members)
     if closed:
-        mem = gens
-        check_down_closed(mem)
-    else:
-        mem = down_close(gens)
+        check_down_closed(gens)
+    mem = gens if closed else down_close(gens)
     sigma = frozenset(
         itertools.chain.from_iterable(p.labels for p in mem)
         if alphabet is None
@@ -93,16 +90,13 @@ def language(
 def check_down_closed(members: frozenset[Ipomset]) -> None:
     """Raise :class:`NotDownClosed` naming the least missing refinement.
 
-    A set closed under one-step refinement is down-closed, because
-    :func:`refinements` is the fixpoint of one-step refinement; the full
-    closure is computed only to name the witness.  :func:`language` calls
-    this for ``closed=True``, and :func:`build_mn` for a
-    :class:`LanguageSet` that :func:`language` did not build.
+    On a closed set, :func:`down_close` walks only the maximal members.
+    :func:`language` calls this for ``closed=True``, and :func:`build_mn`
+    for a :class:`LanguageSet` that :func:`language` did not build.
     """
-    for m in members:
-        if any(r not in members for r in one_step_refinements(m)):
-            missing = down_close(members) - members
-            raise NotDownClosed(f"missing refinement {sorted_ipomsets(missing)[0]!r}")
+    missing = down_close(members) - members
+    if missing:
+        raise NotDownClosed(f"missing refinement {sorted_ipomsets(missing)[0]!r}")
 
 
 # ---------------------------------------------------------------------------

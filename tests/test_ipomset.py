@@ -1,7 +1,6 @@
 import itertools
 import random
 import re
-from collections import Counter
 
 import pytest
 
@@ -10,16 +9,15 @@ from oracles import (
     oracle_divisions,
     oracle_isomorphic,
     oracle_moments,
-    oracle_one_step_refinements,
     oracle_refinements,
     oracle_remove_targets,
     oracle_sort_key,
     oracle_subsumes,
 )
-from random_gen import random_ipomset
 
 from hdalib import ipomset as ipomset_mod
 from hdalib.errors import AxiomViolation, InterfaceMismatch, NotRemovable
+from hdalib.formats import parse_expr
 from hdalib.ipomset import (
     EMPTY,
     STARTER,
@@ -36,7 +34,6 @@ from hdalib.ipomset import (
     glue_all,
     identity,
     interval_representation,
-    one_step_refinements,
     refinements,
     remove_targets,
     rfin_events,
@@ -408,6 +405,24 @@ class TestIntervals:
             assert subsumes(tighter, looser)
 
 
+# inputs whose refinements the axioms cut, and shapes with repeated labels,
+# where two schedules can fold to one result
+NAMED_SHAPES = {
+    "source gains no predecessor": par(("a", 1, 0), ("b", 0, 0)),
+    "target gains no successor": par(("a", 0, 1), ("b", 0, 0)),
+    # [ab|c|d]: orienting c before d (or d before c) gives a 2+2
+    "2+2": canonicalize("abcd", prec=[(0, 1)], evord=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "[a|a]": parse_expr("[a|a]"),
+    "[aa|a•]": parse_expr("[aa|a•]"),
+    "[•a|•b]": parse_expr("[•a|•b]"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_refinements(small_corpus):
+    return {p: oracle_refinements(p) for p in small_corpus}
+
+
 class TestRefinements:
     def test_parallel_pair(self):
         got = refinements(par(("a", 0, 0), ("b", 0, 0)))
@@ -422,12 +437,28 @@ class TestRefinements:
         got = refinements(par(("a", 0, 0), ("b", 0, 0), ("c", 0, 0)))
         assert len(got) == 19
 
+    @pytest.mark.parametrize("expr, count", [("[a|b|c|d]", 207), ("[a|b|c|d|e]", 3451)])
+    def test_concurrent_distinct_labels_give_interval_orders(self, expr, count):
+        # labelled interval orders (OEIS A079144)
+        assert len(refinements(parse_expr(expr))) == count
+
+    def test_closed_set_walks_only_its_maximal_member(self, monkeypatch):
+        top = parse_expr("[a|b|c|d|e]")
+        members = refinements(top)
+        walked = []
+        real = ipomset_mod.refinements
+        monkeypatch.setattr(ipomset_mod, "refinements", lambda p: walked.append(p) or real(p))
+        assert down_close(members) == members
+        assert walked == [top]
+
     def test_down_close_idempotent(self):
         base = down_close([par(("a", 0, 0), ("b", 0, 0)), word("ab", tgt=[1])])
         assert down_close(base) == base
 
-    def test_matches_orientation_oracle(self, small_corpus):
-        for p in small_corpus[::23]:
+    def test_matches_orientation_oracle(self, small_corpus, small_refinements):
+        for p in small_corpus:
+            assert refinements(p) == small_refinements[p]
+        for p in NAMED_SHAPES.values():
             assert refinements(p) == oracle_refinements(p)
 
     def test_matches_oracle_on_larger_random(self, mixed_corpus):
@@ -435,57 +466,22 @@ class TestRefinements:
         for p in larger:
             assert refinements(p) == oracle_refinements(p)
 
-
-def _one_step_mismatches(ps):
-    """The ipomsets whose one-step refinements differ from the oracle's as
-    multisets."""
-    return [
-        p
-        for p in ps
-        if Counter(one_step_refinements(p)) != Counter(oracle_one_step_refinements(p))
-    ]
-
-
-class TestOneStepRefinements:
-    def test_matches_oracle_on_small(self, small_corpus):
-        assert _one_step_mismatches(small_corpus) == []
-
-    def test_matches_oracle_on_random(self, random_corpus):
-        assert _one_step_mismatches(random_corpus) == []
-
-    def test_matches_oracle_on_random_closures(self):
-        rng = random.Random(4242)
-        closure = set()
-        for _ in range(100):
-            closure |= refinements(random_ipomset(rng, max_events=5))
-        assert len(closure) > 1000
-        assert _one_step_mismatches(closure) == []
-
     def test_source_cannot_gain_a_predecessor(self):
         # b before the source a would make a non-minimal
-        p = par(("a", 1, 0), ("b", 0, 0))
+        p = NAMED_SHAPES["source gains no predecessor"]
         with pytest.raises(AxiomViolation):
             canonicalize("ab", source=[0], prec=[(1, 0)])
-        got = one_step_refinements(p)
-        assert got == [word("ab", src=[0])]
-        assert _one_step_mismatches([p]) == []
+        assert refinements(p) == {p, word("ab", src=[0])}
 
     def test_target_cannot_gain_a_successor(self):
         # the target a before b would make a non-maximal
-        p = par(("a", 0, 1), ("b", 0, 0))
+        p = NAMED_SHAPES["target gains no successor"]
         with pytest.raises(AxiomViolation):
             canonicalize("ab", target=[0], prec=[(0, 1)])
-        got = one_step_refinements(p)
-        assert got == [word("ba", tgt=[1])]
-        assert _one_step_mismatches([p]) == []
+        assert refinements(p) == {p, word("ba", tgt=[1])}
 
     def test_two_plus_two_is_rejected(self):
-        # [ab|c|d]: orienting c before d (or d before c) gives a 2+2
-        p = canonicalize(
-            "abcd",
-            prec=[(0, 1)],
-            evord=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-        )
+        p = NAMED_SHAPES["2+2"]
         c, d = p.labels.index("c"), p.labels.index("d")
         assert p.is_concurrent(c, d)
         for i, j in ((c, d), (d, c)):
@@ -495,26 +491,31 @@ class TestOneStepRefinements:
                     prec=[(a, b) for a in range(4) for b in range(4) if p.lt(a, b)] + [(i, j)],
                     evord=[(a, b) for a in range(4) for b in range(4) if p.ev(a, b)],
                 )
-        got = one_step_refinements(p)
-        assert len(got) == 8
-        assert _one_step_mismatches([p]) == []
+        assert len(refinements(p)) == 64
 
-    def test_no_closure_is_taken(self, small_corpus, monkeypatch):
-        # orienting a concurrent pair is a rank-one update of relations
-        # that are already closed, so nothing is closed or checked again;
-        # the one closure per result is _renumber's, of the essential order
-        want = {p: one_step_refinements(p) for p in small_corpus}
-        calls = []
-        for name in ("_closure", "_close_and_check"):
-            real = getattr(ipomset_mod, name)
-            monkeypatch.setattr(
-                ipomset_mod,
-                name,
-                lambda *args, name=name, real=real: calls.append(name) or real(*args),
-            )
-        got = {p: one_step_refinements(p) for p in small_corpus}
-        assert got == want
-        assert calls == ["_closure"] * sum(len(v) for v in want.values())
+    def test_walk_neither_glues_nor_checks(self, small_corpus, small_refinements, monkeypatch):
+        # a schedule is folded by one _renumber of down-sets it already
+        # knows, and g itself is not rebuilt
+        want = frozenset().union(*small_refinements.values())
+        for name in ("glue", "apply_step", "canonicalize", "_close_and_check"):
+
+            def boom(*args, name=name):
+                raise AssertionError(f"the walk called {name}")
+
+            monkeypatch.setattr(ipomset_mod, name, boom)
+        renumbered = []
+        real = ipomset_mod._renumber
+        monkeypatch.setattr(
+            ipomset_mod, "_renumber", lambda *a: renumbered.append(1) or real(*a)
+        )
+        closure = down_close(small_corpus)
+        assert closure == want
+        assert len(renumbered) <= len(closure)
+        for p in small_corpus:
+            renumbered.clear()
+            got = refinements(p)
+            assert got == small_refinements[p]
+            assert len(renumbered) == len(got) - 1
 
 
 class TestTargetsAndSignatures:
