@@ -9,6 +9,7 @@ from oracles import (
     oracle_divisions,
     oracle_isomorphic,
     oracle_moments,
+    oracle_one_step_refinements,
     oracle_refinements,
     oracle_remove_targets,
     oracle_sort_key,
@@ -516,6 +517,20 @@ class TestRefinements:
             got = refinements(p)
             assert got == small_refinements[p]
             assert len(renumbered) == len(got) - 1
+
+
+class TestOneStepRefinements:
+    def test_matches_oracle_on_small(self, small_corpus):
+        # refinements(p) is p closed under orienting one concurrent pair
+        # at a time, each step canonicalized by the one-step oracle
+        for p in small_corpus:
+            reached, frontier = {p}, [p]
+            while frontier:
+                for q in oracle_one_step_refinements(frontier.pop()):
+                    if q not in reached:
+                        reached.add(q)
+                        frontier.append(q)
+            assert refinements(p) == reached
 
 
 class TestTargetsAndSignatures:
