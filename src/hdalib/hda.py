@@ -4,7 +4,10 @@ Cells carry a loset of active events; only singleton face maps are stored,
 composites are derived (the precubical identities make that lossless).
 Searches treat an upstep into a cell y at positions A as the inverse of
 the composite lower face δ⁰_A of y, and all of them read one step index
-per automaton, built once its faces type-check.
+per automaton, built once its faces type-check.  Reachability, the
+essential part and membership are one breadth-first search (:func:`_bfs`),
+over cells or over states (step, cell); path enumeration walks depth first
+on a stack of its own, so no search here recurses.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import FaceTypingError, IdentityViolation
 from .ipomset import (
@@ -30,6 +33,8 @@ UPPER = 1
 
 UP = "up"
 DOWN = "down"
+
+N = TypeVar("N", bound=Hashable)  # a node of a search
 
 
 @dataclass(frozen=True)
@@ -298,7 +303,7 @@ def essential_report(x: Hda) -> EssentialReport:
     """Forward search from start cells, backward from accept cells."""
     idx = x._index
     acc = _bfs(x.start, lambda c: [y for y, _ in idx.up[c] + idx.down[c]])
-    coacc = _steps_to_accept(x)
+    coacc = _bfs(x.accept, idx.back.__getitem__)
     return EssentialReport(
         accessible=frozenset(acc),
         coaccessible=frozenset(coacc),
@@ -306,49 +311,39 @@ def essential_report(x: Hda) -> EssentialReport:
     )
 
 
-def _bfs(roots: Iterable[str], nexts: Callable[[str], Iterable[str]]) -> dict[str, int]:
-    """Fewest steps from the roots to every cell they reach, breadth first."""
-    dist = dict.fromkeys(roots, 0)
-    frontier = list(dist)
-    for cell in frontier:  # grows while it is read: a FIFO queue
-        for n in nexts(cell):
-            if n not in dist:
-                dist[n] = dist[cell] + 1
+def _bfs(roots: Iterable[N], nexts: Callable[[N], Iterable[N]]) -> dict[N, Optional[N]]:
+    """Every node reached from the roots, breadth first, in the order found,
+    mapped to the node it was first found from (``None`` for a root)."""
+    found = dict.fromkeys(roots)
+    frontier = list(found)
+    for node in frontier:  # grows while it is read: a FIFO queue
+        for n in nexts(node):
+            if n not in found:
+                found[n] = node
                 frontier.append(n)
-    return dist
+    return found
 
 
 def _steps_to_accept(x: Hda) -> dict[str, int]:
     """Fewest up or down steps from each cell to an accept cell; cells with
     no such route are absent."""
-    return _bfs(x.accept, x._index.back.__getitem__)
+    dist: dict[str, int] = {}
+    for cell, prev in _bfs(x.accept, x._index.back.__getitem__).items():
+        dist[cell] = 0 if prev is None else dist[prev] + 1  # prev came first
+    return dist
 
 
 def ess_closure(x: Hda) -> Hda:
-    """The smallest sub-HDA containing every essential cell."""
-    ess = essential_report(x).essential
-    keep: set[str] = set()
-    for name in ess:
-        c = x.cells[name]
-        for a_size in range(c.dim + 1):
-            for a in itertools.combinations(range(c.dim), a_size):
-                rest = [p for p in range(c.dim) if p not in a]
-                for b_size in range(len(rest) + 1):
-                    for b in itertools.combinations(rest, b_size):
-                        mid = composite_face(x, c.name, UPPER, b)
-                        keep.add(composite_face(x, mid, LOWER, _shift(a, b)))
-    cells = {n: x.cells[n] for n in x.cells if n in keep}
+    """The smallest sub-HDA containing every essential cell: the cells that
+    iterated singleton faces reach from them, as every face is such a chain."""
+    cells = x.cells
+    keep = _bfs(essential_report(x).essential, lambda c: cells[c].lower + cells[c].upper)
     return Hda(
-        cells=cells,
-        start=x.start & keep,
-        accept=x.accept & keep,
+        cells={n: c for n, c in cells.items() if n in keep},
+        start=x.start.intersection(keep),
+        accept=x.accept.intersection(keep),
         name=x.name + "_ess",
     )
-
-
-def _shift(a: Sequence[int], removed: Sequence[int]) -> tuple[int, ...]:
-    # reindex positions a after the positions in removed are gone
-    return tuple(p - sum(r < p for r in removed) for p in a)
 
 
 # ---------------------------------------------------------------------------
@@ -363,52 +358,44 @@ def member(
 ) -> Optional[Path]:
     """A path from a source to a target cell with event ipomset p, if any.
 
-    Searches the sparse decomposition of p step by step over the step
-    index.
+    Searches states (k, cell), a cell reached by the first k steps of the
+    sparse decomposition of p, breadth first over the step index; the
+    witness ends at the first state (all steps, target cell) found.
     """
     srcs = x.start if sources is None else frozenset(sources)
     tgts = x.accept if targets is None else frozenset(targets)
     seq = sparse_decomposition(p)
     steps = seq.steps
     idx = x._index
-    frontier = [name for name in sorted(srcs) if x.cells[name].ev == seq.initial_loset]
-    parents: dict[tuple[int, str], tuple[int, str, PathStep]] = {}
-    seen = {(0, name) for name in frontier}
-    queue = [(0, name) for name in frontier]
-    goal = None
-    for k, cell in queue:  # grows while it is read: a FIFO queue
+
+    def nexts(state: tuple[int, str]) -> list[tuple[int, str]]:
+        k, cell = state
         if k == len(steps):
-            if cell in tgts:
-                goal = (k, cell)
-                break
-            continue
+            return []
         st = steps[k]
         if st.kind == STARTER:
-            for big, pos in idx.up[cell]:
-                if pos == st.active and x.cells[big].ev == st.loset:
-                    _enqueue(parents, seen, queue, (k, cell), (k + 1, big), PathStep(UP, pos))
-        elif x.cells[cell].ev == st.loset:
-            for small, pos in idx.down[cell]:
-                if pos == st.active:
-                    _enqueue(parents, seen, queue, (k, cell), (k + 1, small), PathStep(DOWN, pos))
+            return [
+                (k + 1, big)
+                for big, pos in idx.up[cell]
+                if pos == st.active and x.cells[big].ev == st.loset
+            ]
+        if x.cells[cell].ev != st.loset:
+            return []
+        return [(k + 1, small) for small, pos in idx.down[cell] if pos == st.active]
+
+    roots = [(0, c) for c in sorted(srcs) if x.cells[c].ev == seq.initial_loset]
+    found = _bfs(roots, nexts)
+    goal = next((s for s in found if s[0] == len(steps) and s[1] in tgts), None)
     if goal is None:
         return None
-    cells = [goal[1]]
-    moves: list[PathStep] = []
-    cur = goal
-    while cur in parents:
-        pk, pcell, pstep = parents[cur]
-        cells.append(pcell)
-        moves.append(pstep)
-        cur = (pk, pcell)
-    return Path(cells=tuple(reversed(cells)), steps=tuple(reversed(moves)))
-
-
-def _enqueue(parents, seen, queue, cur, nxt, step):
-    if nxt not in seen:
-        seen.add(nxt)
-        parents[nxt] = (cur[0], cur[1], step)
-        queue.append(nxt)
+    cells, state = [], goal
+    while state is not None:  # back along the links to a root
+        cells.append(state[1])
+        state = found[state]
+    return Path(
+        cells=tuple(reversed(cells)),
+        steps=tuple(PathStep(UP if st.kind == STARTER else DOWN, st.active) for st in steps),
+    )
 
 
 def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
@@ -460,27 +447,31 @@ def _walk(
     def in_reach(cell: str, steps: int) -> bool:
         return cell in dist and steps + dist[cell] <= max_steps
 
-    def extend(cells: tuple[str, ...], steps: tuple[PathStep, ...]):
+    stack = [((s,), ()) for s in sorted(x.start, reverse=True) if in_reach(s, 0)]
+    while stack:  # last in, first out: children are pushed in reverse
+        cells, steps = stack.pop()
         del evs[len(steps) :]  # those from here on belong to an earlier path
         cur = cells[-1]
         if cur in x.accept:
             visit(cells, steps, lambda: ev(cells, steps))
         if len(steps) == max_steps:
-            return
+            continue
         n = len(steps) + 1
         last = steps[-1].kind if steps else None
+        children = []
         if last != UP:
-            for big, pos in idx.up[cur]:
-                if in_reach(big, n):
-                    extend(cells + (big,), steps + (PathStep(UP, pos),))
+            children += [
+                (cells + (big,), steps + (PathStep(UP, pos),))
+                for big, pos in idx.up[cur]
+                if in_reach(big, n)
+            ]
         if last != DOWN:
-            for tgt, pos in idx.down[cur]:
-                if in_reach(tgt, n):
-                    extend(cells + (tgt,), steps + (PathStep(DOWN, pos),))
-
-    for s in sorted(x.start):
-        if in_reach(s, 0):
-            extend((s,), ())
+            children += [
+                (cells + (tgt,), steps + (PathStep(DOWN, pos),))
+                for tgt, pos in idx.down[cur]
+                if in_reach(tgt, n)
+            ]
+        stack += reversed(children)
 
 
 # ---------------------------------------------------------------------------

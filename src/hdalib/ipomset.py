@@ -669,7 +669,11 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
     event order, so the fold refines g.  Sparse step decompositions are
     unique (Fahrenberg, Johansen, Struth, Ziemiański, MSCS 2021), so each
     refinement is the fold of the schedules whose steps read alike in
-    labels, with distinct labels of one; a reading seen before is skipped.
+    labels; a reading seen before is skipped.  Unless two concurrent events
+    of g share a label, no reading is taken: the events of each label then
+    form a chain in g and in every refinement, so an isomorphism between
+    two refinements maps each chain onto itself in order, is the identity,
+    and distinct schedules fold to distinct refinements.
     A fold is one :func:`_renumber` of its down-sets (y's holds the events
     ended when y started) in canonical order: g's sources, then each
     starter's events in event order.  g's own down-sets give g itself.
@@ -682,16 +686,20 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
     source, target = _mask(n, g.source), _mask(n, g.target)
     # sources first, then by event-order predecessors, more further along
     rank = [d.bit_count() - n * (y in g.source) for y, d in enumerate(_transpose(g.evord))]
+    twins = any(
+        g.labels[x] == g.labels[y] and not (g.prec[x] | g_downs[x]) >> (n - 1 - y) & 1
+        for x, y in itertools.combinations(range(n), 2)
+    )
     downs = [0] * n
     seen, out = set(), {g}
 
     def walk(started: int, done: int, last: Optional[str], steps: tuple) -> None:
         running = started & ~done
         if started == full and running == target:
-            read = None if len(set(g.labels)) == n else tuple(
+            read = tuple(
                 tuple((g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u))
                 for u, a in steps
-            )
+            ) if twins else None
             if downs == g_downs or read in seen:
                 return
             if read:

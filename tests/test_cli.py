@@ -307,6 +307,13 @@ class TestContract:
         assert code == 2 and out == ""
         assert "HDALIB_MAX_STEPS" in err and "Traceback" not in err
 
+    def test_search_too_deep_is_an_error(self, capsys):
+        # enumerate_divisions recurses once per event: 1,100 exceed the stack
+        code, out, err = run(capsys, "ipo", "divide", "ab" * 550)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search too deep for this input (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_max_steps_below_one_is_an_error(self, capsys, value):
         code, out, err = run(capsys, "hda", "lang", DATA / "loop_ab.hda", "--max-steps", value)

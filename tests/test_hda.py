@@ -280,6 +280,25 @@ class TestMember:
             assert w is not None
             assert ev_of_path(square, w) == p
 
+    def test_first_of_two_witnesses(self):
+        # two a-edges from v: the search takes e1, listed first, unless only
+        # e2's upper face is a target
+        x = build_hda(
+            [
+                Cell("v", ()),
+                Cell("w1", ()),
+                Cell("w2", ()),
+                Cell("e1", ("a",), ("v",), ("w1",)),
+                Cell("e2", ("a",), ("v",), ("w2",)),
+            ],
+            start=["v"],
+            accept=["w1", "w2"],
+        )
+        assert member(x, word("a")) == HdaPath(("v", "e1", "w1"), (up(0), down(0)))
+        assert member(x, word("a"), targets=["w2"]) == HdaPath(
+            ("v", "e2", "w2"), (up(0), down(0))
+        )
+
     def test_witness_split_along_divisions(self, square):
         # a path for a glued ipomset splits into paths for the two parts
         from hdalib.ipomset import enumerate_divisions
@@ -431,6 +450,14 @@ class TestAcceptingPaths:
             HdaPath(("v", "q", "h"), (up(0, 1), down(0))),
             HdaPath(("v", "q", "y"), (up(0, 1), down(0, 1))),
         ]
+
+    def test_long_paths_need_no_recursion(self):
+        # one a-edge from v to itself: an accepting path for every even length
+        x = parse_hda(
+            "hda x { cell v: [] ; cell e: [a] d0(1)=v d1(1)=v ; start: v ; accept: v ; }"
+        )
+        paths = accepting_paths(x, 1100)
+        assert len(paths) == 551 and len(paths[-1]) == 1100
 
     def test_undefined_face_is_a_typing_error_at_every_bound(self):
         # the faces are checked before any search, so the bound is moot

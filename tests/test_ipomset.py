@@ -452,6 +452,17 @@ class TestRefinements:
         assert down_close(members) == members
         assert walked == [top]
 
+    def test_ordered_repeated_labels_take_no_reading(self, monkeypatch):
+        # the near-word abcabc: only c and the second a are concurrent, and
+        # each repeated label is ordered, so no schedule is read in labels
+        prec = [(a, b) for a in range(6) for b in (a + 1, a + 2) if b < 6]
+        p = canonicalize("abcabc", prec=[e for e in prec if e != (2, 3)], evord=[(2, 3)])
+        sorts = []
+        real = ipomset_mod._loset_sort
+        monkeypatch.setattr(ipomset_mod, "_loset_sort", lambda *a: sorts.append(a) or real(*a))
+        got = refinements(p)
+        assert sorts == [] and got == {p, word("abcabc"), word("abacbc")}
+
     def test_down_close_idempotent(self):
         base = down_close([par(("a", 0, 0), ("b", 0, 0)), word("ab", tgt=[1])])
         assert down_close(base) == base

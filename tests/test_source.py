@@ -87,3 +87,17 @@ def test_ipomsets_built_and_glue_errors_raised_only_in_ipomset():
         and _name(node.exc) == "InterfaceMismatch"
     ]
     assert SRC.is_dir() and not found
+
+
+def test_hda_searches_do_not_recurse():
+    # a recursive path walk runs out of stack on long bounds; every search
+    # in hda.py keeps its own queue or stack
+    tree = ast.parse((SRC / "hda.py").read_text())
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and _name(node) == fn.name
+    ]
+    assert SRC.is_dir() and not found
