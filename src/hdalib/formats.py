@@ -98,18 +98,26 @@ def ipomset_to_text(p: Ipomset) -> str:
 
 
 def _try_shorthand(p: Ipomset) -> Optional[str]:
+    """The rows of the expression grammar, or ``None`` when p has none.
+
+    Canonical indices extend precedence, so the rows grow in index order:
+    each event joins the one row whose last event precedes it, or starts a
+    new row.  When two rows qualify, the event joins two chains and p is no
+    parallel product of chains.  A row built this way is a chain, and the
+    cross-row check below makes the rows the components of precedence."""
     if p.n == 0:
         return "ε"
     if any(len(l) != 1 for l in p.labels):
         return None
-    comps = _prec_components(p)
-    rows = []
-    for comp in comps:
-        chain = sorted(comp, key=lambda i: sum(p.lt(j, i) for j in comp))
-        for a, b in zip(chain, chain[1:]):
-            if not p.lt(a, b):
-                return None  # component is not a chain
-        rows.append(chain)
+    rows: list[list[int]] = []
+    for e in range(p.n):
+        joins = [row for row in rows if p.lt(row[-1], e)]
+        if len(joins) > 1:
+            return None
+        if joins:
+            joins[0].append(e)
+        else:
+            rows.append([e])
     # order rows by event order; all cross pairs must agree with it
     firsts = [row[0] for row in rows]
     rows.sort(key=lambda row: sum(1 for f in firsts if p.ev(f, row[0])))
@@ -127,25 +135,6 @@ def _try_shorthand(p: Ipomset) -> Optional[str]:
         for row in rows
     )
     return f"[{text}]" if len(rows) > 1 else text
-
-
-def _prec_components(p: Ipomset) -> list[list[int]]:
-    parent = list(range(p.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(p.n):
-        for j in range(p.n):
-            if p.lt(i, j):
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for i in range(p.n):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values())
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,11 @@ def class_key(lang: LanguageSet, p: Ipomset):
     by size and then lexicographically.  Those positions are the active
     ones of ``fin(p)``, so ipomsets with equal signatures visit the same
     sets in the same order, and the quotients alone, in that order, say
-    which set each belongs to."""
+    which set each belongs to.
+
+    This is the reference definition: :func:`strong_equiv` and
+    ``MnAutomaton.cell_of`` use it, while :func:`build_mn` keys its classes
+    by one-target removals and makes no call to it."""
     sig = fin(p)
     tgt = p.target_events()
     quotients = []

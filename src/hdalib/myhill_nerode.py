@@ -49,11 +49,36 @@ class MnAutomaton:
     hda: Hda
     cells: dict[str, MnCell]  # by cell id
     lang: LanguageSet
-    _by_key: dict = field(default_factory=dict, repr=False)
+    _by_key: dict = field(default_factory=dict, repr=False, compare=False)
 
     def cell_of(self, p: Ipomset) -> str:
-        """The id of the class of an ipomset arising in the construction."""
+        """The id of the class of an ipomset arising in the construction.
+
+        The first call fills ``_by_key`` from :func:`class_key` of each
+        regular cell's representative, since :func:`build_mn` keys its
+        classes another way."""
+        if not self._by_key:
+            self._by_key.update(
+                (class_key(self.lang, c.representative), cid)
+                for cid, c in self.cells.items()
+                if c.kind == REGULAR
+            )
         return self._by_key[class_key(self.lang, p)]
+
+
+def _key_of(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset) -> tuple:
+    """The key id of p's class and p−{e} at each target position (``None``
+    at a source), read from or added to the memo of one :func:`build_mn`
+    call.  This is a module function, not a closure in :func:`build_mn`:
+    a closure that calls itself is a reference cycle, which would keep the
+    memo alive after the call until the cycle collector ran."""
+    if p not in memo:
+        tgt = p.target_events()
+        lower = tuple(None if e in p.source else remove_targets(p, [e]) for e in tgt)
+        ids = [None if q is None else _key_of(lang, memo, key_ids, q)[0] for q in lower]
+        key = (tuple(p.labels[e] for e in tgt), prefix_quotient(lang, p), tuple(ids))
+        memo[p] = (key_ids.setdefault(key, len(key_ids)), lower)
+    return memo[p]
 
 
 def build_mn(lang: LanguageSet) -> MnAutomaton:
@@ -71,30 +96,38 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     Raises :class:`NotDownClosed` unless ``lang.members`` is closed under
     one-step refinement.  That is checked only for a set that
     :func:`language` did not build or check, since :func:`language`
-    already closed or checked its own.  Each ipomset's class key is
-    computed once per call, since faces, start cells and accept cells meet
-    the same ipomsets again.
+    already closed or checked its own.
+
+    Classes are keyed by one-target removals.  The key of P is its target
+    loset, P\\L, and, at each target position, the key id of P−{e} (``None``
+    where e is a source).  Key ids are small ints, interned in this call.
+    Keys are equal exactly when :func:`class_key` is, by induction on the
+    number of removable targets: every nonempty set A of them holds some
+    a, (P−{a})−(A−{a}) = P−A, and equal target signatures put a and the
+    rest of A at the same positions in both ipomsets.  So each ipomset
+    met costs one removal per removable target, not one per set of them.
+    Its key and its removals P−{e} are kept for the whole call, where the
+    lower faces read them again.
     """
     if not lang._closed:
         check_down_closed(lang.members)
 
-    cid_of: dict[Ipomset, str] = {}
-    by_key: dict = {}
+    memo: dict = {}  # per ipomset met: its key id and its removals
+    key_ids: dict[tuple, int] = {}
+    cid_of: dict[int, str] = {}  # key id -> id of its regular cell
     cells: dict[str, MnCell] = {}
     faces: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     reps: list[Ipomset] = []  # one per regular cell, in id order
 
     def intern(p: Ipomset) -> str:
-        if p not in cid_of:
-            key = class_key(lang, p)
-            if key not in by_key:
-                cid = by_key[key] = f"q{len(by_key)}"
-                quotient = tuple(sorted_ipomsets(prefix_quotient(lang, p)))
-                loset = p.target_loset()
-                cells[cid] = MnCell(cid, REGULAR, loset, p, bool(quotient), quotient)
-                reps.append(p)
-            cid_of[p] = by_key[key]
-        return cid_of[p]
+        kid = _key_of(lang, memo, key_ids, p)[0]
+        if kid not in cid_of:
+            cid = cid_of[kid] = f"q{len(cid_of)}"
+            quotient = tuple(sorted_ipomsets(prefix_quotient(lang, p)))
+            loset = p.target_loset()
+            cells[cid] = MnCell(cid, REGULAR, loset, p, bool(quotient), quotient)
+            reps.append(p)
+        return cid_of[kid]
 
     subs: dict[Loset, str] = {}
 
@@ -120,17 +153,16 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         intern(p)
 
     for p in reps:  # the worklist: it grows while it is read
-        tgt = p.target_events()
-        loset = tuple(p.labels[e] for e in tgt)
+        loset = p.target_loset()
         lower = []
         upper = []
-        for pos, e in enumerate(tgt):
-            if e in p.source:
+        for pos, removed in enumerate(memo[p][1]):
+            if removed is None:
                 lower.append(subsidiary(loset[:pos] + loset[pos + 1 :]))
             else:
-                lower.append(intern(remove_targets(p, [e])))
+                lower.append(intern(removed))
             upper.append(intern(apply_step(p, TERMINATOR, loset, [pos])))
-        faces[cid_of[p]] = (tuple(lower), tuple(upper))
+        faces[intern(p)] = (tuple(lower), tuple(upper))
 
     hda = Hda(
         cells={cid: Cell(cid, c.loset, *faces[cid]) for cid, c in cells.items()},
@@ -138,7 +170,7 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         accept=frozenset(intern(m) for m in lang.members),
         name="mn",
     )
-    return MnAutomaton(hda=hda, cells=cells, lang=lang, _by_key=by_key)
+    return MnAutomaton(hda=hda, cells=cells, lang=lang)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,21 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expr("•")
 
+    def test_long_word_renders_in_linear_reads(self, monkeypatch):
+        # rows grow in index order: one precedence read per later event
+        text = "ab" * 150
+        p = parse_expr(text)
+        reads = []
+        for name in ("lt", "ev"):
+
+            def counted(self, i, j, real=getattr(Ipomset, name)):
+                reads.append((i, j))
+                return real(self, i, j)
+
+            monkeypatch.setattr(Ipomset, name, counted)
+        assert ipomset_to_text(p) == text
+        assert len(reads) <= p.n
+
     def test_cross_row_precedence_falls_back_to_block(self):
         text = ipomset_to_text(n_shape())
         assert text.startswith("ipomset")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,10 @@ from oracles import oracle_refinements, oracle_strong_equiv
 from random_gen import random_language
 
 from hdalib import ipomset as ipomset_mod
+from hdalib import language as language_mod
+from hdalib import myhill_nerode as mn_mod
 from hdalib.errors import NotDownClosed
-from hdalib.formats import hda_to_text, parse_hda, parse_lang
+from hdalib.formats import hda_to_text, parse_expr, parse_hda, parse_lang
 from hdalib.hda import (
     build_hda,
     enumerate_language,
@@ -19,10 +22,14 @@ from hdalib.hda import (
     validate,
 )
 from hdalib.ipomset import (
+    TERMINATOR,
+    apply_step,
     canonicalize,
     down_close,
     enumerate_divisions,
+    fin,
     identity,
+    remove_targets,
     sorted_ipomsets,
 )
 from hdalib.language import (
@@ -40,6 +47,20 @@ from hdalib.myhill_nerode import (
     build_mn,
     verify_mn,
 )
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _data_and_random_languages():
+    """``data/*.lang`` and 20 seeded random languages."""
+    langs = [parse_lang(path.read_text()) for path in sorted(DATA.glob("*.lang"))]
+    return langs + [random_language(random.Random(seed)) for seed in range(20)]
+
+
+# prefixes of the first two have three removable targets, so the key
+# recursion goes three deep; the third has two equal-labelled sources
+DEEP_SHAPES = ("[a•|b•|c•]", "[ab•|c•|d•]", "[•a|•a|b•]")
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +322,62 @@ class TestClassify:
     def test_trivial_reflexivity(self, table_lang):
         p = word("ab")
         assert class_key(table_lang, p) == class_key(table_lang, p)
+
+
+class TestClassKeyCells:
+    """The cells of :func:`build_mn` against the reference :func:`class_key`."""
+
+    def test_build_makes_no_class_key_call(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("class_key called")
+
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(language_mod, "class_key", forbidden)
+            patch.setattr(mn_mod, "class_key", forbidden)
+            for lang in _data_and_random_languages():
+                built.append(build_mn(lang))
+        for mn in built:
+            regular = {
+                cid: class_key(mn.lang, c.representative)
+                for cid, c in mn.cells.items()
+                if c.kind == REGULAR
+            }
+            for p in prefixes(mn.lang):
+                key = class_key(mn.lang, p)
+                same = [cid for cid, k in regular.items() if k == key]
+                assert same == [mn.cell_of(p)]
+        # the map that cell_of fills takes no part in equality
+        assert built[0] == build_mn(built[0].lang)
+
+    def test_cells_are_the_class_key_classes(self):
+        deepest = 0
+        langs = _data_and_random_languages()
+        for lang in langs + [language([parse_expr(e)]) for e in DEEP_SHAPES]:
+            mn = build_mn(lang)
+            cell_of_key: dict = {}
+            for cid, c in mn.cells.items():
+                if c.kind == REGULAR:
+                    key = class_key(lang, c.representative)
+                    cell_of_key.setdefault(key, []).append(cid)
+            assert all(len(ids) == 1 for ids in cell_of_key.values())
+            for cid, c in mn.cells.items():
+                if c.kind != REGULAR:
+                    continue
+                p = c.representative
+                deepest = max(deepest, len(fin(p).active))
+                cell = mn.hda.cells[cid]
+                for pos, e in enumerate(p.target_events()):
+                    if e in p.source:
+                        assert mn.cells[cell.lower[pos]].kind == SUBSIDIARY
+                    else:
+                        face = remove_targets(p, [e])
+                        assert cell_of_key[class_key(lang, face)] == [cell.lower[pos]]
+                    face = apply_step(p, TERMINATOR, c.loset, [pos])
+                    assert cell_of_key[class_key(lang, face)] == [cell.upper[pos]]
+            for p in prefixes(lang):
+                assert class_key(lang, p) in cell_of_key
+        assert deepest >= 3
 
 
 class TestVerify:
