@@ -22,9 +22,18 @@ from hdalib.myhill_nerode import build_mn, verify_mn
 from random_gen import random_language
 
 
+def positive(text: str) -> int:
+    """An argparse type: an int of at least 1, so that no run passes
+    vacuously on zero samples."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--samples", type=int, default=100)
+    ap.add_argument("--samples", type=positive, default=100)
     ap.add_argument("--seed", type=int, default=20260808)
     args = ap.parse_args()
     rng = random.Random(args.seed)

@@ -197,6 +197,8 @@ def _sections(body: str, allowed: set[str]) -> dict[str, str]:
         key = key.strip()
         if key not in allowed:
             raise ParseError(f"unknown section {key!r}")
+        if key in out:
+            raise ParseError(f"duplicate section {key!r}")
         out[key] = val.strip()
     return out
 
@@ -317,6 +319,7 @@ def parse_lang(text: str) -> LanguageSet:
     closed = False
     members: list[Ipomset] = []
     in_members = False
+    seen: set[str] = set()
     for line in lines:
         line = line.strip()
         if not line:
@@ -324,6 +327,11 @@ def parse_lang(text: str) -> LanguageSet:
         if in_members:
             members.append(parse_ipomset_text(line))
             continue
+        # alphabet: and closed: come at most once each
+        head = line.split(":", 1)[0]
+        if head in seen:
+            raise ParseError(f"duplicate {head}: line")
+        seen.add(head)
         if line.startswith("alphabet:"):
             alphabet = line[len("alphabet:") :].split()
         elif line.startswith("closed:"):
@@ -373,23 +381,28 @@ def parse_hda(text: str) -> Hda:
         raise ParseError("expected: hda NAME { ... }")
     name, body = m.group(1), m.group(2)
     cells: list[Cell] = []
-    start: list[str] = []
-    accept: list[str] = []
+    names: set[str] = set()
+    marks: dict[str, list[str]] = {}  # the start: and accept: statements
     for stmt in body.split(";"):
         stmt = stmt.strip()
         if not stmt:
             continue
         if stmt.startswith("cell"):
-            cells.append(_parse_cell(stmt))
-        elif stmt.startswith("start:"):
-            start = stmt[len("start:") :].split()
-        elif stmt.startswith("accept:"):
-            accept = stmt[len("accept:") :].split()
+            cell = _parse_cell(stmt)
+            if cell.name in names:
+                raise ParseError(f"duplicate cell {cell.name!r}")
+            names.add(cell.name)
+            cells.append(cell)
+        elif stmt.startswith(("start:", "accept:")):
+            head, rest = stmt.split(":", 1)
+            if head in marks:
+                raise ParseError(f"duplicate {head}: statement")
+            marks[head] = rest.split()
         else:
             raise ParseError(f"unexpected statement {stmt!r}")
-    known = {c.name for c in cells}
+    start, accept = marks.get("start", []), marks.get("accept", [])
     for cid in start + accept:
-        if cid not in known:
+        if cid not in names:
             raise ParseError(f"start/accept references unknown cell {cid!r}")
     return build_hda(cells, start, accept, name=name)
 
@@ -410,7 +423,10 @@ def _parse_cell(stmt: str) -> Cell:
         i = int(pos) - 1
         if not (0 <= i < dim):
             raise ParseError(f"cell {name}: face position {pos} out of range")
-        (lower if kind == "0" else upper)[i] = tgt
+        faces = lower if kind == "0" else upper
+        if faces[i] is not None:
+            raise ParseError(f"cell {name}: duplicate face d{kind}({pos})")
+        faces[i] = tgt
     for i in range(dim):
         if lower[i] is None or upper[i] is None:
             raise ParseError(f"cell {name}: missing face at position {i + 1}")

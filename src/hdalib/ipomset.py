@@ -588,6 +588,19 @@ def sparse_decomposition(p: Ipomset) -> StepSequence:
     return StepSequence(initial_loset=loset_of(init), steps=tuple(steps))
 
 
+def sparse_step_count(p: Ipomset) -> int:
+    """``len(sparse_decomposition(p).steps)``, with no step built: one
+    terminator for each moment that ends an event of the one before (the
+    source interface before the first), one starter for each moment that
+    starts one, and a last terminator when a non-target runs at the end."""
+    prev = _mask(p.n, p.source)
+    count = 0
+    for ant in moments(_transpose(p.prec)):
+        count += bool(prev & ~ant) + bool(ant & ~prev)
+        prev = ant
+    return count + bool(prev & ~_mask(p.n, p.target))
+
+
 # ---------------------------------------------------------------------------
 # interval representations
 
@@ -779,6 +792,20 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
     return _renumber(p.labels, source, target, p.prec, essential, _events(n, keep))
 
 
+def terminate_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
+    """P * (U↓A) for the target events ``events`` of p: p with them dropped
+    from its target, every relation and index kept (:func:`apply_step`
+    says why that is canonical).  This is the upper face of p at those
+    events; the caller vouches that they are targets."""
+    return Ipomset(
+        labels=p.labels,
+        source=p.source,
+        target=p.target.difference(events),
+        prec=p.prec,
+        evord=p.evord,
+    )
+
+
 def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) -> Ipomset:
     """P * (U↑A) for ``kind`` STARTER, P * (U↓A) for TERMINATOR: glue p
     with the step that starts or terminates the events at ``positions`` of
@@ -823,10 +850,7 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     if have != glued:
         raise InterfaceMismatch(f"target loset {have} does not match source loset {glued}")
     if kind == TERMINATOR:
-        target = p.target - {tgt[i] for i in positions}
-        return Ipomset(
-            labels=p.labels, source=p.source, target=target, prec=p.prec, evord=p.evord
-        )
+        return terminate_targets(p, [tgt[i] for i in positions])
     old, k = p.n, len(positions)
     n = old + k
     # the result's index of each loset position

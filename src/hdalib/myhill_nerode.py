@@ -15,12 +15,11 @@ from .hda import Cell, Hda, enumerate_language, essential_report, validate
 from .ipomset import (
     Ipomset,
     Loset,
-    TERMINATOR,
-    apply_step,
     identity,
     remove_targets,
     sorted_ipomsets,
-    sparse_decomposition,
+    sparse_step_count,
+    terminate_targets,
 )
 from .language import (
     LanguageSet,
@@ -66,19 +65,48 @@ class MnAutomaton:
         return self._by_key[class_key(self.lang, p)]
 
 
+def _entry(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, tgt, lower, ids) -> tuple:
+    """Add p to the memo of one :func:`build_mn` call, given its target
+    events ``tgt`` in event order, its removals P−{e} at each target
+    position (``None`` at a source) and their key ids, and return its
+    entry: its key id, ``lower`` and ``tgt``."""
+    key = (tuple(p.labels[e] for e in tgt), prefix_quotient(lang, p), ids)
+    entry = memo[p] = (key_ids.setdefault(key, len(key_ids)), lower, tgt)
+    return entry
+
+
 def _key_of(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset) -> tuple:
-    """The key id of p's class and p−{e} at each target position (``None``
-    at a source), read from or added to the memo of one :func:`build_mn`
-    call.  This is a module function, not a closure in :func:`build_mn`:
+    """p's memo entry, its removals built by :func:`remove_targets` when p
+    is new.  These are module functions, not closures in :func:`build_mn`:
     a closure that calls itself is a reference cycle, which would keep the
     memo alive after the call until the cycle collector ran."""
-    if p not in memo:
+    entry = memo.get(p)
+    if entry is None:
         tgt = p.target_events()
         lower = tuple(None if e in p.source else remove_targets(p, [e]) for e in tgt)
-        ids = [None if q is None else _key_of(lang, memo, key_ids, q)[0] for q in lower]
-        key = (tuple(p.labels[e] for e in tgt), prefix_quotient(lang, p), tuple(ids))
-        memo[p] = (key_ids.setdefault(key, len(key_ids)), lower)
-    return memo[p]
+        ids = tuple(None if q is None else _key_of(lang, memo, key_ids, q)[0] for q in lower)
+        entry = _entry(lang, memo, key_ids, p, tgt, lower, ids)
+    return entry
+
+
+def _upper(lang: LanguageSet, memo: dict, key_ids: dict, entry: tuple, p: Ipomset, pos: int):
+    """The upper face P↓e of p at target position ``pos``, with its memo
+    entry; ``entry`` is p's.  A new face takes its entry from p's with no
+    removal built: (P↓e)−f = (P−f)↓e, and e sits at ``pos`` among the
+    targets of P−f when f comes after it, at ``pos``−1 when f comes before."""
+    _, lower, tgt = entry
+    face = terminate_targets(p, (tgt[pos],))
+    found = memo.get(face)
+    if found is not None:
+        return face, found
+    faces = [
+        None if q is None else _upper(lang, memo, key_ids, memo.get(q), q, pos - (j < pos))
+        for j, q in enumerate(lower)
+        if j != pos
+    ]
+    removals = tuple(None if f is None else f[0] for f in faces)
+    ids = tuple(None if f is None else f[1][0] for f in faces)
+    return face, _entry(lang, memo, key_ids, face, tgt[:pos] + tgt[pos + 1 :], removals, ids)
 
 
 def build_mn(lang: LanguageSet) -> MnAutomaton:
@@ -106,28 +134,37 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     a, (P−{a})−(A−{a}) = P−A, and equal target signatures put a and the
     rest of A at the same positions in both ipomsets.  So each ipomset
     met costs one removal per removable target, not one per set of them.
-    Its key and its removals P−{e} are kept for the whole call, where the
-    lower faces read them again.
+    Its key, its removals P−{e} and its target events are kept for the
+    whole call, where the lower faces read them again.
+
+    Only prefixes are restricted.  A removal of a prefix is a prefix:
+    when P*Q = M, (P−f)*Q' refines M, where Q' is Q with f taken out of
+    its source.  An upper face P↓e takes its removals from P's, since
+    (P↓e)−f = (P−f)↓e, and dropping a target from an ipomset's target
+    keeps it canonical (:func:`terminate_targets`).
     """
     if not lang._closed:
         check_down_closed(lang.members)
 
-    memo: dict = {}  # per ipomset met: its key id and its removals
+    memo: dict = {}  # per ipomset met: its key id, removals and targets
     key_ids: dict[tuple, int] = {}
     cid_of: dict[int, str] = {}  # key id -> id of its regular cell
     cells: dict[str, MnCell] = {}
     faces: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    reps: list[Ipomset] = []  # one per regular cell, in id order
+    reps: list[tuple[str, Ipomset, tuple]] = []  # per regular cell, in id order
 
-    def intern(p: Ipomset) -> str:
-        kid = _key_of(lang, memo, key_ids, p)[0]
-        if kid not in cid_of:
-            cid = cid_of[kid] = f"q{len(cid_of)}"
+    def intern(p: Ipomset, entry: tuple) -> str:
+        cid = cid_of.get(entry[0])
+        if cid is None:
+            cid = cid_of[entry[0]] = f"q{len(cid_of)}"
             quotient = tuple(sorted_ipomsets(prefix_quotient(lang, p)))
-            loset = p.target_loset()
+            loset = tuple(p.labels[e] for e in entry[2])
             cells[cid] = MnCell(cid, REGULAR, loset, p, bool(quotient), quotient)
-            reps.append(p)
-        return cid_of[kid]
+            reps.append((cid, p, entry))
+        return cid
+
+    def cell(p: Ipomset) -> str:
+        return intern(p, _key_of(lang, memo, key_ids, p))
 
     subs: dict[Loset, str] = {}
 
@@ -150,24 +187,24 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         return subs[loset]
 
     for p in sorted_ipomsets(prefixes(lang)):
-        intern(p)
+        cell(p)
 
-    for p in reps:  # the worklist: it grows while it is read
-        loset = p.target_loset()
+    for cid, p, entry in reps:  # the worklist: it grows while it is read
+        loset = cells[cid].loset
         lower = []
         upper = []
-        for pos, removed in enumerate(memo[p][1]):
+        for pos, removed in enumerate(entry[1]):
             if removed is None:
                 lower.append(subsidiary(loset[:pos] + loset[pos + 1 :]))
             else:
-                lower.append(intern(removed))
-            upper.append(intern(apply_step(p, TERMINATOR, loset, [pos])))
-        faces[intern(p)] = (tuple(lower), tuple(upper))
+                lower.append(cell(removed))
+            upper.append(intern(*_upper(lang, memo, key_ids, entry, p, pos)))
+        faces[cid] = (tuple(lower), tuple(upper))
 
     hda = Hda(
         cells={cid: Cell(cid, c.loset, *faces[cid]) for cid, c in cells.items()},
-        start=frozenset(intern(identity(m.source_loset())) for m in lang.members),
-        accept=frozenset(intern(m) for m in lang.members),
+        start=frozenset(cell(identity(m.source_loset())) for m in lang.members),
+        accept=frozenset(cell(m) for m in lang.members),
         name="mn",
     )
     return MnAutomaton(hda=hda, cells=cells, lang=lang)
@@ -188,9 +225,7 @@ class MnReport:
 def verify_mn(lang: LanguageSet, mn: MnAutomaton) -> MnReport:
     """Round-trip checks: language equality at a sufficient bound, the
     essential set against nonempty quotients, and HDA validity."""
-    bound = max(
-        (len(sparse_decomposition(m).steps) for m in lang.members), default=0
-    )
+    bound = max(map(sparse_step_count, lang.members), default=0)
     found = enumerate_language(mn.hda, bound)
     missing = tuple(sorted_ipomsets(lang.members - found))
     extra = tuple(sorted_ipomsets(found - lang.members))

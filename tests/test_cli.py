@@ -157,6 +157,16 @@ class TestHdaCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error: FaceTypingError: cell e: ")
 
+    def test_redefined_cell_is_an_error(self, capsys, tmp_path):
+        # e defined twice, the second time alike, once read as one cell,
+        # and validate printed "valid"
+        text = (DATA / "square2d.hda").read_text()
+        f = tmp_path / "twice.hda"
+        f.write_text(text.replace("  start: v ;", "  cell e: [a] d0(1)=v d1(1)=w ;\n  start: v ;"))
+        code, out, err = run(capsys, "hda", "validate", f)
+        assert (code, out) == (2, "")
+        assert err == "error: ParseError: duplicate cell 'e'\n"
+
     def test_bad_face_is_reported_by_validate(self, capsys, bad_face):
         code, out, err = run(capsys, "hda", "validate", bad_face)
         assert (code, err) == (1, "")
@@ -192,6 +202,13 @@ class TestLangCommands:
         f.write_text("members:\nab\n")
         code, out, _ = run(capsys, "lang", "swapinv", f)
         assert code == 0 and "swap-invariant" in out
+
+    def test_repeated_header_is_an_error(self, capsys, tmp_path):
+        f = tmp_path / "twice.lang"
+        f.write_text("closed: false\nclosed: true\nmembers:\nab\n")
+        code, out, err = run(capsys, "lang", "swapinv", f)
+        assert (code, out) == (2, "")
+        assert err == "error: ParseError: duplicate closed: line\n"
 
     def test_suff(self, capsys):
         code, out, _ = run(capsys, "lang", "suff", DATA / "par_ab_abc.lang")

@@ -109,6 +109,11 @@ class TestBlocks:
         with pytest.raises(ParseError):
             parse_ipomset_block("ipomset q { events: x:a, x:b; evord: x<x }")
 
+    def test_repeated_section_is_an_error(self):
+        # the second evord once replaced the first, reading [b|a]
+        with pytest.raises(ParseError, match="duplicate section 'evord'"):
+            parse_ipomset_block("ipomset q { events: e0:a, e1:b; evord: e0<e1; evord: e1<e0 }")
+
     def test_block_roundtrip_on_corpus(self, small_corpus):
         for p in small_corpus[::31]:
             assert parse_ipomset_text(ipomset_to_block(p)) == p
@@ -192,6 +197,11 @@ class TestLangFiles:
         lang = parse_lang("# intro\nmembers:\nab # not a comment marker here?\n")
         assert word("ab") in lang.members
 
+    @pytest.mark.parametrize("head", ["closed: false", "alphabet: a b"])
+    def test_repeated_header_is_an_error(self, head):
+        with pytest.raises(ParseError, match=f"duplicate {head.split()[0]} line"):
+            parse_lang(f"{head}\n{head}\nmembers:\nab\n")
+
     def test_shipped_files_parse(self):
         for name in ("par_ab_abc.lang", "par_ab_aa.lang", "double_a.lang"):
             lang = parse_lang((DATA / name).read_text())
@@ -218,6 +228,27 @@ class TestHdaFiles:
     def test_position_out_of_range(self):
         with pytest.raises(ParseError):
             parse_hda("hda h { cell v: [] ; cell e: [a] d0(2)=v d1(1)=v ; start: v ; accept: v ; }")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("cell v: [] ; cell v: [] ; start: v ; accept: v", "duplicate cell 'v'"),
+            ("cell v: [] ; start: v ; start: v ; accept: v", "duplicate start: statement"),
+            ("cell v: [] ; start: v ; accept: v ; accept: v", "duplicate accept: statement"),
+            (
+                "cell v: [] ; cell e: [a] d0(1)=v d1(1)=v d1(1)=v ; start: v ; accept: v",
+                "cell e: duplicate face d1\\(1\\)",
+            ),
+        ],
+        ids=["cell", "start", "accept", "face"],
+    )
+    def test_repeated_definition_is_an_error(self, body, message):
+        with pytest.raises(ParseError, match=message):
+            parse_hda(f"hda h {{ {body} ; }}")
+
+    def test_cell_may_be_named_start(self):
+        x = parse_hda("hda h { cell start: [] ; start: start ; accept: start ; }")
+        assert x.start == x.accept == {"start"}
 
     def test_unknown_start(self):
         with pytest.raises(ParseError):

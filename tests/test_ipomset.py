@@ -15,6 +15,7 @@ from oracles import (
     oracle_sort_key,
     oracle_subsumes,
 )
+from random_gen import random_ipomset
 
 from hdalib import ipomset as ipomset_mod
 from hdalib.errors import AxiomViolation, InterfaceMismatch, NotRemovable
@@ -40,6 +41,7 @@ from hdalib.ipomset import (
     rfin_events,
     sorted_ipomsets,
     sparse_decomposition,
+    sparse_step_count,
     starter,
     subsumes,
     subsumes_witness,
@@ -320,6 +322,15 @@ class TestSparseDecomposition:
             assert seq.compose() == p
             steps = (s.as_ipomset() for s in seq.steps)
             assert glue_all([identity(seq.initial_loset), *steps]) == p
+
+
+    def test_step_count_is_decomposition_length(self, small_corpus):
+        rng = random.Random(3141)
+        corpus = small_corpus + [random_ipomset(rng, max_events=7, steps=6) for _ in range(300)]
+        counts = {sparse_step_count(p) for p in corpus}
+        for p in corpus:
+            assert sparse_step_count(p) == len(sparse_decomposition(p).steps), p
+        assert len(corpus) == len(small_corpus) + 300 and len(counts) >= 6
 
 
 class TestIntervals:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 import random
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from hdalib.ipomset import (
     fin,
     identity,
     remove_targets,
+    rfin_events,
     sorted_ipomsets,
 )
 from hdalib.language import (
@@ -349,6 +351,40 @@ class TestClassKeyCells:
                 assert same == [mn.cell_of(p)]
         # the map that cell_of fills takes no part in equality
         assert built[0] == build_mn(built[0].lang)
+
+    def test_build_makes_no_step_call(self, monkeypatch):
+        # upper faces drop a target, and verify_mn's bound counts steps
+        def forbidden(*args):
+            raise AssertionError("step built")
+
+        langs = _data_and_random_languages()
+        with monkeypatch.context() as patch:
+            for mod in (ipomset_mod, mn_mod):
+                for name in ("apply_step", "sparse_decomposition"):
+                    patch.setattr(mod, name, forbidden, raising=False)
+            for lang in langs:
+                assert verify_mn(lang, build_mn(lang)).ok
+
+    def test_only_prefixes_are_restricted(self, monkeypatch):
+        # each (prefix, removable target) pair once; an upper face takes
+        # its removals from its parent's
+        calls = []
+        real = mn_mod.remove_targets
+        monkeypatch.setattr(
+            mn_mod, "remove_targets", lambda p, es: calls.append((p, *es)) or real(p, es)
+        )
+        faces_met = 0
+        for expr in DEEP_SHAPES + ("[a|b]", "[ab•|c]", "[•a|b•|c]"):
+            lang = language([parse_expr(expr)])
+            calls.clear()
+            mn = build_mn(lang)
+            pres = prefixes(lang)
+            pairs = [(p, e) for p in pres for e in rfin_events(p)]
+            assert Counter(calls) == Counter(pairs), expr
+            faces_met += sum(
+                c.kind == REGULAR and c.representative not in pres for c in mn.cells.values()
+            )
+        assert faces_met
 
     def test_cells_are_the_class_key_classes(self):
         deepest = 0

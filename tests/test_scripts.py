@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,6 +24,14 @@ def test_determinism_experiment():
     # the whole summary but the time: a change to the random stream shows
     summary = proc.stdout.strip().rsplit(", ", 1)[0]
     assert summary == "20 languages: 20 agree on determinism (19 swap-invariant), 20 verified"
+
+
+@pytest.mark.parametrize("samples", ["-3", "0", "x"])
+def test_determinism_experiment_needs_a_sample(samples):
+    # -3 once printed "-3 languages" and exited 1, and 0 passed vacuously
+    proc = run_script("determinism_experiment.py", "--samples", samples)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error: argument --samples: " in proc.stderr
 
 
 def test_worked_examples(tmp_path):
