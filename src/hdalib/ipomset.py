@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import AxiomViolation, InterfaceMismatch, MalformedInterval, NotRemovable
 
@@ -32,14 +32,19 @@ STARTER = "starter"
 TERMINATOR = "terminator"
 
 
-@dataclass(frozen=True)
-class Ipomset:
+class Ipomset(NamedTuple):
     """A canonical ipomset.  Build through :func:`canonicalize` or the
     constructors below; direct instantiation skips validation.
 
     ``prec`` and ``evord`` hold one row mask per event, with column j of
     row i at bit n-1-j.  The encoding is private to this module: read the
-    relations through :meth:`lt` and :meth:`ev`."""
+    relations through :meth:`lt` and :meth:`ev`.
+
+    A named tuple, so construction, hashing and equality run in C.  Its
+    hash is that of ``(labels, source, target, prec, evord)``, as a frozen
+    dataclass of these fields would compute it.  Being a tuple, ``len(p)``
+    is its field count, not its number of events (that is :attr:`n`), and
+    it compares equal to the plain 5-tuple of its fields."""
 
     labels: tuple[Label, ...]
     source: frozenset[int]
@@ -209,6 +214,14 @@ def _remap(row: int, n: int, bits: Sequence[int]) -> int:
         out |= bits[n - top]
         row ^= 1 << (top - 1)
     return out
+
+
+def _squeeze(row: int, cut: Sequence[int]) -> int:
+    """The row with some columns deleted and the rest kept in order;
+    ``cut`` holds the bit of each deleted column, highest first."""
+    for b in cut:
+        row = (row >> 1) & -b | row & (b - 1)
+    return row
 
 
 def _transpose(rows: Sequence[int]) -> list[int]:
@@ -780,16 +793,27 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
     set is down-closed: each kept event keeps its down-set, and it holds
     all of p's sources.  The groups of :func:`_canonical_order` are ranked
     by down-set, so they keep their rank, and each group keeps the event
-    order of its events."""
+    order of its events.  So the result is p with the columns of A
+    deleted from its rows.  Only the event order is closed again, from the
+    essential rows, since an event-order path through a dropped e can be
+    the only one: when x precedes y, both are concurrent with e and the
+    event order runs x→e→y, the pair (x, y) must go."""
     drop = frozenset(events)
     bad = drop - rfin_events(p)
     if bad:
         raise NotRemovable(f"events {sorted(bad)} are not removable targets")
     n = p.n
-    keep = (1 << n) - 1 & ~_mask(n, drop)
+    cut = [1 << (n - 1 - e) for e in sorted(drop)]
+    keep = [i for i in range(n) if i not in drop]
     essential = _essential(p.prec, p.evord, _transpose(p.prec))
-    source, target = _mask(n, p.source), _mask(n, p.target)
-    return _renumber(p.labels, source, target, p.prec, essential, _events(n, keep))
+    k = len(keep)
+    return Ipomset(
+        labels=tuple(p.labels[i] for i in keep),
+        source=frozenset(_events(k, _squeeze(_mask(n, p.source), cut))),
+        target=frozenset(_events(k, _squeeze(_mask(n, p.target - drop), cut))),
+        prec=tuple(_squeeze(p.prec[i], cut) for i in keep),
+        evord=tuple(_closure([_squeeze(essential[i], cut) for i in keep])),
+    )
 
 
 def terminate_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
@@ -918,24 +942,66 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
 
     Both parts know their canonical order.  The left part is down-closed
     and holds m's sources, so it keeps m's order, as in
-    :func:`remove_targets`.  The right part starts with its sources, the
-    interface, in event order.  The right events follow in m's order: each
-    has every left event below it, so its down-set in q is its down-set in
-    m minus the left part, which ranks them as m does.  Concurrency, and
-    with it the essential event order, is inherited by both parts.
+    :func:`remove_targets`: its rows are m's with the right columns
+    deleted.  That body depends only on the down-set D = left ∪ mid, so it
+    is built once per D, and each division sets only its target.  The
+    right part starts with its sources, the interface, in event order.
+    The right events follow in m's order: each has every left event below
+    it, so its down-set in q is its down-set in m minus the left part,
+    which ranks them as m does.
+
+    Concurrency is inherited by both parts, and each part's event order is
+    m's closed event order cut to its events, with no closure again.  An
+    essential event-order path of m between two events of D that leaves D
+    steps from an event of D to a right event and later back.  Both steps
+    join concurrent events, and every left event precedes every right
+    one, so the events of D at either end of the excursion are both in
+    mid.  Mid is an antichain, so that pair is concurrent and ordered by
+    m's event order: it is essential in m, and the path can skip the
+    excursion.  The same holds for U = mid ∪ right, whose excursions go
+    through left events.
     """
     n = m.n
-    succ = m.prec
+    succ, evord = m.prec, m.evord
     pred = _transpose(succ)
-    essential = _essential(succ, m.evord, pred)
     source, target = _mask(n, m.source), _mask(n, m.target)
+    full = (1 << n) - 1
+    bodies: dict[int, tuple] = {}  # per D: p's labels, source, prec, evord and cut
     out: set[tuple[Ipomset, Ipomset]] = set()
+
+    def left_part(down: int, mid: int) -> Ipomset:
+        body = bodies.get(down)
+        if body is None:
+            cut = [1 << (n - 1 - i) for i in _events(n, full & ~down)]
+            kept = _events(n, down)
+            body = bodies[down] = (
+                tuple(m.labels[i] for i in kept),
+                frozenset(_events(len(kept), _squeeze(source, cut))),
+                tuple(_squeeze(succ[i], cut) for i in kept),
+                tuple(_squeeze(evord[i], cut) for i in kept),
+                cut,
+            )
+        labels, src, prec, ev, cut = body
+        tgt = frozenset(_events(len(labels), _squeeze(mid, cut)))
+        return Ipomset(labels, src, tgt, prec, ev)
+
+    def right_part(mid: int, right: int) -> Ipomset:
+        order = [*_loset_sort(evord, mid), *_events(n, right)]
+        k = len(order)
+        bits = [0] * n
+        for new, old in enumerate(order):
+            bits[old] = 1 << (k - 1 - new)
+        return Ipomset(
+            labels=tuple(m.labels[i] for i in order),
+            source=frozenset(range(mid.bit_count())),
+            target=frozenset(_events(k, _remap(target, n, bits))),
+            prec=tuple(_remap(succ[i], n, bits) for i in order),
+            evord=tuple(_remap(evord[i], n, bits) for i in order),
+        )
 
     def place(e: int, left: int, mid: int, right: int) -> None:
         if e == n:
-            p = _renumber(m.labels, source, mid, succ, essential, _events(n, left | mid))
-            right_order = [*_loset_sort(m.evord, mid), *_events(n, right)]
-            out.add((p, _renumber(m.labels, mid, target, succ, essential, right_order)))
+            out.add((left_part(left | mid, mid), right_part(mid, right)))
             return
         bit = 1 << (n - 1 - e)
         if not target & bit and not right & ~succ[e] and not mid & pred[e]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import NotDownClosed
+from .errors import HdalibError, NotDownClosed
 from .ipomset import (
     Ipomset,
     down_close,
@@ -72,16 +72,19 @@ def language(
     :class:`NotDownClosed` is raised on a missing refinement.  Both walk
     the schedules of the maximal inputs only.  Either way the result is
     marked closed, so :func:`build_mn` does not check it again.
+
+    The alphabet defaults to the member labels.  A given alphabet must
+    hold them all, or :class:`HdalibError` is raised.
     """
     gens = frozenset(members)
+    labels = frozenset(itertools.chain.from_iterable(p.labels for p in gens))
+    sigma = labels if alphabet is None else frozenset(alphabet)
+    missing = " ".join(sorted(labels - sigma))
+    if missing:
+        raise HdalibError(f"alphabet misses member labels {missing}")
     if closed:
         check_down_closed(gens)
     mem = gens if closed else down_close(gens)
-    sigma = frozenset(
-        itertools.chain.from_iterable(p.labels for p in mem)
-        if alphabet is None
-        else alphabet
-    )
     lang = LanguageSet(members=mem, alphabet=sigma, generators=gens)
     object.__setattr__(lang, "_closed", True)
     return lang

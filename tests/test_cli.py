@@ -210,6 +210,13 @@ class TestLangCommands:
         assert (code, out) == (2, "")
         assert err == "error: ParseError: duplicate closed: line\n"
 
+    def test_alphabet_missing_a_member_label_is_an_error(self, capsys, tmp_path):
+        f = tmp_path / "narrow.lang"
+        f.write_text("alphabet: a\nmembers:\nbc\n")
+        code, out, err = run(capsys, "lang", "suff", f)
+        assert (code, out) == (2, "")
+        assert err == "error: HdalibError: alphabet misses member labels b c\n"
+
     def test_suff(self, capsys):
         code, out, _ = run(capsys, "lang", "suff", DATA / "par_ab_abc.lang")
         assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from conftest import n_shape, par, word
 
 from hdalib.cli import main
-from hdalib.errors import AxiomViolation, MalformedInterval, ParseError
+from hdalib.errors import AxiomViolation, HdalibError, MalformedInterval, ParseError
 from hdalib.formats import (
     hda_to_dot,
     hda_to_text,
@@ -201,6 +201,13 @@ class TestLangFiles:
     def test_repeated_header_is_an_error(self, head):
         with pytest.raises(ParseError, match=f"duplicate {head.split()[0]} line"):
             parse_lang(f"{head}\n{head}\nmembers:\nab\n")
+
+    def test_alphabet_missing_a_member_label_is_an_error(self):
+        with pytest.raises(HdalibError, match="alphabet misses member labels b c"):
+            parse_lang("alphabet: a\nmembers:\nbc\n")
+
+    def test_alphabet_may_hold_more_than_the_member_labels(self):
+        assert parse_lang("alphabet: a b z\nmembers:\nab\n").alphabet == frozenset("abz")
 
     def test_shipped_files_parse(self):
         for name in ("par_ab_abc.lang", "par_ab_aa.lang", "double_a.lang"):

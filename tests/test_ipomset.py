@@ -820,3 +820,58 @@ class TestDivisions:
         assert divisions == small_divisions
         assert removed == [want for _, _, want in removals]
         assert len(small_corpus) == 1273 and len(removals) == 2383
+
+
+def _recanonicalized(p):
+    """canonicalize of p's own labels, interfaces and relation pairs."""
+    pairs = list(itertools.permutations(range(p.n), 2))
+    return canonicalize(
+        p.labels,
+        p.source,
+        p.target,
+        [(i, j) for i, j in pairs if p.lt(i, j)],
+        [(i, j) for i, j in pairs if p.ev(i, j)],
+    )
+
+
+class TestTupleValues:
+    def test_hash_is_the_field_tuple_hash(self, small_corpus):
+        # the hash a frozen dataclass of these fields computed, so set
+        # iteration orders, and every output built from them, stay put
+        for p in small_corpus:
+            assert hash(p) == hash((p.labels, p.source, p.target, p.prec, p.evord))
+
+    def test_len_counts_fields_and_equals_a_plain_tuple(self):
+        p = word("abc")
+        assert (len(p), p.n) == (5, 3)
+        assert p == (p.labels, p.source, p.target, p.prec, p.evord)
+
+    @pytest.mark.parametrize("expr", ["[a|b|c|d]", "[ab|c•|•d]"])
+    def test_parts_and_removals_are_canonical_on_languages(self, expr):
+        members = down_close([parse_expr(expr)])
+        for m in members:
+            self._check_parts_and_removals(m)
+
+    def test_parts_and_removals_are_canonical_on_small(self, small_corpus):
+        for m in small_corpus:
+            self._check_parts_and_removals(m)
+
+    @staticmethod
+    def _check_parts_and_removals(m):
+        for p, q in enumerate_divisions(m):
+            assert _recanonicalized(p) == p
+            assert _recanonicalized(q) == q
+        for e in rfin_events(m):
+            r = remove_targets(m, [e])
+            assert _recanonicalized(r) == r
+
+    def test_parts_and_removals_take_no_general_renumbering(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("_renumber called")
+
+        members = down_close([parse_expr("[ab|c•|•d]")])
+        monkeypatch.setattr(ipomset_mod, "_renumber", forbidden)
+        for m in members:
+            enumerate_divisions(m)
+            for e in rfin_events(m):
+                remove_targets(m, [e])

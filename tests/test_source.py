@@ -72,9 +72,14 @@ def _name(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
+# the named-tuple helpers that copy or rebuild a value field by field
+_TUPLE_BUILDERS = ("_replace", "_make", "_asdict")
+
+
 def test_ipomsets_built_and_glue_errors_raised_only_in_ipomset():
     # ipomset.py alone makes canonical forms, and raises glue's interface
-    # error, so no other module can skip a check or copy the message
+    # error, so no other module can skip a check or copy the message.
+    # Ipomset is a named tuple, so its own builders are kept there too
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -82,6 +87,8 @@ def test_ipomsets_built_and_glue_errors_raised_only_in_ipomset():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call)
         and _name(node) == "Ipomset"
+        or isinstance(node, ast.Attribute)
+        and node.attr in _TUPLE_BUILDERS
         or isinstance(node, ast.Raise)
         and node.exc is not None
         and _name(node.exc) == "InterfaceMismatch"
