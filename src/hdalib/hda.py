@@ -8,6 +8,12 @@ per automaton, built once its faces type-check.  Reachability, the
 essential part and membership are one breadth-first search (:func:`_bfs`),
 over cells or over states (step, cell); path enumeration walks depth first
 on a stack of its own, so no search here recurses.
+
+Each automaton keeps what these derive from it alone, computed on first
+use: its face-typing problems, its step index, the search back from its
+accept cells and its :class:`EssentialReport`.  So validation, the
+determinism check, the essential part and path enumeration on one
+automaton type its faces once and search back from its accept cells once.
 """
 
 from __future__ import annotations
@@ -59,13 +65,18 @@ class Hda:
     name: str = "hda"
 
     @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """The face-typing problems (:func:`_face_typing`), in order."""
+        return tuple(_face_typing(self))
+
+    @cached_property
     def _index(self) -> _StepIndex:
         """Every up and down step over a nonempty set of positions, built on
         the first search and kept for the life of this automaton only.  The
         faces are type-checked first (:class:`FaceTypingError`), so no
         composite face meets a missing or mistyped cell."""
-        for problem in _face_typing(self):
-            raise FaceTypingError(problem)
+        if self._problems:
+            raise FaceTypingError(self._problems[0])
         up: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in self.cells}
         down: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in self.cells}
         back: dict[str, list[str]] = {c: [] for c in self.cells}
@@ -81,6 +92,25 @@ class Hda:
                     back[c.name].append(lo)
                     back[hi].append(c.name)
         return _StepIndex(up=up, down=down, back=back)
+
+    @cached_property
+    def _to_accept(self) -> dict[str, Optional[str]]:
+        """The breadth-first search back from the accept cells: every cell
+        with a route to one, in the order found, mapped to the next cell on
+        a shortest route (``None`` for an accept cell)."""
+        return _bfs(self.accept, self._index.back.__getitem__)
+
+    @cached_property
+    def _essential(self) -> EssentialReport:
+        """Forward search from the start cells, and :attr:`_to_accept`."""
+        idx = self._index
+        acc = _bfs(self.start, lambda c: [y for y, _ in idx.up[c] + idx.down[c]])
+        coacc = self._to_accept
+        return EssentialReport(
+            accessible=frozenset(acc),
+            coaccessible=frozenset(coacc),
+            essential=frozenset(acc.keys() & coacc.keys()),
+        )
 
 
 @dataclass(frozen=True)
@@ -123,7 +153,7 @@ def validate(x: Hda, strict: bool = False) -> ValidationReport:
             raise kind(msg)
         problems.append(msg)
 
-    for msg in _face_typing(x):
+    for msg in x._problems:
         fail(FaceTypingError, msg)
     if problems:
         return ValidationReport(ok=False, problems=tuple(problems))
@@ -300,15 +330,9 @@ class EssentialReport:
 
 
 def essential_report(x: Hda) -> EssentialReport:
-    """Forward search from start cells, backward from accept cells."""
-    idx = x._index
-    acc = _bfs(x.start, lambda c: [y for y, _ in idx.up[c] + idx.down[c]])
-    coacc = _bfs(x.accept, idx.back.__getitem__)
-    return EssentialReport(
-        accessible=frozenset(acc),
-        coaccessible=frozenset(coacc),
-        essential=frozenset(acc.keys() & coacc.keys()),
-    )
+    """Forward search from start cells, backward from accept cells; made
+    once per automaton and kept with it."""
+    return x._essential
 
 
 def _bfs(roots: Iterable[N], nexts: Callable[[N], Iterable[N]]) -> dict[N, Optional[N]]:
@@ -328,7 +352,7 @@ def _steps_to_accept(x: Hda) -> dict[str, int]:
     """Fewest up or down steps from each cell to an accept cell; cells with
     no such route are absent."""
     dist: dict[str, int] = {}
-    for cell, prev in _bfs(x.accept, x._index.back.__getitem__).items():
+    for cell, prev in x._to_accept.items():
         dist[cell] = 0 if prev is None else dist[prev] + 1  # prev came first
     return dist
 

@@ -68,14 +68,16 @@ class Ipomset(NamedTuple):
         return i != j and not self.lt(i, j) and not self.lt(j, i)
 
     def source_events(self) -> tuple[int, ...]:
-        """Source events in event order (the source interface loset)."""
-        return _loset_sort(self.evord, _mask(self.n, self.source))
+        """Source events in event order (the source interface loset).  The
+        canonical order puts the sources first, in event order, so they are
+        the first events."""
+        return tuple(range(len(self.source)))
 
     def target_events(self) -> tuple[int, ...]:
         return _loset_sort(self.evord, _mask(self.n, self.target))
 
     def source_loset(self) -> Loset:
-        return tuple(self.labels[i] for i in self.source_events())
+        return self.labels[: len(self.source)]
 
     def target_loset(self) -> Loset:
         return tuple(self.labels[i] for i in self.target_events())
@@ -474,43 +476,46 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
                 return None
 
     image: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    def ok(x: int, fx: int, assigned: list[int]) -> bool:
-        if p.labels[x] != q.labels[fx]:
-            return False
-        if (x in p.source) != (fx in q.source) or (x in p.target) != (fx in q.target):
-            return False
-        if x in forced and forced[x] != fx:
-            return False
-        for y in assigned:
-            fy = image[y]
-            xy, yx = p.lt(x, y), p.lt(y, x)
-            if (q.lt(fx, fy) and not xy) or (q.lt(fy, fx) and not yx):
-                return False
-            if not xy and not yx:
-                if p.ev(x, y) and not q.ev(fx, fy):
-                    return False
-                if p.ev(y, x) and not q.ev(fy, fx):
-                    return False
-        return True
-
-    def search(x: int, assigned: list[int]) -> bool:
-        if x == n:
-            return True
-        for fx in range(n):
-            if not used[fx] and ok(x, fx, assigned):
-                image[x] = fx
-                used[fx] = True
-                if search(x + 1, assigned + [x]):
-                    return True
-                image[x] = None
-                used[fx] = False
-        return False
-
-    if search(0, []):
+    if _extend(p, q, forced, image, [False] * n, 0):
         return tuple(image)  # type: ignore[arg-type]
     return None
+
+
+def _extend(p: Ipomset, q: Ipomset, forced: dict, image: list, used: list, x: int) -> bool:
+    """Extend the partial witness ``image`` of p ⊑ q, set on the events
+    before x, to all events; ``used`` marks the images taken."""
+    if x == p.n:
+        return True
+    for fx in range(p.n):
+        if not used[fx] and _fits(p, q, forced, image, x, fx):
+            image[x] = fx
+            used[fx] = True
+            if _extend(p, q, forced, image, used, x + 1):
+                return True
+            image[x] = None
+            used[fx] = False
+    return False
+
+
+def _fits(p: Ipomset, q: Ipomset, forced: dict, image: list, x: int, fx: int) -> bool:
+    """Whether x ↦ fx agrees with the witness so far on the events before x."""
+    if p.labels[x] != q.labels[fx]:
+        return False
+    if (x in p.source) != (fx in q.source) or (x in p.target) != (fx in q.target):
+        return False
+    if x in forced and forced[x] != fx:
+        return False
+    for y in range(x):
+        fy = image[y]
+        xy, yx = p.lt(x, y), p.lt(y, x)
+        if (q.lt(fx, fy) and not xy) or (q.lt(fy, fx) and not yx):
+            return False
+        if not xy and not yx:
+            if p.ev(x, y) and not q.ev(fx, fy):
+                return False
+            if p.ev(y, x) and not q.ev(fy, fx):
+                return False
+    return True
 
 
 def subsumes(p: Ipomset, q: Ipomset) -> bool:
@@ -707,7 +712,6 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
     n = g.n
     if sum(r.bit_count() for r in g.prec) == n * (n - 1) // 2:
         return frozenset({g})  # a chain has no schedule but its own
-    full = (1 << n) - 1
     g_downs = _transpose(g.prec)
     source, target = _mask(n, g.source), _mask(n, g.target)
     # sources first, then by event-order predecessors, more further along
@@ -716,42 +720,51 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
         g.labels[x] == g.labels[y] and not (g.prec[x] | g_downs[x]) >> (n - 1 - y) & 1
         for x, y in itertools.combinations(range(n), 2)
     )
-    downs = [0] * n
-    seen, out = set(), {g}
+    walk = (g, g_downs, source, target, rank, twins, [0] * n, set(), {g})
+    _schedule(walk, source, 0, None, ())
+    return frozenset(walk[-1])
 
-    def walk(started: int, done: int, last: Optional[str], steps: tuple) -> None:
-        running = started & ~done
-        if started == full and running == target:
-            read = tuple(
-                tuple((g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u))
-                for u, a in steps
-            ) if twins else None
-            if downs == g_downs or read in seen:
-                return
-            if read:
-                seen.add(read)
-            prec = _transpose(downs)
-            essential = _essential(prec, g.evord, downs)
-            order = sorted(range(n), key=lambda y: (downs[y].bit_count(), rank[y]))
-            out.add(_renumber(g.labels, source, target, prec, essential, order))
+
+def _schedule(walk: tuple, started: int, done: int, last: Optional[str], steps: tuple) -> None:
+    """Continue a schedule of :func:`refinements` from the state where the
+    events of ``started`` have started and those of ``done`` have ended;
+    ``last`` is the kind of the last step, and ``steps`` holds the running
+    events and the step's events after each step.  ``walk`` holds g, its
+    down-sets, source and target masks and ranks, whether two concurrent
+    events share a label, the down-sets of the fold being built, the
+    readings seen and the refinements found."""
+    g, g_downs, source, target, rank, twins, downs, seen, out = walk
+    n = g.n
+    full = (1 << n) - 1
+    running = started & ~done
+    if started == full and running == target:
+        read = tuple(
+            tuple((g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u))
+            for u, a in steps
+        ) if twins else None
+        if downs == g_downs or read in seen:
             return
-        # canonical order ranks events by down-set: the ready ones come first
-        unstarted = _events(n, full & ~started) if last != STARTER else []
-        ready = _mask(n, itertools.takewhile(lambda y: not g_downs[y] & ~done, unstarted))
-        step = ready
-        while step:
-            for y in _events(n, step):
-                downs[y] = done
-            walk(started | step, done, STARTER, steps + ((running | step, step),))
-            step = (step - 1) & ready
-        stoppable = running & ~target if last != TERMINATOR else 0
-        step = stoppable
-        while step:
-            walk(started, done | step, TERMINATOR, steps + ((running, step),))
-            step = (step - 1) & stoppable
-
-    walk(source, 0, None, ())
-    return frozenset(out)
+        if read:
+            seen.add(read)
+        prec = _transpose(downs)
+        essential = _essential(prec, g.evord, downs)
+        order = sorted(range(n), key=lambda y: (downs[y].bit_count(), rank[y]))
+        out.add(_renumber(g.labels, source, target, prec, essential, order))
+        return
+    # canonical order ranks events by down-set: the ready ones come first
+    unstarted = _events(n, full & ~started) if last != STARTER else []
+    ready = _mask(n, itertools.takewhile(lambda y: not g_downs[y] & ~done, unstarted))
+    step = ready
+    while step:
+        for y in _events(n, step):
+            downs[y] = done
+        _schedule(walk, started | step, done, STARTER, steps + ((running | step, step),))
+        step = (step - 1) & ready
+    stoppable = running & ~target if last != TERMINATOR else 0
+    step = stoppable
+    while step:
+        _schedule(walk, started, done | step, TERMINATOR, steps + ((running, step),))
+        step = (step - 1) & stoppable
 
 
 def down_close(xs: Iterable[Ipomset]) -> frozenset[Ipomset]:
@@ -916,7 +929,9 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
 # divisions
 
 
-def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
+def enumerate_divisions(
+    m: Ipomset, removals: Optional[dict] = None
+) -> frozenset[tuple[Ipomset, Ipomset]]:
     """All pairs (p, q) with p*q ≅ m.
 
     A division splits the events three ways: the left part (only in p), the
@@ -960,14 +975,28 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
     m's event order: it is essential in m, and the path can skip the
     excursion.  The same holds for U = mid ∪ right, whose excursions go
     through left events.
+
+    With a dict ``removals``, each left part P not yet in it is entered
+    there with its one-target removals, taken from the division that first
+    yields it: for each target event e of P, in event order, ``None`` when
+    e is a source, and P−{e} (:func:`remove_targets`) otherwise.  Such an e
+    is in mid, so it is maximal in D, and it is no source, so D−{e} is
+    down-closed, holds m's sources and keeps m's canonical order, as
+    :func:`remove_targets` argues.  P's event order is m's cut to D, by the
+    excursion argument, and cutting it further to D−{e} drops only the
+    pairs whose every essential path ran through e.  Unless e has both an
+    essential predecessor and an essential successor in D, no such path
+    exists, and P−{e} is the body of D−{e} with target mid−{e}.  Otherwise
+    :func:`remove_targets` closes P's order again.
     """
     n = m.n
     succ, evord = m.prec, m.evord
-    pred = _transpose(succ)
+    pred, evpred = _transpose(succ), _transpose(evord)
     source, target = _mask(n, m.source), _mask(n, m.target)
     full = (1 << n) - 1
+    splits: list[tuple[int, int, int]] = []
+    _place((n, succ, pred, source, target), 0, 0, 0, 0, splits)
     bodies: dict[int, tuple] = {}  # per D: p's labels, source, prec, evord and cut
-    out: set[tuple[Ipomset, Ipomset]] = set()
 
     def left_part(down: int, mid: int) -> Ipomset:
         body = bodies.get(down)
@@ -999,20 +1028,40 @@ def enumerate_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
             evord=tuple(_remap(evord[i], n, bits) for i in order),
         )
 
-    def place(e: int, left: int, mid: int, right: int) -> None:
-        if e == n:
-            out.add((left_part(left | mid, mid), right_part(mid, right)))
-            return
+    def removed(p: Ipomset, down: int, mid: int, e: int) -> Optional[Ipomset]:
         bit = 1 << (n - 1 - e)
-        if not target & bit and not right & ~succ[e] and not mid & pred[e]:
-            place(e + 1, left | bit, mid, right)
-        if not mid & (pred[e] | succ[e]) and not left & succ[e] and not right & pred[e]:
-            place(e + 1, left, mid | bit, right)
-        if not source & bit and not left & ~pred[e] and not mid & succ[e]:
-            place(e + 1, left, mid, right | bit)
+        if source & bit:
+            return None
+        near = down & ~pred[e]  # e and the events of D concurrent with it
+        if evpred[e] & near and evord[e] & near:
+            return remove_targets(p, [(down >> (n - e)).bit_count()])
+        return left_part(down & ~bit, mid & ~bit)
 
-    place(0, 0, 0, 0)
+    out: set[tuple[Ipomset, Ipomset]] = set()
+    for down, mid, right in splits:
+        p = left_part(down, mid)
+        if removals is not None and p not in removals:
+            removals[p] = tuple(removed(p, down, mid, e) for e in _loset_sort(evord, mid))
+        out.add((p, right_part(mid, right)))
     return frozenset(out)
+
+
+def _place(search: tuple, e: int, left: int, mid: int, right: int, out: list) -> None:
+    """Place event e of :func:`enumerate_divisions`' search, and the events
+    after it, on each side that keeps the split a division, and add every
+    complete split to ``out`` as its masks (D, mid, right).  ``search``
+    holds n and m's successor, predecessor, source and target masks."""
+    n, succ, pred, source, target = search
+    if e == n:
+        out.append((left | mid, mid, right))
+        return
+    bit = 1 << (n - 1 - e)
+    if not target & bit and not right & ~succ[e] and not mid & pred[e]:
+        _place(search, e + 1, left | bit, mid, right, out)
+    if not mid & (pred[e] | succ[e]) and not left & succ[e] and not right & pred[e]:
+        _place(search, e + 1, left, mid | bit, right, out)
+    if not source & bit and not left & ~pred[e] and not mid & succ[e]:
+        _place(search, e + 1, left, mid, right | bit, out)
 
 
 def sorted_ipomsets(xs: Iterable[Ipomset]) -> list[Ipomset]:

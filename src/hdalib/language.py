@@ -2,7 +2,9 @@
 
 Prefix quotients are computed once per language by enumerating all
 divisions of all members; the resulting index answers every prefix query,
-which keeps the Myhill-Nerode construction cheap.
+which keeps the Myhill-Nerode construction cheap.  The same pass also
+records each prefix's one-target removals P−{e}, which the construction
+keys its classes by.
 """
 
 from __future__ import annotations
@@ -49,15 +51,17 @@ class LanguageSet:
         return len(self.members)
 
     @cached_property
-    def _index(self) -> dict[Ipomset, Quotient]:
-        """Every prefix with its quotient, from the divisions of the
-        members; built on the first prefix query and kept for the life of
-        this language only."""
+    def _index(self) -> tuple[dict[Ipomset, Quotient], dict[Ipomset, tuple]]:
+        """Every prefix with its quotient, and every prefix with its
+        one-target removals, from the divisions of the members
+        (:func:`enumerate_divisions` gives both); built on the first prefix
+        query and kept for the life of this language only."""
         by_left: dict[Ipomset, set[Ipomset]] = {}
+        removals: dict[Ipomset, tuple] = {}
         for m in self.members:
-            for p, q in enumerate_divisions(m):
+            for p, q in enumerate_divisions(m, removals):
                 by_left.setdefault(p, set()).add(q)
-        return {k: frozenset(v) for k, v in by_left.items()}
+        return {k: frozenset(v) for k, v in by_left.items()}, removals
 
 
 def language(
@@ -108,7 +112,18 @@ def check_down_closed(members: frozenset[Ipomset]) -> None:
 
 def prefix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
     """P\\L = {Q | P*Q ∈ L}."""
-    return lang._index.get(p, EMPTY_QUOTIENT)
+    return lang._index[0].get(p, EMPTY_QUOTIENT)
+
+
+def prefix_removals(lang: LanguageSet, p: Ipomset) -> tuple[Optional[Ipomset], ...]:
+    """The one-target removals of a prefix P, as :func:`remove_targets`
+    gives them: P−{e} for each target event e of P, in event order, and
+    ``None`` where e is a source.  Raises :class:`HdalibError` when P is no
+    prefix of ``lang``."""
+    out = lang._index[1].get(p)
+    if out is None:
+        raise HdalibError(f"{p!r} is not a prefix")
+    return out
 
 
 def suffix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
@@ -121,7 +136,7 @@ def suffix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
 
 def prefixes(lang: LanguageSet) -> frozenset[Ipomset]:
     """All P with nonempty prefix quotient (left parts of divisions)."""
-    return frozenset(lang._index)
+    return frozenset(lang._index[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .ipomset import (
     Ipomset,
     Loset,
     identity,
-    remove_targets,
     sorted_ipomsets,
     sparse_step_count,
     terminate_targets,
@@ -26,6 +25,7 @@ from .language import (
     check_down_closed,
     class_key,
     prefix_quotient,
+    prefix_removals,
     prefixes,
 )
 
@@ -76,14 +76,15 @@ def _entry(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, tgt, lower,
 
 
 def _key_of(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset) -> tuple:
-    """p's memo entry, its removals built by :func:`remove_targets` when p
-    is new.  These are module functions, not closures in :func:`build_mn`:
-    a closure that calls itself is a reference cycle, which would keep the
-    memo alive after the call until the cycle collector ran."""
+    """The memo entry of a prefix p, its removals read from the language's
+    index (:func:`prefix_removals`) when p is new.  These are module
+    functions, not closures in :func:`build_mn`: a closure that calls
+    itself is a reference cycle, which would keep the memo alive after the
+    call until the cycle collector ran."""
     entry = memo.get(p)
     if entry is None:
         tgt = p.target_events()
-        lower = tuple(None if e in p.source else remove_targets(p, [e]) for e in tgt)
+        lower = prefix_removals(lang, p)
         ids = tuple(None if q is None else _key_of(lang, memo, key_ids, q)[0] for q in lower)
         entry = _entry(lang, memo, key_ids, p, tgt, lower, ids)
     return entry
@@ -137,11 +138,14 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     Its key, its removals P−{e} and its target events are kept for the
     whole call, where the lower faces read them again.
 
-    Only prefixes are restricted.  A removal of a prefix is a prefix:
-    when P*Q = M, (P−f)*Q' refines M, where Q' is Q with f taken out of
-    its source.  An upper face P↓e takes its removals from P's, since
-    (P↓e)−f = (P−f)↓e, and dropping a target from an ipomset's target
-    keeps it canonical (:func:`terminate_targets`).
+    Nothing is restricted here.  Every ipomset keyed by removal is a
+    prefix, whose removals the division index already holds
+    (:func:`prefix_removals`): the prefixes themselves, the identities on
+    member sources, the members, and the removals of prefixes.  A removal
+    of a prefix is a prefix: when P*Q = M, (P−f)*Q' refines M, where Q' is
+    Q with f taken out of its source.  An upper face P↓e takes its
+    removals from P's, since (P↓e)−f = (P−f)↓e, and dropping a target from
+    an ipomset's target keeps it canonical (:func:`terminate_targets`).
     """
     if not lang._closed:
         check_down_closed(lang.members)
@@ -169,20 +173,28 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     subs: dict[Loset, str] = {}
 
     def subsidiary(loset: Loset) -> str:
-        if loset not in subs:
+        """The subsidiary cell of a loset, made with the subsidiary cells
+        of all its sub-losets, depth first, when it is new."""
+        made = []
+        todo = [loset]
+        while todo:  # last in, first out: the faces are pushed in reverse
+            u = todo.pop()
+            if u in subs:
+                continue
             # multi-letter labels can give two losets the same joined name;
             # the suffix is not "#k" because "#" starts a .hda comment
-            base = cid = "w_" + "".join(loset)
+            base = cid = "w_" + "".join(u)
             k = 0
             while cid in cells:
                 k += 1
                 cid = f"{base}~{k}"
-            subs[loset] = cid
-            cells[cid] = MnCell(cid, SUBSIDIARY, loset, None, False, ())
-            # faces of subsidiary cells are subsidiary all the way down
-            lower = tuple(
-                subsidiary(loset[:i] + loset[i + 1 :]) for i in range(len(loset))
-            )
+            subs[u] = cid
+            cells[cid] = MnCell(cid, SUBSIDIARY, u, None, False, ())
+            made.append((cid, u))
+            todo += reversed([u[:i] + u[i + 1 :] for i in range(len(u))])
+        # faces of subsidiary cells are subsidiary all the way down
+        for cid, u in made:
+            lower = tuple(subs[u[:i] + u[i + 1 :]] for i in range(len(u)))
             faces[cid] = (lower, lower)
         return subs[loset]
 

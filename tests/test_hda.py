@@ -51,7 +51,7 @@ from hdalib.ipomset import (
     identity,
     sparse_decomposition,
 )
-from hdalib.myhill_nerode import SUBSIDIARY, build_mn
+from hdalib.myhill_nerode import SUBSIDIARY, build_mn, verify_mn
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DATA_HDAS = sorted(p.name for p in DATA.glob("*.hda"))
@@ -492,6 +492,23 @@ class TestStepIndex:
             assert member(x, p) is not None
         assert builds == [x] and len(words) > 1
         assert x._index == build_hda(x.cells.values(), x.start, x.accept)._index
+
+    def test_checks_share_one_typing_and_backward_search(self, monkeypatch):
+        # the determinism check, verification and validation of one
+        # automaton type its faces once, search forward from its start
+        # cells once and back from its accept cells once
+        lang = parse_lang((DATA / "par_ab_abc.lang").read_text())
+        mn = build_mn(lang)
+        searches, typings = [], []
+        real_bfs, real_typing = hda_mod._bfs, hda_mod._face_typing
+        monkeypatch.setattr(hda_mod, "_bfs", lambda *a: searches.append(a) or real_bfs(*a))
+        monkeypatch.setattr(
+            hda_mod, "_face_typing", lambda x: typings.append(x) or real_typing(x)
+        )
+        assert is_deterministic(mn.hda) == is_deterministic(mn.hda)
+        assert verify_mn(lang, mn).ok
+        assert (len(searches), typings) == (2, [mn.hda])
+        assert essential_report(mn.hda) is essential_report(mn.hda)
 
 
 class TestDeterminism:

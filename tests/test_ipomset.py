@@ -858,12 +858,17 @@ class TestTupleValues:
 
     @staticmethod
     def _check_parts_and_removals(m):
-        for p, q in enumerate_divisions(m):
+        # each value is canonical, with its sources first, in event order,
+        # as source_events reads them
+        removals: dict = {}
+        values = [m, *itertools.chain.from_iterable(enumerate_divisions(m, removals))]
+        values += [r for row in removals.values() for r in row if r is not None]
+        values += [remove_targets(m, [e]) for e in rfin_events(m)]
+        for p in values:
             assert _recanonicalized(p) == p
-            assert _recanonicalized(q) == q
-        for e in rfin_events(m):
-            r = remove_targets(m, [e])
-            assert _recanonicalized(r) == r
+            assert p.source == frozenset(range(len(p.source)))
+            sources = ipomset_mod._mask(p.n, p.source)
+            assert p.source_events() == ipomset_mod._loset_sort(p.evord, sources)
 
     def test_parts_and_removals_take_no_general_renumbering(self, monkeypatch):
         def forbidden(*args):
@@ -872,6 +877,6 @@ class TestTupleValues:
         members = down_close([parse_expr("[ab|c•|•d]")])
         monkeypatch.setattr(ipomset_mod, "_renumber", forbidden)
         for m in members:
-            enumerate_divisions(m)
+            enumerate_divisions(m, {})
             for e in rfin_events(m):
                 remove_targets(m, [e])

@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +11,9 @@ from conftest import par, word
 from oracles import oracle_divisions, oracle_swap_violations
 from random_gen import random_language
 
-from hdalib.errors import NotDownClosed
-from hdalib.formats import parse_lang
+from hdalib import ipomset as ipomset_mod
+from hdalib.errors import HdalibError, NotDownClosed
+from hdalib.formats import parse_expr, parse_lang
 from hdalib.hda import is_deterministic
 from hdalib.ipomset import (
     EMPTY,
@@ -27,6 +29,7 @@ from hdalib.language import (
     is_swap_invariant,
     language,
     prefix_quotient,
+    prefix_removals,
     prefixes,
     strong_equiv,
     suffix_quotient,
@@ -34,6 +37,20 @@ from hdalib.language import (
     weak_equiv,
 )
 from hdalib.myhill_nerode import build_mn, verify_mn
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+# repeated labels, interfaces, and four-event shapes with three pairwise
+# concurrent events, as the benchmark's wide items have
+REMOVAL_SHAPES = (
+    "[a|a|b]",
+    "[aa|a•]",
+    "[•a|•b]",
+    "[ab|c|•d]",
+    "[•a|b•|c|•d]",
+    "[ab•|•c|d•]",
+    "[a•|•b|c•|d]",
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +167,39 @@ class TestQuotients:
                 and glue(p, q) in table_lang.members
             )
             assert prefix_quotient(table_lang, p) == direct
+
+
+class TestPrefixRemovals:
+    def test_table_is_remove_targets(self, monkeypatch):
+        # every prefix and target of the data files, the shapes and 100
+        # seeded random languages; the index meets both of its paths
+        langs = [parse_lang(path.read_text()) for path in sorted(DATA.glob("*.lang"))]
+        langs += [language([parse_expr(e)]) for e in REMOVAL_SHAPES]
+        langs += [random_language(random.Random(seed)) for seed in range(100)]
+        real = ipomset_mod.remove_targets
+        closed = []  # removals the index leaves to remove_targets
+        monkeypatch.setattr(
+            ipomset_mod, "remove_targets", lambda p, es: closed.append(p) or real(p, es)
+        )
+        bodies = fallbacks = 0
+        for lang in langs:
+            closed.clear()
+            pres = prefixes(lang)
+            removed = 0
+            for p in pres:
+                want = tuple(None if e in p.source else real(p, [e]) for e in p.target_events())
+                assert prefix_removals(lang, p) == want
+                removed += sum(q is not None for q in want)
+            assert len(closed) <= removed
+            fallbacks += len(closed)
+            bodies += removed - len(closed)
+        assert fallbacks and bodies
+
+    def test_only_prefixes_have_removals(self, table_lang):
+        with pytest.raises(HdalibError, match="is not a prefix"):
+            prefix_removals(table_lang, word("cc"))
+        assert prefix_removals(table_lang, word("ab", tgt=[1])) == (word("a"),)
+        assert prefix_removals(table_lang, EMPTY) == ()
 
 
 class TestQuotientFamilies:

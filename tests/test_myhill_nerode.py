@@ -1,5 +1,5 @@
+import gc
 import itertools
-from collections import Counter
 import random
 from pathlib import Path
 
@@ -31,7 +31,6 @@ from hdalib.ipomset import (
     fin,
     identity,
     remove_targets,
-    rfin_events,
     sorted_ipomsets,
 )
 from hdalib.language import (
@@ -365,22 +364,21 @@ class TestClassKeyCells:
             for lang in langs:
                 assert verify_mn(lang, build_mn(lang)).ok
 
-    def test_only_prefixes_are_restricted(self, monkeypatch):
-        # each (prefix, removable target) pair once; an upper face takes
-        # its removals from its parent's
-        calls = []
-        real = mn_mod.remove_targets
-        monkeypatch.setattr(
-            mn_mod, "remove_targets", lambda p, es: calls.append((p, *es)) or real(p, es)
-        )
+    def test_build_makes_no_removal_call(self, monkeypatch):
+        # keys read their removals from the division index; an upper face
+        # takes its removals from its parent's
+        def forbidden(*args):
+            raise AssertionError("remove_targets called")
+
         faces_met = 0
         for expr in DEEP_SHAPES + ("[a|b]", "[ab•|c]", "[•a|b•|c]"):
             lang = language([parse_expr(expr)])
-            calls.clear()
-            mn = build_mn(lang)
-            pres = prefixes(lang)
-            pairs = [(p, e) for p in pres for e in rfin_events(p)]
-            assert Counter(calls) == Counter(pairs), expr
+            pres = prefixes(lang)  # the index may close some removals itself
+            with monkeypatch.context() as patch:
+                for mod in (ipomset_mod, language_mod, mn_mod):
+                    patch.setattr(mod, "remove_targets", forbidden, raising=False)
+                mn = build_mn(lang)
+            assert verify_mn(lang, mn).ok
             faces_met += sum(
                 c.kind == REGULAR and c.representative not in pres for c in mn.cells.values()
             )
@@ -414,6 +412,30 @@ class TestClassKeyCells:
             for p in prefixes(lang):
                 assert class_key(lang, p) in cell_of_key
         assert deepest >= 3
+
+
+class TestNoCycles:
+    def test_pipeline_leaves_no_cyclic_garbage(self):
+        # every object the pipeline makes is freed by reference counting:
+        # no self-calling closure, no cycle through a cached view
+        langs = [parse_lang(path.read_text()) for path in sorted(DATA.glob("*.lang"))]
+        exprs = ["[a|b|c|d]", "[ab•|c•|d•]"]
+        rngs = [random.Random(seed) for seed in range(10)]
+        gc.collect()
+        gc.disable()
+        try:
+            for lang in langs + [language([parse_expr(e)]) for e in exprs] + [
+                random_language(rng) for rng in rngs
+            ]:
+                prefixes(lang)
+                is_swap_invariant(lang)
+                mn = build_mn(lang)
+                is_deterministic(mn.hda)
+                assert verify_mn(lang, mn).ok
+            del lang, mn
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestVerify:

@@ -108,3 +108,19 @@ def test_hda_searches_do_not_recurse():
         if isinstance(node, ast.Call) and _name(node) == fn.name
     ]
     assert SRC.is_dir() and not found
+
+
+def test_no_nested_function_refers_to_itself():
+    # a nested function that calls itself holds itself through a closure
+    # cell: each call leaves a reference cycle for the cycle collector.
+    # Recursion goes through module-level functions
+    found = {
+        f"{path.name}:{fn.lineno} {fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for outer in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(outer, (ast.FunctionDef, ast.Lambda))
+        for fn in ast.walk(outer)
+        if fn is not outer and isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Name) and node.id == fn.name for node in ast.walk(fn))
+    }
+    assert SRC.is_dir() and not found
