@@ -4,7 +4,6 @@ from .errors import (
     AxiomViolation,
     FaceTypingError,
     HdalibError,
-    IdentityViolation,
     InterfaceMismatch,
     MalformedInterval,
     NotDownClosed,
@@ -20,16 +19,13 @@ from .ipomset import (
     StepSequence,
     STARTER,
     TERMINATOR,
-    apply_step,
     canonicalize,
     down_close,
     enumerate_divisions,
     fin,
     from_intervals,
     glue,
-    glue_all,
     identity,
-    interval_representation,
     refinements,
     remove_targets,
     rfin_events,

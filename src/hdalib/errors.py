@@ -30,9 +30,5 @@ class FaceTypingError(HdalibError):
     """A face map points at a cell of the wrong loset type."""
 
 
-class IdentityViolation(HdalibError):
-    """Two singleton face maps fail to commute on some cell."""
-
-
 class ParseError(HdalibError):
     """A file or expression does not match its grammar."""

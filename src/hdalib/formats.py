@@ -10,10 +10,9 @@ cross-row precedence or multi-letter labels needs the block format.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import MalformedInterval, ParseError
 from .hda import LOWER, UPPER, Cell, Hda, build_hda, composite_face
@@ -22,7 +21,6 @@ from .ipomset import (
     IntervalRow,
     Ipomset,
     canonicalize,
-    sorted_ipomsets,
 )
 from .language import LanguageSet, language
 
@@ -349,16 +347,6 @@ def parse_lang(text: str) -> LanguageSet:
     if not in_members:
         raise ParseError("missing members: section")
     return language(members, closed=closed, alphabet=alphabet)
-
-
-def lang_to_text(lang: LanguageSet, closed: bool = True) -> str:
-    lines = ["alphabet: " + " ".join(sorted(lang.alphabet))]
-    lines.append(f"closed: {'true' if closed else 'false'}")
-    lines.append("members:")
-    pool = lang.members if closed else lang.generators
-    for m in sorted_ipomsets(pool):
-        lines.append(ipomset_to_text(m))
-    return "\n".join(lines) + "\n"
 
 
 def _strip_comment(line: str) -> str:

@@ -5,14 +5,14 @@ composites are derived (the precubical identities make that lossless).
 Searches treat an upstep into a cell y at positions A as the inverse of
 the composite lower face δ⁰_A of y, and all of them read one step index
 per automaton, built once its faces type-check.  Reachability, the
-essential part and membership are one breadth-first search (:func:`_bfs`),
+essential cells and membership are one breadth-first search (:func:`_bfs`),
 over cells or over states (step, cell); path enumeration walks depth first
 on a stack of its own, so no search here recurses.
 
 Each automaton keeps what these derive from it alone, computed on first
 use: its face-typing problems, its step index, the search back from its
 accept cells and its :class:`EssentialReport`.  So validation, the
-determinism check, the essential part and path enumeration on one
+determinism check, the essential cells and path enumeration on one
 automaton type its faces once and search back from its accept cells once.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar
 
-from .errors import FaceTypingError, IdentityViolation
+from .errors import FaceTypingError
 from .ipomset import (
     Ipomset,
     Loset,
@@ -140,24 +140,13 @@ class ValidationReport:
     problems: tuple[str, ...]
 
 
-def validate(x: Hda, strict: bool = False) -> ValidationReport:
-    """Check face typing and the precubical identities.
-
-    With ``strict=True`` the first problem raises (:class:`FaceTypingError`
-    or :class:`IdentityViolation`) instead of being collected.
-    """
+def validate(x: Hda) -> ValidationReport:
+    """Check face typing and the precubical identities, and collect every
+    problem found.  Face-typing problems come first; the identities are
+    checked only when the faces type-check."""
+    if x._problems:
+        return ValidationReport(ok=False, problems=x._problems)
     problems: list[str] = []
-
-    def fail(kind, msg):
-        if strict:
-            raise kind(msg)
-        problems.append(msg)
-
-    for msg in x._problems:
-        fail(FaceTypingError, msg)
-    if problems:
-        return ValidationReport(ok=False, problems=tuple(problems))
-
     # precubical identities on singleton pairs: removing position j then i
     # (i < j) must equal removing i then j-1
     for c in x.cells.values():
@@ -166,10 +155,9 @@ def validate(x: Hda, strict: bool = False) -> ValidationReport:
                 via_j = _face(x, _face(x, c.name, mu, j), nu, i)
                 via_i = _face(x, _face(x, c.name, nu, i), mu, j - 1)
                 if via_j != via_i:
-                    fail(
-                        IdentityViolation,
+                    problems.append(
                         f"cell {c.name}: d{nu}({i + 1}) and d{mu}({j + 1}) "
-                        f"do not commute ({via_j} vs {via_i})",
+                        f"do not commute ({via_j} vs {via_i})"
                     )
     return ValidationReport(ok=not problems, problems=tuple(problems))
 
@@ -235,17 +223,6 @@ class Path:
         if len(self.cells) != len(self.steps) + 1:
             raise ValueError("a path needs one more cell than steps")
 
-    @property
-    def source(self) -> str:
-        return self.cells[0]
-
-    @property
-    def target(self) -> str:
-        return self.cells[-1]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def __repr__(self) -> str:
         out = [self.cells[0]]
         for st, cell in zip(self.steps, self.cells[1:]):
@@ -269,7 +246,7 @@ def check_path(x: Hda, path: Path) -> None:
 def ev_of_path(x: Hda, path: Path) -> Ipomset:
     """The event ipomset of a path: the identity on its first cell, folded
     with one starter or terminator per step (:func:`_ev_step`)."""
-    out = identity(x.cells[path.source].ev)
+    out = identity(x.cells[path.cells[0]].ev)
     for k, st in enumerate(path.steps):
         out = _ev_step(x, out, path.cells[k], path.cells[k + 1], st)
     return out
@@ -284,42 +261,8 @@ def _ev_step(x: Hda, out: Ipomset, before: str, after: str, st: PathStep) -> Ipo
     return apply_step(out, TERMINATOR, x.cells[before].ev, st.positions)
 
 
-def sparse_normalize(x: Hda, path: Path) -> Path:
-    """The unique sparse representative of a path's equivalence class."""
-    cells = list(path.cells)
-    steps = list(path.steps)
-    k = 0
-    while k < len(steps):
-        if not steps[k].positions:  # empty step: the two cells coincide
-            del steps[k]
-            del cells[k + 1]
-            continue
-        if k + 1 < len(steps) and steps[k].kind == steps[k + 1].kind:
-            merged = _merge(x, steps[k], steps[k + 1], cells[k], cells[k + 2])
-            steps[k : k + 2] = [merged]
-            del cells[k + 1]
-            continue
-        k += 1
-    return Path(cells=tuple(cells), steps=tuple(steps))
-
-
-def _merge(x: Hda, s1: PathStep, s2: PathStep, first: str, last: str) -> PathStep:
-    if s1.kind == UP:
-        # positions of the middle cell reindex into the bigger final cell
-        keep = [p for p in range(len(x.cells[last].ev)) if p not in s2.positions]
-        pos = frozenset(keep[p] for p in s1.positions) | s2.positions
-        if composite_face(x, last, LOWER, pos) != first:
-            raise FaceTypingError(f"merged upstep: {first} is not δ⁰ of {last}")
-        return PathStep(UP, pos)
-    keep = [p for p in range(len(x.cells[first].ev)) if p not in s1.positions]
-    pos = s1.positions | frozenset(keep[p] for p in s2.positions)
-    if composite_face(x, first, UPPER, pos) != last:
-        raise FaceTypingError(f"merged downstep: {last} is not δ¹ of {first}")
-    return PathStep(DOWN, pos)
-
-
 # ---------------------------------------------------------------------------
-# reachability, essential part
+# reachability, essential cells
 
 
 @dataclass(frozen=True)
@@ -357,37 +300,17 @@ def _steps_to_accept(x: Hda) -> dict[str, int]:
     return dist
 
 
-def ess_closure(x: Hda) -> Hda:
-    """The smallest sub-HDA containing every essential cell: the cells that
-    iterated singleton faces reach from them, as every face is such a chain."""
-    cells = x.cells
-    keep = _bfs(essential_report(x).essential, lambda c: cells[c].lower + cells[c].upper)
-    return Hda(
-        cells={n: c for n, c in cells.items() if n in keep},
-        start=x.start.intersection(keep),
-        accept=x.accept.intersection(keep),
-        name=x.name + "_ess",
-    )
-
-
 # ---------------------------------------------------------------------------
 # membership and language enumeration
 
 
-def member(
-    x: Hda,
-    p: Ipomset,
-    sources: Optional[Iterable[str]] = None,
-    targets: Optional[Iterable[str]] = None,
-) -> Optional[Path]:
-    """A path from a source to a target cell with event ipomset p, if any.
+def member(x: Hda, p: Ipomset) -> Optional[Path]:
+    """An accepting path with event ipomset p, if any.
 
     Searches states (k, cell), a cell reached by the first k steps of the
     sparse decomposition of p, breadth first over the step index; the
-    witness ends at the first state (all steps, target cell) found.
+    witness ends at the first state (all steps, accept cell) found.
     """
-    srcs = x.start if sources is None else frozenset(sources)
-    tgts = x.accept if targets is None else frozenset(targets)
     seq = sparse_decomposition(p)
     steps = seq.steps
     idx = x._index
@@ -407,9 +330,9 @@ def member(
             return []
         return [(k + 1, small) for small, pos in idx.down[cell] if pos == st.active]
 
-    roots = [(0, c) for c in sorted(srcs) if x.cells[c].ev == seq.initial_loset]
+    roots = [(0, c) for c in sorted(x.start) if x.cells[c].ev == seq.initial_loset]
     found = _bfs(roots, nexts)
-    goal = next((s for s in found if s[0] == len(steps) and s[1] in tgts), None)
+    goal = next((s for s in found if s[0] == len(steps) and s[1] in x.accept), None)
     if goal is None:
         return None
     cells, state = [], goal

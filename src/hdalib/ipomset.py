@@ -82,9 +82,6 @@ class Ipomset(NamedTuple):
     def target_loset(self) -> Loset:
         return tuple(self.labels[i] for i in self.target_events())
 
-    def alphabet(self) -> frozenset[Label]:
-        return frozenset(self.labels)
-
     def sort_key(self):
         """Deterministic total order on canonical ipomsets."""
         return (
@@ -116,17 +113,6 @@ class StarterTerminator:
             raise ValueError(f"bad step kind {self.kind!r}")
         if not all(0 <= i < len(self.loset) for i in self.active):
             raise ValueError("active positions out of range")
-
-    @property
-    def source_loset(self) -> Loset:
-        return _without(self.loset, self.active) if self.kind == STARTER else self.loset
-
-    @property
-    def target_loset(self) -> Loset:
-        return _without(self.loset, self.active) if self.kind == TERMINATOR else self.loset
-
-    def as_ipomset(self) -> Ipomset:
-        return apply_step(identity(self.source_loset), self.kind, self.loset, self.active)
 
     def __repr__(self) -> str:
         arrow = "↑" if self.kind == STARTER else "↓"
@@ -567,16 +553,6 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
     )
 
 
-def glue_all(parts: Iterable[Ipomset]) -> Ipomset:
-    parts = list(parts)
-    if not parts:
-        return EMPTY
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = glue(out, nxt)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sparse step decomposition
 
@@ -621,40 +597,6 @@ def sparse_step_count(p: Ipomset) -> int:
 
 # ---------------------------------------------------------------------------
 # interval representations
-
-
-def interval_representation(p: Ipomset) -> tuple[IntervalRow, ...]:
-    """Integer-endpoint intervals read off the moments of p.
-
-    Event x spans the moments (:func:`moments`, indexed 0..m-1) from the
-    first that holds it to the last.  In an interval order each event's
-    moments are contiguous, and x precedes y exactly when last(x) <
-    first(y) (Fishburn 1985), so strict interval precedence gives back
-    ``prec``.  Sources are minimal and lie in moment 0; targets are maximal
-    and lie in moment m-1.
-
-    Rows are ordered by the number of event-order predecessors, then by
-    index.  That count grows strictly along the closed event order, so row
-    order extends it, and :func:`from_intervals` reproduces p.
-    """
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for k, ant in enumerate(moments(_transpose(p.prec))):
-        for x in _events(p.n, ant):
-            first.setdefault(x, k)
-            last[x] = k
-    preds = [d.bit_count() for d in _transpose(p.evord)]
-    return tuple(
-        IntervalRow(
-            event=f"e{x}",
-            label=p.labels[x],
-            begin=Fraction(first[x]),
-            end=Fraction(last[x]),
-            left_closed=x in p.source,
-            right_closed=x in p.target,
-        )
-        for x in sorted(range(p.n), key=lambda x: (preds[x], x))
-    )
 
 
 def from_intervals(rows: Sequence[IntervalRow]) -> Ipomset:
@@ -850,7 +792,7 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     ``glue(p, terminator(U, A))``: positions out of range raise
     :class:`AxiomViolation`, then a source loset of the step that is not
     p's target loset raises :class:`InterfaceMismatch`.  Neither branch
-    checks or canonicalizes again.
+    checks or canonicalizes again, but for the one case left to :func:`glue`.
 
     A terminator glued onto p adds no event (its every event is a source,
     glued onto a target of p), no precedence (it has no event outside its
@@ -873,8 +815,8 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     canonical order stays (:func:`_canonical_order` ranks groups by
     down-set), and the new events join the group of their down-set.  That
     is a fresh last group, already in loset order, unless a non-source
-    event of p has that down-set too, as after an up step.  Then the
-    merged last group is sorted by event order through :func:`_renumber`.
+    event of p has that down-set too, as after an up step.  Sparse paths
+    alternate, so they never meet that case, and it is left to :func:`glue`.
     """
     if kind not in (STARTER, TERMINATOR):
         raise ValueError(f"bad step kind {kind!r}")
@@ -889,6 +831,13 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     if kind == TERMINATOR:
         return terminate_targets(p, [tgt[i] for i in positions])
     old, k = p.n, len(positions)
+    # the non-source events of p that every non-target precedes
+    merged = (1 << old) - 1 & ~_mask(old, p.source)
+    for i, r in enumerate(p.prec):
+        if i not in p.target:
+            merged &= r
+    if merged:
+        return glue(p, starter(loset, positions))
     n = old + k
     # the result's index of each loset position
     fresh, rest = iter(range(old, n)), iter(tgt)
@@ -903,23 +852,10 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
         later |= 1 << (n - 1 - i)
     evord = _closure(evord)
     labels = p.labels + tuple(loset[i] for i in sorted(positions))
-    target = p.target | frozenset(range(old, n))
-    # the non-source events of p that every non-target precedes
-    merged = (1 << old) - 1 & ~_mask(old, p.source)
-    for i, r in enumerate(p.prec):
-        if i not in p.target:
-            merged &= r
-    if merged:
-        group = merged << k | started
-        order = [i for i in range(n) if not group >> (n - 1 - i) & 1]
-        order += _loset_sort(evord, group)
-        essential = _essential(prec, evord, _transpose(prec))
-        source = _mask(n, p.source)
-        return _renumber(labels, source, _mask(n, target), prec, essential, order)
     return Ipomset(
         labels=labels,
         source=p.source,
-        target=target,
+        target=p.target | frozenset(range(old, n)),
         prec=tuple(prec),
         evord=tuple(evord),
     )

@@ -44,9 +44,6 @@ class LanguageSet:
     generators: frozenset[Ipomset] = field(default=frozenset(), compare=False)
     _closed: bool = field(default=False, init=False, compare=False, repr=False)
 
-    def __contains__(self, p: Ipomset) -> bool:
-        return p in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 

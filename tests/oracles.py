@@ -5,10 +5,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 from hdalib.errors import AxiomViolation, InterfaceMismatch
 from hdalib.hda import DOWN, UP, DeterminismReport, Hda, Path, PathStep
-from hdalib.ipomset import Ipomset, canonicalize, glue, identity, starter, terminator
+from hdalib.ipomset import (
+    IntervalRow,
+    Ipomset,
+    canonicalize,
+    glue,
+    identity,
+    starter,
+    terminator,
+)
 
 
 def _bijections(p: Ipomset, q: Ipomset):
@@ -242,6 +251,25 @@ def oracle_moments(p: Ipomset) -> list[frozenset[int]]:
     return sorted(found, key=below)
 
 
+def oracle_interval_rows(p: Ipomset) -> tuple[IntervalRow, ...]:
+    """An interval representation of p: event x spans the moments
+    (:func:`oracle_moments`) from the first that holds it to the last, and
+    the rows list the events by their number of event-order predecessors,
+    then by index, which extends the event order."""
+    ants = oracle_moments(p)
+    preds = [sum(p.ev(y, x) for y in range(p.n)) for x in range(p.n)]
+    rows = []
+    for x in sorted(range(p.n), key=lambda x: (preds[x], x)):
+        held = [k for k, a in enumerate(ants) if x in a]
+        rows.append(
+            IntervalRow(
+                f"e{x}", p.labels[x], Fraction(held[0]), Fraction(held[-1]),
+                x in p.source, x in p.target,
+            )
+        )
+    return tuple(rows)
+
+
 def oracle_remove_targets(p: Ipomset, events) -> Ipomset:
     """P − A by canonicalizing the other events with all their relations."""
     return _restrict(p, [i for i in range(p.n) if i not in set(events)], p.source, p.target)
@@ -308,7 +336,7 @@ def oracle_accepting_paths(x: Hda, max_steps: int) -> list[Path]:
     layer = [Path(cells=(s,), steps=()) for s in x.start]
     out = []
     for k in range(max_steps + 1):
-        out += [p for p in layer if p.target in x.accept]
+        out += [p for p in layer if p.cells[-1] in x.accept]
         if k == max_steps:
             break
         layer = [
@@ -316,9 +344,11 @@ def oracle_accepting_paths(x: Hda, max_steps: int) -> list[Path]:
             for p in layer
             for kind in (UP, DOWN)
             if not p.steps or p.steps[-1].kind != kind
-            for nxt, a in moves(p.target, kind)
+            for nxt, a in moves(p.cells[-1], kind)
         ]
-    return sorted(out, key=lambda p: (len(p), p.cells, [sorted(s.positions) for s in p.steps]))
+    return sorted(
+        out, key=lambda p: (len(p.steps), p.cells, [sorted(s.positions) for s in p.steps])
+    )
 
 
 def oracle_ev_of_path(x: Hda, path: Path) -> Ipomset:

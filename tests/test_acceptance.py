@@ -37,10 +37,14 @@ from hdalib.ipomset import (
     TERMINATOR,
     StarterTerminator,
     canonicalize,
+    down_close,
     enumerate_divisions,
+    fin,
     glue,
     identity,
     refinements,
+    remove_targets,
+    rfin_events,
     sparse_decomposition,
     starter,
     subsumes,
@@ -111,6 +115,7 @@ def test_c2_square_language():
     )
     assert got == expect
     assert len(got) == 5
+    assert down_close(got) == got  # an HDA's language is closed under subsumption
     done("C2", "square HDA language is exactly the expected 5 ipomsets")
 
 
@@ -184,6 +189,14 @@ def test_c6_weak_versus_strong():
     aa_open, ba_open = parse_expr("aa•"), parse_expr("ba•")
     assert weak_equiv(aa_open, ba_open, lang)
     assert not strong_equiv(aa_open, ba_open, lang)
+    # weak: equal target signatures fin(P) = T↑(T−S), here the start of one
+    # a, and equal prefix quotients; strong also compares the P−A for the
+    # removable targets A ⊆ rfin(P), and removing the open a leaves a and b
+    assert fin(aa_open) == fin(ba_open) == StarterTerminator(STARTER, ("a",), frozenset({0}))
+    assert prefix_quotient(lang, aa_open) == prefix_quotient(lang, ba_open)
+    cut = [remove_targets(p, rfin_events(p)) for p in (aa_open, ba_open)]
+    assert cut == [parse_expr("a"), parse_expr("b")]
+    assert prefix_quotient(lang, cut[0]) != prefix_quotient(lang, cut[1])
     mn = build_mn(lang)
     assert mn.cell_of(aa_open) != mn.cell_of(ba_open)
     done("C6", "weakly equivalent open words stay in distinct edge classes")

@@ -15,7 +15,6 @@ from hdalib.formats import (
     ipomset_to_block,
     ipomset_to_json,
     ipomset_to_text,
-    lang_to_text,
     parse_expr,
     parse_hda,
     parse_ipomset_block,
@@ -179,11 +178,6 @@ class TestLangFiles:
         )
         assert len(lang.members) == 4
         assert lang.alphabet == frozenset("abc")
-
-    def test_roundtrip(self):
-        lang = parse_lang("members:\n[a|b]\n")
-        text = lang_to_text(lang)
-        assert parse_lang(text).members == lang.members
 
     def test_closed_true_is_validated(self):
         with pytest.raises(Exception):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from hdalib import ipomset as ipomset_mod
 from hdalib.errors import (
     AxiomViolation,
     FaceTypingError,
-    IdentityViolation,
     InterfaceMismatch,
 )
 from hdalib.formats import parse_hda, parse_ipomset_text, parse_lang
@@ -35,12 +35,10 @@ from hdalib.hda import (
     check_path,
     composite_face,
     enumerate_language,
-    ess_closure,
     essential_report,
     ev_of_path,
     is_deterministic,
     member,
-    sparse_normalize,
     validate,
 )
 from hdalib.ipomset import (
@@ -110,8 +108,7 @@ class TestValidate:
         x = build_hda([Cell("v", ()), Cell("e", ("a",), ("v",), ())], ["v"], ["v"])
         rep = validate(x)
         assert not rep.ok
-        with pytest.raises(FaceTypingError):
-            validate(x, strict=True)
+        assert rep.problems == ("cell e: face lists must cover every position",)
 
     def test_wrong_loset_type(self):
         x = build_hda(
@@ -128,8 +125,7 @@ class TestValidate:
         broken = build_hda(cells.values(), square.start, square.accept)
         rep = validate(broken)
         assert not rep.ok
-        with pytest.raises(IdentityViolation):
-            validate(broken, strict=True)
+        assert rep.problems == ("cell q: d0(1) and d1(2) do not commute (x vs w)",)
 
 
 class TestCompositeFaces:
@@ -177,35 +173,29 @@ class TestPathsAndEv:
             check_path(square, p)
 
     def test_merge_two_upsteps(self, square):
+        # a path that is not sparse reads the event ipomset of its sparse form
         p = HdaPath(cells=("v", "e", "q"), steps=(up(0), up(1)))
-        n = sparse_normalize(square, p)
-        assert n == HdaPath(cells=("v", "q"), steps=(up(0, 1),))
+        check_path(square, p)
+        n = HdaPath(cells=("v", "q"), steps=(up(0, 1),))
         assert ev_of_path(square, p) == ev_of_path(square, n)
-
-    def test_merge_of_unbacked_steps_raises(self, square):
-        # merging reads only the end cells: v, not w, is the corner of q
-        # below both events, and y, not x, the corner above both
-        for cells, steps in (
-            (("w", "e", "q"), (up(0), up(1))),
-            (("q", "f", "x"), (down(1), down(0))),
-        ):
-            with pytest.raises(FaceTypingError):
-                sparse_normalize(square, HdaPath(cells=cells, steps=steps))
 
     def test_merge_two_downsteps(self, square):
         p = HdaPath(cells=("q", "f", "y"), steps=(down(1), down(0)))
-        n = sparse_normalize(square, p)
-        assert n == HdaPath(cells=("q", "y"), steps=(down(0, 1),))
+        check_path(square, p)
+        n = HdaPath(cells=("q", "y"), steps=(down(0, 1),))
         assert ev_of_path(square, p) == ev_of_path(square, n)
 
-    def test_sparse_paths_are_fixed_points(self, square):
+    def test_accepting_paths_are_sparse(self, square):
+        # no empty step, and no two steps of one kind in a row
         for p in accepting_paths(square, 8):
-            assert sparse_normalize(square, p) == p
+            assert all(st.positions for st in p.steps)
+            assert all(a.kind != b.kind for a, b in zip(p.steps, p.steps[1:]))
 
     def test_empty_steps_dropped(self, square):
         p = HdaPath(cells=("v", "v", "e"), steps=(up(), up(0)))
-        n = sparse_normalize(square, p)
-        assert n == HdaPath(cells=("v", "e"), steps=(up(0),))
+        check_path(square, p)
+        n = HdaPath(cells=("v", "e"), steps=(up(0),))
+        assert ev_of_path(square, p) == ev_of_path(square, n)
 
     def test_segment_evs_form_sparse_decomposition(self, square):
         for p in accepting_paths(square, 8):
@@ -248,16 +238,6 @@ class TestEssential:
         x = build_hda(square.cells.values(), square.start, [])
         assert essential_report(x).essential == frozenset()
 
-    def test_closure_is_valid_sub_hda(self, chain):
-        sub = ess_closure(chain)
-        assert validate(sub).ok
-        assert essential_report(chain).essential <= frozenset(sub.cells)
-
-    def test_closure_preserves_language(self, chain):
-        assert enumerate_language(ess_closure(chain), 10) == enumerate_language(
-            chain, 10
-        )
-
 
 class TestMember:
     def test_interleaving_witness(self, square):
@@ -295,7 +275,7 @@ class TestMember:
             accept=["w1", "w2"],
         )
         assert member(x, word("a")) == HdaPath(("v", "e1", "w1"), (up(0), down(0)))
-        assert member(x, word("a"), targets=["w2"]) == HdaPath(
+        assert member(replace(x, accept=frozenset({"w2"})), word("a")) == HdaPath(
             ("v", "e2", "w2"), (up(0), down(0))
         )
 
@@ -303,14 +283,12 @@ class TestMember:
         # a path for a glued ipomset splits into paths for the two parts
         from hdalib.ipomset import enumerate_divisions
 
+        anywhere = replace(square, accept=frozenset(square.cells))
         for m in enumerate_language(square, 8):
-            whole = member(square, m)
             for p, q in enumerate_divisions(m):
-                first = member(square, p, targets=square.cells)
+                first = member(anywhere, p)
                 assert first is not None
-                rest = member(
-                    square, q, sources=[first.target], targets=square.accept
-                )
+                rest = member(replace(square, start=frozenset({first.cells[-1]})), q)
                 assert rest is not None
 
 
@@ -390,7 +368,9 @@ class TestEnumerateLanguage:
         automata += [
             build_mn(parse_lang((DATA / name).read_text())).hda for name in DATA_LANGS
         ]
-        # non-sparse paths: two up steps in a row, then two down steps
+        # non-sparse paths: two up steps in a row, then two down steps.  The
+        # second up step starts events beside one started just before, a
+        # case apply_step leaves to glue, so only their fold is checked
         detours = [
             HdaPath(("v", "e", "q"), (up(0), up(1))),
             HdaPath(("v", "g", "q", "f", "y"), (up(0), up(0), down(1), down(0))),
@@ -398,8 +378,8 @@ class TestEnumerateLanguage:
         ]
         for path in detours:
             check_path(square, path)
+            assert ev_of_path(square, path) == oracle_ev_of_path(square, path)
         paths = [(x, p) for x in automata for p in accepting_paths(x, 8)]
-        paths += [(square, p) for p in detours]
         evs = [oracle_ev_of_path(x, p) for x, p in paths]
         langs = [frozenset(ev for (y, _), ev in zip(paths, evs) if y is x) for x in automata]
 
@@ -457,7 +437,7 @@ class TestAcceptingPaths:
             "hda x { cell v: [] ; cell e: [a] d0(1)=v d1(1)=v ; start: v ; accept: v ; }"
         )
         paths = accepting_paths(x, 1100)
-        assert len(paths) == 551 and len(paths[-1]) == 1100
+        assert len(paths) == 551 and len(paths[-1].steps) == 1100
 
     def test_undefined_face_is_a_typing_error_at_every_bound(self):
         # the faces are checked before any search, so the bound is moot
@@ -603,4 +583,4 @@ class TestDeterminism:
         )
         w1 = member(loop, one)
         w2 = member(loop, glue(one, one))
-        assert w1.target == w2.target
+        assert w1.cells[-1] == w2.cells[-1]

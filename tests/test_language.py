@@ -66,8 +66,8 @@ def strongeq_lang():
 
 class TestLanguageSet:
     def test_down_closure_applied(self, table_lang):
-        assert word("ab") in table_lang
-        assert word("ba") in table_lang
+        assert word("ab") in table_lang.members
+        assert word("ba") in table_lang.members
         assert len(table_lang) == 4
 
     def test_closed_true_validates(self):

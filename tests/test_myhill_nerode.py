@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,7 @@ class TestBuildShape:
         missing = oracle_refinements(member) - {member}
         assert sorted_ipomsets(missing)[0] == witness
         want = f"missing refinement {witness!r}"
-        raw = LanguageSet(members=frozenset({member}), alphabet=member.alphabet())
+        raw = LanguageSet(members=frozenset({member}), alphabet=frozenset(member.labels))
         with pytest.raises(NotDownClosed) as built:
             build_mn(raw)
         with pytest.raises(NotDownClosed) as read:
@@ -465,7 +466,8 @@ class TestVerify:
             for n_part, p_part in enumerate_divisions(m):
                 src = table_mn.cell_of(n_part)
                 tgt = table_mn.cell_of(m)
-                w = member(table_mn.hda, p_part, sources=[src], targets=[tgt])
+                ends = replace(table_mn.hda, start=frozenset({src}), accept=frozenset({tgt}))
+                w = member(ends, p_part)
                 assert w is not None
 
 

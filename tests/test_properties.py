@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from oracles import oracle_interval_rows
 from random_gen import random_ipomset, random_language
 
 from hdalib.hda import enumerate_language, is_deterministic
@@ -13,7 +14,6 @@ from hdalib.ipomset import (
     from_intervals,
     glue,
     identity,
-    interval_representation,
     refinements,
     remove_targets,
     rfin_events,
@@ -144,7 +144,7 @@ def test_sparse_decomposition_roundtrip(p):
 @FAST
 @given(ipomsets())
 def test_interval_roundtrip(p):
-    assert from_intervals(interval_representation(p)) == p
+    assert from_intervals(oracle_interval_rows(p)) == p
 
 
 @FAST

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdalib"
@@ -124,3 +125,56 @@ def test_no_nested_function_refers_to_itself():
         and any(isinstance(node, ast.Name) and node.id == fn.name for node in ast.walk(fn))
     }
     assert SRC.is_dir() and not found
+
+
+ROOT = SRC.parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+
+def _references(path: Path) -> set[str]:
+    """The names a file refers to outside the function of that name: names,
+    attributes, imported names, and string constants, as the benchmark's
+    tracer names the functions it wraps."""
+    found = set()
+    stack = [(ast.parse(path.read_text(), str(path)), frozenset())]
+    while stack:
+        node, inside = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            inside = inside | {node.name}
+        names = [_name(node)]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append(node.value)
+        if isinstance(node, ast.ImportFrom):
+            names += [a.name for a in node.names]
+        found.update(n for n in names if n and n not in inside)
+        stack += [(child, inside) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_every_library_function_has_a_user():
+    # a function that only unit tests call is surface nobody uses; the
+    # re-exports in __init__.py do not count as a use
+    library = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    used = set().union(*map(_references, library + SCRIPTS + PERFBENCH + [ACCEPTANCE]))
+    unused = {
+        fn.name
+        for path in library
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in used
+    }
+    assert library and not unused, sorted(unused)
+
+
+def test_every_exported_function_has_a_user():
+    # what hdalib exports is what the CLI, the scripts, the benchmark or
+    # the acceptance suite call, not a name kept for unit tests alone
+    import hdalib
+
+    exported = {name for name, v in vars(hdalib).items() if inspect.isfunction(v)}
+    users = [SRC / "cli.py", *SCRIPTS, *PERFBENCH, ACCEPTANCE]
+    used = set().union(*map(_references, users))
+    assert exported and not exported - used, sorted(exported - used)
