@@ -7,7 +7,11 @@ the composite lower face δ⁰_A of y, and all of them read one step index
 per automaton, built once its faces type-check.  Reachability, the
 essential cells and membership are one breadth-first search (:func:`_bfs`),
 over cells or over states (step, cell); path enumeration walks depth first
-on a stack of its own, so no search here recurses.
+on a stack of its own (:func:`_walk`), so no search here recurses.  The
+walk folds each accepting path into its event ipomset for
+:func:`enumerate_language`; :func:`recognise_language` runs the same walk
+with a table from sparse step sequences to ipomsets, and folds only the
+paths whose steps it does not find there.
 
 Each automaton keeps what these derive from it alone, computed on first
 use: its face-typing problems, its step index, the search back from its
@@ -358,6 +362,38 @@ def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
     """Event ipomsets of all sparse accepting paths within the bound."""
     out: set[Ipomset] = set()
     _walk(x, max_steps, lambda _cells, _steps, ev: out.add(ev()))
+    return frozenset(out)
+
+
+def recognise_language(
+    x: Hda, max_steps: int, known: dict[tuple, Ipomset]
+) -> frozenset[Ipomset]:
+    """:func:`enumerate_language`, with a path's event ipomset read from
+    ``known`` when the path's step sequence is a key there, and folded
+    only when it is not.
+
+    A path's step sequence has the shape of :func:`sparse_steps`: its first
+    cell's loset, then ``(STARTER, loset of the cell after, positions)``
+    for an up step and ``(TERMINATOR, loset of the cell before,
+    positions)`` for a down step.  Those are the arguments of the path's
+    fold (:func:`ev_of_path`), which is :meth:`StepSequence.compose`'s
+    :func:`apply_step` fold.  So when ``known`` maps the sparse steps of
+    each of its ipomsets to that ipomset, a path found there folds to the
+    value found: the result is exact whatever ``known`` holds."""
+    cells_of = x.cells
+    out: set[Ipomset] = set()
+
+    def visit(cells: tuple[str, ...], steps: tuple[PathStep, ...], ev: Callable[[], Ipomset]):
+        seq = (cells_of[cells[0]].ev,) + tuple(
+            (STARTER, cells_of[cells[k + 1]].ev, st.positions)
+            if st.kind == UP
+            else (TERMINATOR, cells_of[cells[k]].ev, st.positions)
+            for k, st in enumerate(steps)
+        )
+        found = known.get(seq)
+        out.add(ev() if found is None else found)
+
+    _walk(x, max_steps, visit)
     return frozenset(out)
 
 

@@ -557,42 +557,44 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
 # sparse step decomposition
 
 
-def sparse_decomposition(p: Ipomset) -> StepSequence:
-    """The unique alternating starter/terminator decomposition of p."""
-    ants = moments(_transpose(p.prec))
-    init = p.source_events()
-    steps: list[StarterTerminator] = []
+def sparse_steps(p: Ipomset) -> tuple:
+    """The unique alternating starter/terminator decomposition of p as
+    plain tuples: p's source loset, then ``(kind, loset, positions)`` for
+    each step, with ``positions`` a frozenset.  Equal ipomsets give equal
+    tuples, and folding the steps with :func:`apply_step` from the
+    identity on the source loset gives p back.
 
-    def loset_of(events: tuple[int, ...]) -> Loset:
-        return tuple(p.labels[i] for i in events)
-
-    prev = init
-    for ant in ants:
-        cur = _loset_sort(p.evord, ant)
-        gone = [i for i, e in enumerate(prev) if e not in cur]
-        if gone:
-            steps.append(StarterTerminator(TERMINATOR, loset_of(prev), frozenset(gone)))
-        new = [i for i, e in enumerate(cur) if e not in prev]
-        if new:
-            steps.append(StarterTerminator(STARTER, loset_of(cur), frozenset(new)))
-        prev = cur
-    tail = [i for i, e in enumerate(prev) if e not in p.target]
-    if tail:
-        steps.append(StarterTerminator(TERMINATOR, loset_of(prev), frozenset(tail)))
-    return StepSequence(initial_loset=loset_of(init), steps=tuple(steps))
-
-
-def sparse_step_count(p: Ipomset) -> int:
-    """``len(sparse_decomposition(p).steps)``, with no step built: one
-    terminator for each moment that ends an event of the one before (the
-    source interface before the first), one starter for each moment that
-    starts one, and a last terminator when a non-target runs at the end."""
-    prev = _mask(p.n, p.source)
-    count = 0
+    One walk over the moments, in temporal order: a moment that ends
+    events of the one before (the source interface before the first)
+    makes a terminator on that loset, and one that starts events makes a
+    starter on its own loset; a non-target still running after the last
+    moment makes a last terminator."""
+    n, labels = p.n, p.labels
+    prev = p.source_events()
+    prev_mask = _mask(n, p.source)
+    prev_loset = labels[: len(prev)]
+    out: list = [prev_loset]
     for ant in moments(_transpose(p.prec)):
-        count += bool(prev & ~ant) + bool(ant & ~prev)
-        prev = ant
-    return count + bool(prev & ~_mask(p.n, p.target))
+        cur = _loset_sort(p.evord, ant)
+        loset = tuple(labels[e] for e in cur)
+        if prev_mask & ~ant:
+            gone = frozenset(i for i, e in enumerate(prev) if not ant >> (n - 1 - e) & 1)
+            out.append((TERMINATOR, prev_loset, gone))
+        if ant & ~prev_mask:
+            new = frozenset(i for i, e in enumerate(cur) if not prev_mask >> (n - 1 - e) & 1)
+            out.append((STARTER, loset, new))
+        prev, prev_mask, prev_loset = cur, ant, loset
+    if prev_mask & ~_mask(n, p.target):
+        tail = frozenset(i for i, e in enumerate(prev) if e not in p.target)
+        out.append((TERMINATOR, prev_loset, tail))
+    return tuple(out)
+
+
+def sparse_decomposition(p: Ipomset) -> StepSequence:
+    """The unique alternating starter/terminator decomposition of p
+    (:func:`sparse_steps`) as a :class:`StepSequence`."""
+    initial, *steps = sparse_steps(p)
+    return StepSequence(initial, tuple(StarterTerminator(*step) for step in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -913,9 +915,10 @@ def enumerate_divisions(
     through left events.
 
     With a dict ``removals``, each left part P not yet in it is entered
-    there with its one-target removals, taken from the division that first
-    yields it: for each target event e of P, in event order, ``None`` when
-    e is a source, and P−{e} (:func:`remove_targets`) otherwise.  Such an e
+    there with its target events and its one-target removals, taken from
+    the division that first yields it: the target events, P's own indices
+    of mid's events in event order, and for each such e ``None`` when e is
+    a source, and P−{e} (:func:`remove_targets`) otherwise.  Such an e
     is in mid, so it is maximal in D, and it is no source, so D−{e} is
     down-closed, holds m's sources and keeps m's canonical order, as
     :func:`remove_targets` argues.  P's event order is m's cut to D, by the
@@ -964,20 +967,22 @@ def enumerate_divisions(
             evord=tuple(_remap(evord[i], n, bits) for i in order),
         )
 
-    def removed(p: Ipomset, down: int, mid: int, e: int) -> Optional[Ipomset]:
+    def removed(p: Ipomset, down: int, mid: int, e: int, at: int) -> Optional[Ipomset]:
         bit = 1 << (n - 1 - e)
         if source & bit:
             return None
         near = down & ~pred[e]  # e and the events of D concurrent with it
         if evpred[e] & near and evord[e] & near:
-            return remove_targets(p, [(down >> (n - e)).bit_count()])
+            return remove_targets(p, [at])
         return left_part(down & ~bit, mid & ~bit)
 
     out: set[tuple[Ipomset, Ipomset]] = set()
     for down, mid, right in splits:
         p = left_part(down, mid)
         if removals is not None and p not in removals:
-            removals[p] = tuple(removed(p, down, mid, e) for e in _loset_sort(evord, mid))
+            tgt = _loset_sort(evord, mid)
+            at = tuple((down >> (n - e)).bit_count() for e in tgt)  # P's index of e
+            removals[p] = (at, tuple(removed(p, down, mid, e, i) for e, i in zip(tgt, at)))
         out.add((p, right_part(mid, right)))
     return frozenset(out)
 

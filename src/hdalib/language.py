@@ -3,8 +3,8 @@
 Prefix quotients are computed once per language by enumerating all
 divisions of all members; the resulting index answers every prefix query,
 which keeps the Myhill-Nerode construction cheap.  The same pass also
-records each prefix's one-target removals P−{e}, which the construction
-keys its classes by.
+records each prefix's target events, in event order, and its one-target
+removals P−{e}, which the construction keys its classes by.
 """
 
 from __future__ import annotations
@@ -49,16 +49,23 @@ class LanguageSet:
 
     @cached_property
     def _index(self) -> tuple[dict[Ipomset, Quotient], dict[Ipomset, tuple]]:
-        """Every prefix with its quotient, and every prefix with its
-        one-target removals, from the divisions of the members
-        (:func:`enumerate_divisions` gives both); built on the first prefix
-        query and kept for the life of this language only."""
+        """Every prefix with its quotient, and every prefix with its target
+        events in event order and its one-target removals, from the
+        divisions of the members (:func:`enumerate_divisions` gives both);
+        built on the first prefix query and kept for the life of this
+        language only.  Prefixes with equal quotients share one set, so
+        comparing two of them is an identity check."""
         by_left: dict[Ipomset, set[Ipomset]] = {}
         removals: dict[Ipomset, tuple] = {}
         for m in self.members:
             for p, q in enumerate_divisions(m, removals):
                 by_left.setdefault(p, set()).add(q)
-        return {k: frozenset(v) for k, v in by_left.items()}, removals
+        seen: dict[Quotient, Quotient] = {}
+        quotients = {}
+        for p, qs in by_left.items():
+            q = frozenset(qs)
+            quotients[p] = seen.setdefault(q, q)
+        return quotients, removals
 
 
 def language(
@@ -117,6 +124,16 @@ def prefix_removals(lang: LanguageSet, p: Ipomset) -> tuple[Optional[Ipomset], .
     gives them: P−{e} for each target event e of P, in event order, and
     ``None`` where e is a source.  Raises :class:`HdalibError` when P is no
     prefix of ``lang``."""
+    return _removal_row(lang, p)[1]
+
+
+def prefix_targets(lang: LanguageSet, p: Ipomset) -> tuple[int, ...]:
+    """``p.target_events()`` of a prefix P, read from the index with no
+    sort.  Raises :class:`HdalibError` when P is no prefix of ``lang``."""
+    return _removal_row(lang, p)[0]
+
+
+def _removal_row(lang: LanguageSet, p: Ipomset) -> tuple:
     out = lang._index[1].get(p)
     if out is None:
         raise HdalibError(f"{p!r} is not a prefix")
@@ -232,9 +249,10 @@ def is_swap_invariant(lang: LanguageSet) -> SwapInvarianceResult:
     order in which the buckets are visited.
     """
     buckets: dict[tuple, dict[Quotient, list[Ipomset]]] = {}
-    for p in prefixes(lang):
-        key = (tuple(sorted(p.labels)), p.source_loset(), p.target_loset())
-        buckets.setdefault(key, {}).setdefault(prefix_quotient(lang, p), []).append(p)
+    quotients, rows = lang._index
+    for p, (tgt, _) in rows.items():
+        key = (tuple(sorted(p.labels)), p.source_loset(), tuple(p.labels[e] for e in tgt))
+        buckets.setdefault(key, {}).setdefault(quotients[p], []).append(p)
     bad = [
         (p, q)
         for groups in buckets.values()

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .hda import Cell, Hda, enumerate_language, essential_report, validate
+from .hda import Cell, Hda, essential_report, recognise_language, validate
 from .ipomset import (
     Ipomset,
     Loset,
     identity,
     sorted_ipomsets,
-    sparse_step_count,
+    sparse_steps,
     terminate_targets,
 )
 from .language import (
@@ -26,6 +26,7 @@ from .language import (
     class_key,
     prefix_quotient,
     prefix_removals,
+    prefix_targets,
     prefixes,
 )
 
@@ -76,14 +77,15 @@ def _entry(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, tgt, lower,
 
 
 def _key_of(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset) -> tuple:
-    """The memo entry of a prefix p, its removals read from the language's
-    index (:func:`prefix_removals`) when p is new.  These are module
+    """The memo entry of a prefix p, its target events and removals read
+    from the language's index (:func:`prefix_targets`,
+    :func:`prefix_removals`) when p is new.  These are module
     functions, not closures in :func:`build_mn`: a closure that calls
     itself is a reference cycle, which would keep the memo alive after the
     call until the cycle collector ran."""
     entry = memo.get(p)
     if entry is None:
-        tgt = p.target_events()
+        tgt = prefix_targets(lang, p)
         lower = prefix_removals(lang, p)
         ids = tuple(None if q is None else _key_of(lang, memo, key_ids, q)[0] for q in lower)
         entry = _entry(lang, memo, key_ids, p, tgt, lower, ids)
@@ -236,9 +238,18 @@ class MnReport:
 
 def verify_mn(lang: LanguageSet, mn: MnAutomaton) -> MnReport:
     """Round-trip checks: language equality at a sufficient bound, the
-    essential set against nonempty quotients, and HDA validity."""
-    bound = max(map(sparse_step_count, lang.members), default=0)
-    found = enumerate_language(mn.hda, bound)
+    essential set against nonempty quotients, and HDA validity.
+
+    The automaton's language within the longest member's number of sparse
+    steps comes from :func:`recognise_language`, keyed by each member's
+    sparse steps: an accepting path that reads a member is recognised by
+    its steps, and only a path that reads no member is folded, so that
+    ``extra`` names exactly what it folds to.  Sparse decompositions are
+    unique, so every accepting path of a correct automaton is found in the
+    table, and none is folded."""
+    known = {sparse_steps(m): m for m in lang.members}
+    bound = max((len(seq) - 1 for seq in known), default=0)
+    found = recognise_language(mn.hda, bound, known)
     missing = tuple(sorted_ipomsets(lang.members - found))
     extra = tuple(sorted_ipomsets(found - lang.members))
 

@@ -4,7 +4,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
 import random
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from conftest import (
     word,
 )
 from oracles import oracle_divisions, oracle_refinements, oracle_subsumes
-from random_gen import random_ipomset, random_language, random_word
+from random_gen import random_ipomset, random_language
 
 from hdalib.formats import parse_expr, parse_hda
 from hdalib.hda import (
@@ -32,7 +31,6 @@ from hdalib.hda import (
     member,
 )
 from hdalib.ipomset import (
-    EMPTY,
     STARTER,
     TERMINATOR,
     StarterTerminator,

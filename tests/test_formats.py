@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import n_shape, par, word
+from conftest import n_shape, word
 
 from hdalib.cli import main
 from hdalib.errors import AxiomViolation, HdalibError, MalformedInterval, ParseError
@@ -29,7 +29,6 @@ from hdalib.ipomset import (
     Ipomset,
     canonicalize,
     from_intervals,
-    sorted_ipomsets,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"

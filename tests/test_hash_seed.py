@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hdalib.hda import Cell, build_hda, validate
+from hdalib.hda import build_hda, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"

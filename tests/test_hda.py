@@ -21,7 +21,7 @@ from hdalib.errors import (
     FaceTypingError,
     InterfaceMismatch,
 )
-from hdalib.formats import parse_hda, parse_ipomset_text, parse_lang
+from hdalib.formats import parse_hda, parse_lang
 from hdalib.hda import (
     DOWN,
     LOWER,

@@ -41,7 +41,7 @@ from hdalib.ipomset import (
     rfin_events,
     sorted_ipomsets,
     sparse_decomposition,
-    sparse_step_count,
+    sparse_steps,
     starter,
     subsumes,
     subsumes_witness,
@@ -327,13 +327,25 @@ class TestSparseDecomposition:
             assert functools.reduce(glue, steps, identity(seq.initial_loset)) == p
 
 
-    def test_step_count_is_decomposition_length(self, small_corpus):
+    def test_plain_steps_fold_back(self, small_corpus):
+        # what verify_mn's table rests on: the apply_step fold of the plain
+        # steps, from the identity on the source loset, is p, as the fold
+        # of a path with those steps is
         rng = random.Random(3141)
         corpus = small_corpus + [random_ipomset(rng, max_events=7, steps=6) for _ in range(300)]
-        counts = {sparse_step_count(p) for p in corpus}
+        lengths = set()
         for p in corpus:
-            assert sparse_step_count(p) == len(sparse_decomposition(p).steps), p
-        assert len(corpus) == len(small_corpus) + 300 and len(counts) >= 6
+            initial, *steps = sparse_steps(p)
+            assert initial == p.source_loset()
+            out = identity(initial)
+            for kind, loset, positions in steps:
+                assert positions and isinstance(positions, frozenset)
+                out = apply_step(out, kind, loset, positions)
+            assert out == p
+            kinds = [kind for kind, _, _ in steps]
+            assert all(a != b for a, b in zip(kinds, kinds[1:])), p
+            lengths.add(len(steps))
+        assert len(corpus) == len(small_corpus) + 300 and len(lengths) >= 6
 
 
 class TestIntervals:
@@ -860,7 +872,9 @@ class TestTupleValues:
         # as source_events reads them
         removals: dict = {}
         values = [m, *itertools.chain.from_iterable(enumerate_divisions(m, removals))]
-        values += [r for row in removals.values() for r in row if r is not None]
+        for p, (tgt, row) in removals.items():
+            assert tgt == p.target_events() and len(row) == len(tgt)
+            values += [r for r in row if r is not None]
         values += [remove_targets(m, [e]) for e in rfin_events(m)]
         for p in values:
             assert _recanonicalized(p) == p

@@ -30,6 +30,7 @@ from hdalib.language import (
     language,
     prefix_quotient,
     prefix_removals,
+    prefix_targets,
     prefixes,
     strong_equiv,
     suffix_quotient,
@@ -156,6 +157,18 @@ class TestQuotients:
         gc.collect()
         assert ref() is None
 
+    def test_equal_quotients_are_one_object(self):
+        values = pres = 0
+        for seed in range(20):
+            lang = random_language(random.Random(seed))
+            shared: dict = {}
+            for p in prefixes(lang):
+                q = prefix_quotient(lang, p)
+                assert shared.setdefault(q, q) is q
+            values += len(shared)
+            pres += len(prefixes(lang))
+        assert values < pres
+
     def test_division_quotient_equals_definitional(self, table_lang):
         # glue each candidate back and test membership directly
         candidates = {q for m in table_lang.members for _, q in enumerate_divisions(m)}
@@ -189,6 +202,7 @@ class TestPrefixRemovals:
             for p in pres:
                 want = tuple(None if e in p.source else real(p, [e]) for e in p.target_events())
                 assert prefix_removals(lang, p) == want
+                assert prefix_targets(lang, p) == p.target_events()
                 removed += sum(q is not None for q in want)
             assert len(closed) <= removed
             fallbacks += len(closed)
@@ -198,6 +212,8 @@ class TestPrefixRemovals:
     def test_only_prefixes_have_removals(self, table_lang):
         with pytest.raises(HdalibError, match="is not a prefix"):
             prefix_removals(table_lang, word("cc"))
+        with pytest.raises(HdalibError, match="is not a prefix"):
+            prefix_targets(table_lang, word("cc"))
         assert prefix_removals(table_lang, word("ab", tgt=[1])) == (word("a"),)
         assert prefix_removals(table_lang, EMPTY) == ()
 

@@ -10,6 +10,7 @@ from conftest import par, word
 from oracles import oracle_refinements, oracle_strong_equiv
 from random_gen import random_language
 
+from hdalib import hda as hda_mod
 from hdalib import ipomset as ipomset_mod
 from hdalib import language as language_mod
 from hdalib import myhill_nerode as mn_mod
@@ -33,6 +34,7 @@ from hdalib.ipomset import (
     identity,
     remove_targets,
     sorted_ipomsets,
+    sparse_decomposition,
 )
 from hdalib.language import (
     LanguageSet,
@@ -459,6 +461,43 @@ class TestVerify:
         rep = verify_mn(table_lang, broken)
         assert not rep.ok
         assert rep.missing
+
+    def test_correct_automata_fold_no_path(self, table_lang, monkeypatch):
+        # every accepting path of a correct automaton reads a member's
+        # sparse steps, so verify_mn recognises it and folds none
+        def forbidden(*args):
+            raise AssertionError("path folded")
+
+        langs = _data_and_random_languages() + [table_lang]
+        built = [(lang, build_mn(lang)) for lang in langs]
+        monkeypatch.setattr(hda_mod, "apply_step", forbidden)
+        for lang, mn in built:
+            assert verify_mn(lang, mn).ok
+
+    def test_wrong_automata_report_exact_differences(self, table_lang):
+        # paths outside the table are folded, so missing and extra are
+        # exactly the differences with the enumerated language
+        extras = missing = 0
+        for lang in _data_and_random_languages()[:12] + [table_lang]:
+            mn = build_mn(lang)
+            bound = max(len(sparse_decomposition(m).steps) for m in lang.members)
+            outside = sorted(
+                cid
+                for cid, c in mn.cells.items()
+                if c.kind == REGULAR and c.representative not in lang.members
+            )
+            wrong = [mn.hda.accept - {min(mn.hda.accept)}]
+            wrong += [mn.hda.accept | {cid} for cid in outside[:2]]
+            for accept in wrong:
+                broken = replace(mn, hda=replace(mn.hda, accept=accept))
+                rep = verify_mn(lang, broken)
+                found = enumerate_language(broken.hda, bound)
+                assert rep.missing == tuple(sorted_ipomsets(lang.members - found))
+                assert rep.extra == tuple(sorted_ipomsets(found - lang.members))
+                assert rep.language_ok == (not rep.missing and not rep.extra)
+                extras += bool(rep.extra)
+                missing += bool(rep.missing)
+        assert extras >= 10 and missing >= 10
 
     def test_member_paths_exist_per_division(self, table_lang, table_mn):
         # every split M = N*P gives a path from [N] to [N*P] labelled P

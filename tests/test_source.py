@@ -178,3 +178,28 @@ def test_every_exported_function_has_a_user():
     users = [SRC / "cli.py", *SCRIPTS, *PERFBENCH, ACCEPTANCE]
     used = set().union(*map(_references, users))
     assert exported and not exported - used, sorted(exported - used)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never refers to, with their lines."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    modules = [
+        path
+        for folder in (SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+        if path != SRC / "__init__.py"
+    ]
+    found = [hit for path in modules for hit in _unused_imports(path)]
+    assert len(modules) > 20 and not found, found
