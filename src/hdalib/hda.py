@@ -7,11 +7,12 @@ the composite lower face δ⁰_A of y, and all of them read one step index
 per automaton, built once its faces type-check.  Reachability, the
 essential cells and membership are one breadth-first search (:func:`_bfs`),
 over cells or over states (step, cell); path enumeration walks depth first
-on a stack of its own (:func:`_walk`), so no search here recurses.  The
-walk folds each accepting path into its event ipomset for
-:func:`enumerate_language`; :func:`recognise_language` runs the same walk
-with a table from sparse step sequences to ipomsets, and folds only the
-paths whose steps it does not find there.
+on a stack of its own (:func:`_walk`), so no search here recurses.  A
+path step reads one starter or terminator (:func:`_reading`), so a path
+reads a :class:`StepSequence`, and its event ipomset is the fold of what
+it reads.  :func:`enumerate_language` folds each accepting path, or, given
+a table from step sequences to ipomsets, looks up what the path reads and
+folds only the paths it does not find there.
 
 Each automaton keeps what these derive from it alone, computed on first
 use: its face-typing problems, its step index, the search back from its
@@ -33,6 +34,8 @@ from .ipomset import (
     Loset,
     STARTER,
     TERMINATOR,
+    StarterTerminator,
+    StepSequence,
     apply_step,
     identity,
     sparse_decomposition,
@@ -98,11 +101,14 @@ class Hda:
         return _StepIndex(up=up, down=down, back=back)
 
     @cached_property
-    def _to_accept(self) -> dict[str, Optional[str]]:
+    def _to_accept(self) -> dict[str, int]:
         """The breadth-first search back from the accept cells: every cell
-        with a route to one, in the order found, mapped to the next cell on
-        a shortest route (``None`` for an accept cell)."""
-        return _bfs(self.accept, self._index.back.__getitem__)
+        with a route to one, in the order found, mapped to the fewest up or
+        down steps to one."""
+        dist: dict[str, int] = {}
+        for cell, prev in _bfs(self.accept, self._index.back.__getitem__).items():
+            dist[cell] = 0 if prev is None else dist[prev] + 1  # prev came first
+        return dist
 
     @cached_property
     def _essential(self) -> EssentialReport:
@@ -249,7 +255,7 @@ def check_path(x: Hda, path: Path) -> None:
 
 def ev_of_path(x: Hda, path: Path) -> Ipomset:
     """The event ipomset of a path: the identity on its first cell, folded
-    with one starter or terminator per step (:func:`_ev_step`)."""
+    with the starter or terminator each step reads (:func:`_ev_step`)."""
     out = identity(x.cells[path.cells[0]].ev)
     for k, st in enumerate(path.steps):
         out = _ev_step(x, out, path.cells[k], path.cells[k + 1], st)
@@ -258,11 +264,18 @@ def ev_of_path(x: Hda, path: Path) -> Ipomset:
 
 def _ev_step(x: Hda, out: Ipomset, before: str, after: str, st: PathStep) -> Ipomset:
     """The event ipomset ``out`` of a path followed by the step ``st`` from
-    ``before`` to ``after``: ``out`` glued with the starter on ``after`` or
-    the terminator on ``before``, by :func:`apply_step`."""
+    ``before`` to ``after``: ``out`` glued with what the step reads, by
+    :func:`apply_step`."""
+    return apply_step(out, *_reading(x, before, after, st))
+
+
+def _reading(x: Hda, before: str, after: str, st: PathStep) -> StarterTerminator:
+    """The step that the path step ``st`` from ``before`` to ``after``
+    reads: the starter on ``after``'s loset for an up step, the terminator
+    on ``before``'s for a down step, at the positions of ``st``."""
     if st.kind == UP:
-        return apply_step(out, STARTER, x.cells[after].ev, st.positions)
-    return apply_step(out, TERMINATOR, x.cells[before].ev, st.positions)
+        return StarterTerminator(STARTER, x.cells[after].ev, st.positions)
+    return StarterTerminator(TERMINATOR, x.cells[before].ev, st.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +306,6 @@ def _bfs(roots: Iterable[N], nexts: Callable[[N], Iterable[N]]) -> dict[N, Optio
                 found[n] = node
                 frontier.append(n)
     return found
-
-
-def _steps_to_accept(x: Hda) -> dict[str, int]:
-    """Fewest up or down steps from each cell to an accept cell; cells with
-    no such route are absent."""
-    dist: dict[str, int] = {}
-    for cell, prev in x._to_accept.items():
-        dist[cell] = 0 if prev is None else dist[prev] + 1  # prev came first
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -358,39 +362,26 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
     return out
 
 
-def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
-    """Event ipomsets of all sparse accepting paths within the bound."""
-    out: set[Ipomset] = set()
-    _walk(x, max_steps, lambda _cells, _steps, ev: out.add(ev()))
-    return frozenset(out)
-
-
-def recognise_language(
-    x: Hda, max_steps: int, known: dict[tuple, Ipomset]
+def enumerate_language(
+    x: Hda, max_steps: int, known: Optional[dict[StepSequence, Ipomset]] = None
 ) -> frozenset[Ipomset]:
-    """:func:`enumerate_language`, with a path's event ipomset read from
-    ``known`` when the path's step sequence is a key there, and folded
-    only when it is not.
+    """Event ipomsets of all sparse accepting paths within the bound.
 
-    A path's step sequence has the shape of :func:`sparse_steps`: its first
-    cell's loset, then ``(STARTER, loset of the cell after, positions)``
-    for an up step and ``(TERMINATOR, loset of the cell before,
-    positions)`` for a down step.  Those are the arguments of the path's
-    fold (:func:`ev_of_path`), which is :meth:`StepSequence.compose`'s
-    :func:`apply_step` fold.  So when ``known`` maps the sparse steps of
-    each of its ipomsets to that ipomset, a path found there folds to the
-    value found: the result is exact whatever ``known`` holds."""
-    cells_of = x.cells
+    With ``known``, a path takes the value that ``known`` maps its reading
+    to, the :class:`StepSequence` of its first cell's loset and the steps
+    it reads (:func:`_reading`), and is folded only when its reading is
+    not a key there.  Its fold (:func:`ev_of_path`) is the reading's
+    :meth:`StepSequence.compose`, so when ``known`` maps the
+    :func:`sparse_decomposition` of each of its ipomsets to that ipomset,
+    a path found there folds to the value found: the result is exact
+    whatever ``known`` holds."""
     out: set[Ipomset] = set()
 
     def visit(cells: tuple[str, ...], steps: tuple[PathStep, ...], ev: Callable[[], Ipomset]):
-        seq = (cells_of[cells[0]].ev,) + tuple(
-            (STARTER, cells_of[cells[k + 1]].ev, st.positions)
-            if st.kind == UP
-            else (TERMINATOR, cells_of[cells[k]].ev, st.positions)
-            for k, st in enumerate(steps)
-        )
-        found = known.get(seq)
+        found = None
+        if known is not None:
+            reading = tuple(_reading(x, cells[k], cells[k + 1], st) for k, st in enumerate(steps))
+            found = known.get(StepSequence(x.cells[cells[0]].ev, reading))
         out.add(ev() if found is None else found)
 
     _walk(x, max_steps, visit)
@@ -416,7 +407,7 @@ def _walk(
     folded at all.
     """
     idx = x._index
-    dist = _steps_to_accept(x)
+    dist = x._to_accept
     evs: list[Ipomset] = []  # evs[k]: event ipomset of the first k steps
 
     def ev(cells: tuple[str, ...], steps: tuple[PathStep, ...]) -> Ipomset:

@@ -99,20 +99,16 @@ class Ipomset(NamedTuple):
         return ipomset_to_text(self)
 
 
-@dataclass(frozen=True)
-class StarterTerminator:
+class StarterTerminator(NamedTuple):
     """A discrete step: start (U↑A) or terminate (U↓A) the events at the
-    positions ``active`` of the loset ``loset``."""
+    positions ``active`` of the loset ``loset``.  A named tuple, so it
+    equals and hashes as the plain tuple ``(kind, loset, active)``.  It is
+    not checked here: :func:`apply_step`, which every fold of steps goes
+    through, rejects a bad kind and positions out of range."""
 
     kind: str  # STARTER or TERMINATOR
     loset: Loset
     active: frozenset[int]
-
-    def __post_init__(self):
-        if self.kind not in (STARTER, TERMINATOR):
-            raise ValueError(f"bad step kind {self.kind!r}")
-        if not all(0 <= i < len(self.loset) for i in self.active):
-            raise ValueError("active positions out of range")
 
     def __repr__(self) -> str:
         arrow = "↑" if self.kind == STARTER else "↓"
@@ -124,8 +120,7 @@ class StarterTerminator:
         )
 
 
-@dataclass(frozen=True)
-class StepSequence:
+class StepSequence(NamedTuple):
     """A step decomposition: an initial loset followed by composable steps."""
 
     initial_loset: Loset
@@ -140,7 +135,7 @@ class StepSequence:
         """Fold the steps back together (round-trip check for decompose)."""
         out = identity(self.initial_loset)
         for step in self.steps:
-            out = apply_step(out, step.kind, step.loset, step.active)
+            out = apply_step(out, *step)
         return out
 
 
@@ -557,12 +552,10 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
 # sparse step decomposition
 
 
-def sparse_steps(p: Ipomset) -> tuple:
-    """The unique alternating starter/terminator decomposition of p as
-    plain tuples: p's source loset, then ``(kind, loset, positions)`` for
-    each step, with ``positions`` a frozenset.  Equal ipomsets give equal
-    tuples, and folding the steps with :func:`apply_step` from the
-    identity on the source loset gives p back.
+def sparse_decomposition(p: Ipomset) -> StepSequence:
+    """The unique alternating starter/terminator decomposition of p.
+    Equal ipomsets give equal sequences, and :meth:`StepSequence.compose`
+    gives p back.
 
     One walk over the moments, in temporal order: a moment that ends
     events of the one before (the source interface before the first)
@@ -572,29 +565,22 @@ def sparse_steps(p: Ipomset) -> tuple:
     n, labels = p.n, p.labels
     prev = p.source_events()
     prev_mask = _mask(n, p.source)
-    prev_loset = labels[: len(prev)]
-    out: list = [prev_loset]
+    prev_loset = initial = labels[: len(prev)]
+    steps: list[StarterTerminator] = []
     for ant in moments(_transpose(p.prec)):
         cur = _loset_sort(p.evord, ant)
         loset = tuple(labels[e] for e in cur)
         if prev_mask & ~ant:
             gone = frozenset(i for i, e in enumerate(prev) if not ant >> (n - 1 - e) & 1)
-            out.append((TERMINATOR, prev_loset, gone))
+            steps.append(StarterTerminator(TERMINATOR, prev_loset, gone))
         if ant & ~prev_mask:
             new = frozenset(i for i, e in enumerate(cur) if not prev_mask >> (n - 1 - e) & 1)
-            out.append((STARTER, loset, new))
+            steps.append(StarterTerminator(STARTER, loset, new))
         prev, prev_mask, prev_loset = cur, ant, loset
     if prev_mask & ~_mask(n, p.target):
         tail = frozenset(i for i, e in enumerate(prev) if e not in p.target)
-        out.append((TERMINATOR, prev_loset, tail))
-    return tuple(out)
-
-
-def sparse_decomposition(p: Ipomset) -> StepSequence:
-    """The unique alternating starter/terminator decomposition of p
-    (:func:`sparse_steps`) as a :class:`StepSequence`."""
-    initial, *steps = sparse_steps(p)
-    return StepSequence(initial, tuple(StarterTerminator(*step) for step in steps))
+        steps.append(StarterTerminator(TERMINATOR, prev_loset, tail))
+    return StepSequence(initial, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Prefix quotients are computed once per language by enumerating all
 divisions of all members; the resulting index answers every prefix query,
 which keeps the Myhill-Nerode construction cheap.  The same pass also
-records each prefix's target events, in event order, and its one-target
-removals P−{e}, which the construction keys its classes by.
+records each prefix's row: its target events, in event order, and its
+one-target removals P−{e}, which the construction keys its classes by.
+:func:`prefix_row` reads that row.
 """
 
 from __future__ import annotations
@@ -119,21 +120,14 @@ def prefix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
     return lang._index[0].get(p, EMPTY_QUOTIENT)
 
 
-def prefix_removals(lang: LanguageSet, p: Ipomset) -> tuple[Optional[Ipomset], ...]:
-    """The one-target removals of a prefix P, as :func:`remove_targets`
-    gives them: P−{e} for each target event e of P, in event order, and
-    ``None`` where e is a source.  Raises :class:`HdalibError` when P is no
-    prefix of ``lang``."""
-    return _removal_row(lang, p)[1]
-
-
-def prefix_targets(lang: LanguageSet, p: Ipomset) -> tuple[int, ...]:
-    """``p.target_events()`` of a prefix P, read from the index with no
-    sort.  Raises :class:`HdalibError` when P is no prefix of ``lang``."""
-    return _removal_row(lang, p)[0]
-
-
-def _removal_row(lang: LanguageSet, p: Ipomset) -> tuple:
+def prefix_row(
+    lang: LanguageSet, p: Ipomset
+) -> tuple[tuple[int, ...], tuple[Optional[Ipomset], ...]]:
+    """The index row of a prefix P: ``p.target_events()``, read with no
+    sort, and the one-target removals of P, as :func:`remove_targets`
+    gives them: P−{e} for each of those target events e, in that order,
+    and ``None`` where e is a source.  Raises :class:`HdalibError` when P
+    is no prefix of ``lang``."""
     out = lang._index[1].get(p)
     if out is None:
         raise HdalibError(f"{p!r} is not a prefix")

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .hda import Cell, Hda, essential_report, recognise_language, validate
+from .hda import Cell, Hda, enumerate_language, essential_report, validate
 from .ipomset import (
     Ipomset,
     Loset,
     identity,
     sorted_ipomsets,
-    sparse_steps,
+    sparse_decomposition,
     terminate_targets,
 )
 from .language import (
@@ -25,8 +25,7 @@ from .language import (
     check_down_closed,
     class_key,
     prefix_quotient,
-    prefix_removals,
-    prefix_targets,
+    prefix_row,
     prefixes,
 )
 
@@ -78,15 +77,13 @@ def _entry(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, tgt, lower,
 
 def _key_of(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset) -> tuple:
     """The memo entry of a prefix p, its target events and removals read
-    from the language's index (:func:`prefix_targets`,
-    :func:`prefix_removals`) when p is new.  These are module
-    functions, not closures in :func:`build_mn`: a closure that calls
-    itself is a reference cycle, which would keep the memo alive after the
-    call until the cycle collector ran."""
+    from the language's index (:func:`prefix_row`) when p is new.  These
+    are module functions, not closures in :func:`build_mn`: a closure that
+    calls itself is a reference cycle, which would keep the memo alive
+    after the call until the cycle collector ran."""
     entry = memo.get(p)
     if entry is None:
-        tgt = prefix_targets(lang, p)
-        lower = prefix_removals(lang, p)
+        tgt, lower = prefix_row(lang, p)
         ids = tuple(None if q is None else _key_of(lang, memo, key_ids, q)[0] for q in lower)
         entry = _entry(lang, memo, key_ids, p, tgt, lower, ids)
     return entry
@@ -142,7 +139,7 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
 
     Nothing is restricted here.  Every ipomset keyed by removal is a
     prefix, whose removals the division index already holds
-    (:func:`prefix_removals`): the prefixes themselves, the identities on
+    (:func:`prefix_row`): the prefixes themselves, the identities on
     member sources, the members, and the removals of prefixes.  A removal
     of a prefix is a prefix: when P*Q = M, (P−f)*Q' refines M, where Q' is
     Q with f taken out of its source.  An upper face P↓e takes its
@@ -241,15 +238,15 @@ def verify_mn(lang: LanguageSet, mn: MnAutomaton) -> MnReport:
     essential set against nonempty quotients, and HDA validity.
 
     The automaton's language within the longest member's number of sparse
-    steps comes from :func:`recognise_language`, keyed by each member's
-    sparse steps: an accepting path that reads a member is recognised by
-    its steps, and only a path that reads no member is folded, so that
-    ``extra`` names exactly what it folds to.  Sparse decompositions are
-    unique, so every accepting path of a correct automaton is found in the
-    table, and none is folded."""
-    known = {sparse_steps(m): m for m in lang.members}
-    bound = max((len(seq) - 1 for seq in known), default=0)
-    found = recognise_language(mn.hda, bound, known)
+    steps comes from :func:`enumerate_language`, given each member keyed by
+    its :func:`sparse_decomposition`: an accepting path that reads a
+    member is recognised by its reading, and only a path that reads no
+    member is folded, so that ``extra`` names exactly what it folds to.
+    Sparse decompositions are unique, so every accepting path of a correct
+    automaton is found in the table, and none is folded."""
+    known = {sparse_decomposition(m): m for m in lang.members}
+    bound = max((len(seq.steps) for seq in known), default=0)
+    found = enumerate_language(mn.hda, bound, known)
     missing = tuple(sorted_ipomsets(lang.members - found))
     extra = tuple(sorted_ipomsets(found - lang.members))
 

@@ -41,7 +41,6 @@ from hdalib.ipomset import (
     rfin_events,
     sorted_ipomsets,
     sparse_decomposition,
-    sparse_steps,
     starter,
     subsumes,
     subsumes_witness,
@@ -326,16 +325,26 @@ class TestSparseDecomposition:
             )
             assert functools.reduce(glue, steps, identity(seq.initial_loset)) == p
 
+    def test_steps_are_plain_tuples(self):
+        # a step equals and hashes as (kind, loset, active), so a path's
+        # reading finds a decomposition in a table keyed by either
+        plain = (STARTER, ("a", "b"), frozenset({0}))
+        step = StarterTerminator(*plain)
+        assert step == plain and hash(step) == hash(plain)
+        assert {plain: 1}[step] == 1 and repr(step) == "(a'b)↑a"
+        seq = sparse_decomposition(n_shape())
+        assert seq == (("b",), tuple(tuple(s) for s in seq.steps))
+        assert hash(seq) == hash((("b",), tuple(tuple(s) for s in seq.steps)))
 
     def test_plain_steps_fold_back(self, small_corpus):
-        # what verify_mn's table rests on: the apply_step fold of the plain
+        # what verify_mn's table rests on: the apply_step fold of the
         # steps, from the identity on the source loset, is p, as the fold
         # of a path with those steps is
         rng = random.Random(3141)
         corpus = small_corpus + [random_ipomset(rng, max_events=7, steps=6) for _ in range(300)]
         lengths = set()
         for p in corpus:
-            initial, *steps = sparse_steps(p)
+            initial, steps = sparse_decomposition(p)
             assert initial == p.source_loset()
             out = identity(initial)
             for kind, loset, positions in steps:

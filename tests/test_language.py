@@ -29,8 +29,7 @@ from hdalib.language import (
     is_swap_invariant,
     language,
     prefix_quotient,
-    prefix_removals,
-    prefix_targets,
+    prefix_row,
     prefixes,
     strong_equiv,
     suffix_quotient,
@@ -201,8 +200,7 @@ class TestPrefixRemovals:
             removed = 0
             for p in pres:
                 want = tuple(None if e in p.source else real(p, [e]) for e in p.target_events())
-                assert prefix_removals(lang, p) == want
-                assert prefix_targets(lang, p) == p.target_events()
+                assert prefix_row(lang, p) == (p.target_events(), want)
                 removed += sum(q is not None for q in want)
             assert len(closed) <= removed
             fallbacks += len(closed)
@@ -211,11 +209,9 @@ class TestPrefixRemovals:
 
     def test_only_prefixes_have_removals(self, table_lang):
         with pytest.raises(HdalibError, match="is not a prefix"):
-            prefix_removals(table_lang, word("cc"))
-        with pytest.raises(HdalibError, match="is not a prefix"):
-            prefix_targets(table_lang, word("cc"))
-        assert prefix_removals(table_lang, word("ab", tgt=[1])) == (word("a"),)
-        assert prefix_removals(table_lang, EMPTY) == ()
+            prefix_row(table_lang, word("cc"))
+        assert prefix_row(table_lang, word("ab", tgt=[1])) == ((1,), (word("a"),))
+        assert prefix_row(table_lang, EMPTY) == ((), ())
 
 
 class TestQuotientFamilies:

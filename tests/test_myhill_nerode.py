@@ -17,9 +17,11 @@ from hdalib import myhill_nerode as mn_mod
 from hdalib.errors import NotDownClosed
 from hdalib.formats import hda_to_text, parse_expr, parse_hda, parse_lang
 from hdalib.hda import (
+    accepting_paths,
     build_hda,
     enumerate_language,
     essential_report,
+    ev_of_path,
     is_deterministic,
     member,
     validate,
@@ -355,17 +357,24 @@ class TestClassKeyCells:
         assert built[0] == build_mn(built[0].lang)
 
     def test_build_makes_no_step_call(self, monkeypatch):
-        # upper faces drop a target, and verify_mn's bound counts steps
+        # upper faces drop a target with no step glued, and no class is
+        # keyed by a decomposition; verify_mn decomposes the members
         def forbidden(*args):
             raise AssertionError("step built")
 
         langs = _data_and_random_languages()
         with monkeypatch.context() as patch:
-            for mod in (ipomset_mod, mn_mod):
-                for name in ("apply_step", "sparse_decomposition"):
-                    patch.setattr(mod, name, forbidden, raising=False)
-            for lang in langs:
-                assert verify_mn(lang, build_mn(lang)).ok
+            for mod, name in (
+                (ipomset_mod, "apply_step"),
+                (ipomset_mod, "sparse_decomposition"),
+                (hda_mod, "apply_step"),
+                (hda_mod, "sparse_decomposition"),
+                (mn_mod, "sparse_decomposition"),
+            ):
+                patch.setattr(mod, name, forbidden)
+            built = [(lang, build_mn(lang)) for lang in langs]
+        for lang, mn in built:
+            assert verify_mn(lang, mn).ok
 
     def test_build_makes_no_removal_call(self, monkeypatch):
         # keys read their removals from the division index; an upper face
@@ -462,9 +471,27 @@ class TestVerify:
         assert not rep.ok
         assert rep.missing
 
+    def test_paths_read_their_decomposition(self):
+        # what verify_mn's table rests on: sparse decompositions are unique,
+        # so a sparse accepting path reads exactly the decomposition of its
+        # event ipomset
+        hdas = [parse_hda(path.read_text()) for path in sorted(DATA.glob("*.hda"))]
+        hdas += [build_mn(lang).hda for lang in _data_and_random_languages()]
+        paths = 0
+        for x in hdas:
+            for path in accepting_paths(x, 8):
+                reading = tuple(
+                    hda_mod._reading(x, path.cells[k], path.cells[k + 1], st)
+                    for k, st in enumerate(path.steps)
+                )
+                seq = sparse_decomposition(ev_of_path(x, path))
+                assert (x.cells[path.cells[0]].ev, reading) == seq, path
+                paths += 1
+        assert len(hdas) == 26 and paths >= 200
+
     def test_correct_automata_fold_no_path(self, table_lang, monkeypatch):
         # every accepting path of a correct automaton reads a member's
-        # sparse steps, so verify_mn recognises it and folds none
+        # sparse decomposition, so verify_mn recognises it and folds none
         def forbidden(*args):
             raise AssertionError("path folded")
 

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -178,6 +179,58 @@ def test_every_exported_function_has_a_user():
     users = [SRC / "cli.py", *SCRIPTS, *PERFBENCH, ACCEPTANCE]
     used = set().union(*map(_references, users))
     assert exported and not exported - used, sorted(exported - used)
+
+
+def _submodule(module: str, name: str):
+    """``module.name`` when that names a submodule, else ``None``."""
+    full = f"{module}.{name}"
+    package = hasattr(importlib.import_module(module), "__path__")
+    return full if package and importlib.util.find_spec(full) is not None else None
+
+
+def _hdalib_reach(path: Path) -> list[tuple[str, str]]:
+    """The (module, name) pairs of hdalib that a benchmark file reaches:
+    names it imports from hdalib, attributes it reads off an hdalib module
+    it imports, and the tracer's ``TARGETS``, which it looks up only when
+    it runs."""
+    tree = ast.parse(path.read_text(), str(path))
+    reached, modules = [], {}  # modules: local name -> hdalib module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hdalib":
+            for a in node.names:
+                reached.append((node.module, a.name))
+                sub = _submodule(node.module, a.name)
+                if sub:
+                    modules[a.asname or a.name] = sub
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "TARGETS" for t in node.targets
+        ):
+            targets = ast.literal_eval(node.value)
+            reached += [(f"hdalib.{m}", name) for m, names in targets.items() for name in names]
+    reached += [
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    return reached
+
+
+def test_benchmark_reaches_only_names_that_exist():
+    # the benchmark stays fixed while the library changes, so that runs
+    # before and after a change compare, and the tracer looks its targets
+    # up only when it runs: a library name the benchmark reaches that is
+    # deleted or renamed must fail here, not in a benchmark run
+    reached = [pair for path in PERFBENCH for pair in _hdalib_reach(path)]
+    missing = sorted(
+        f"{m}.{name}"
+        for m, name in reached
+        if not hasattr(importlib.import_module(m), name) and not _submodule(m, name)
+    )
+    modules = {m for m, _ in reached}
+    assert {"hdalib.hda", "hdalib.ipomset", "hdalib.myhill_nerode"} <= modules
+    assert len(reached) > 40 and not missing, missing
 
 
 def _unused_imports(path: Path) -> list[str]:
