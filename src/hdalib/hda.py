@@ -4,21 +4,22 @@ Cells carry a loset of active events; only singleton face maps are stored,
 composites are derived (the precubical identities make that lossless).
 Searches treat an upstep into a cell y at positions A as the inverse of
 the composite lower face δ⁰_A of y, and all of them read one step index
-per automaton, built once its faces type-check.  Reachability, the
-essential cells and membership are one breadth-first search (:func:`_bfs`),
-over cells or over states (step, cell); path enumeration walks depth first
-on a stack of its own (:func:`_walk`), so no search here recurses.  A
-path step reads one starter or terminator (:func:`_reading`), so a path
-reads a :class:`StepSequence`, and its event ipomset is the fold of what
-it reads.  :func:`enumerate_language` folds each accepting path, or, given
-a table from step sequences to ipomsets, looks up what the path reads and
-folds only the paths it does not find there.
+per automaton, built once its faces type-check.  A path step reads one
+starter or terminator (:func:`_reading`), so a path reads a
+:class:`StepSequence`, and its event ipomset is the fold of what it reads.
+
+Reachability, the essential cells, membership and the comparison with a
+finite language are breadth-first searches (:func:`_bfs`).  The last two
+are one walk (:func:`_trie_walk`) of the sparse paths against the trie of
+the sparse decompositions asked about, with no path bound.
+:func:`enumerate_language` folds each accepting path within a bound,
+depth first on a stack (:func:`_walk`).  No search here recurses.
 
 Each automaton keeps what these derive from it alone, computed on first
 use: its face-typing problems, its step index, the search back from its
 accept cells and its :class:`EssentialReport`.  So validation, the
-determinism check, the essential cells and path enumeration on one
-automaton type its faces once and search back from its accept cells once.
+determinism check, the essential cells and the searches on one automaton
+type its faces once and search back from its accept cells once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import FaceTypingError
 from .ipomset import (
@@ -84,20 +85,23 @@ class Hda:
         composite face meets a missing or mistyped cell."""
         if self._problems:
             raise FaceTypingError(self._problems[0])
-        up: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in self.cells}
-        down: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in self.cells}
+        up: dict[str, list[tuple[str, PathStep]]] = {c: [] for c in self.cells}
+        down: dict[str, list[tuple[str, PathStep]]] = {c: [] for c in self.cells}
         back: dict[str, list[str]] = {c: [] for c in self.cells}
+        steps: dict[int, list] = {}  # per dimension: the steps over each set of positions
         for c in self.cells.values():
-            for r in range(1, c.dim + 1):
-                for combo in itertools.combinations(range(c.dim), r):
-                    lo = hi = c.name
-                    for p in reversed(combo):  # as composite_face: highest first
-                        lo, hi = self.cells[lo].lower[p], self.cells[hi].upper[p]
-                    a = frozenset(combo)
-                    up[lo].append((c.name, a))
-                    down[c.name].append((hi, a))
-                    back[c.name].append(lo)
-                    back[hi].append(c.name)
+            if c.dim not in steps:  # each set of positions, highest first as in composite_face
+                n = range(c.dim)
+                sets = [frozenset(k) for r in n for k in itertools.combinations(n, r + 1)]
+                steps[c.dim] = [(sorted(a)[::-1], PathStep(UP, a), PathStep(DOWN, a)) for a in sets]
+            for positions, to_up, to_down in steps[c.dim]:
+                lo = hi = c.name
+                for p in positions:
+                    lo, hi = self.cells[lo].lower[p], self.cells[hi].upper[p]
+                up[lo].append((c.name, to_up))
+                down[c.name].append((hi, to_down))
+                back[c.name].append(lo)
+                back[hi].append(c.name)
         return _StepIndex(up=up, down=down, back=back)
 
     @cached_property
@@ -125,9 +129,13 @@ class Hda:
 
 @dataclass(frozen=True)
 class _StepIndex:
-    up: dict[str, list[tuple[str, frozenset[int]]]]  # x -> (y, A) with δ⁰_A(y) = x
-    down: dict[str, list[tuple[str, frozenset[int]]]]  # x -> (δ¹_A(x), A)
+    up: dict[str, list[tuple[str, PathStep]]]  # x -> (y, ↗A) with δ⁰_A(y) = x
+    down: dict[str, list[tuple[str, PathStep]]]  # x -> (δ¹_A(x), ↘A)
     back: dict[str, list[str]]  # y -> every x one up or down step before y
+
+    def after(self, cell: str, kind: Optional[str]) -> list[tuple[str, PathStep]]:
+        """The steps from ``cell`` that a sparse path takes after one of ``kind``."""
+        return (self.up[cell] if kind != UP else []) + (self.down[cell] if kind != DOWN else [])
 
 
 def build_hda(
@@ -216,8 +224,7 @@ def composite_face(x: Hda, name: str, kind: int, positions: Iterable[int]) -> st
 # paths
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     kind: str  # UP or DOWN
     positions: frozenset[int]
 
@@ -255,18 +262,12 @@ def check_path(x: Hda, path: Path) -> None:
 
 def ev_of_path(x: Hda, path: Path) -> Ipomset:
     """The event ipomset of a path: the identity on its first cell, folded
-    with the starter or terminator each step reads (:func:`_ev_step`)."""
+    with the starter or terminator each step reads (:func:`_reading`), by
+    :func:`apply_step`."""
     out = identity(x.cells[path.cells[0]].ev)
     for k, st in enumerate(path.steps):
-        out = _ev_step(x, out, path.cells[k], path.cells[k + 1], st)
+        out = apply_step(out, *_reading(x, path.cells[k], path.cells[k + 1], st))
     return out
-
-
-def _ev_step(x: Hda, out: Ipomset, before: str, after: str, st: PathStep) -> Ipomset:
-    """The event ipomset ``out`` of a path followed by the step ``st`` from
-    ``before`` to ``after``: ``out`` glued with what the step reads, by
-    :func:`apply_step`."""
-    return apply_step(out, *_reading(x, before, after, st))
 
 
 def _reading(x: Hda, before: str, after: str, st: PathStep) -> StarterTerminator:
@@ -312,95 +313,99 @@ def _bfs(roots: Iterable[N], nexts: Callable[[N], Iterable[N]]) -> dict[N, Optio
 # membership and language enumeration
 
 
-def member(x: Hda, p: Ipomset) -> Optional[Path]:
-    """An accepting path with event ipomset p, if any.
-
-    Searches states (k, cell), a cell reached by the first k steps of the
-    sparse decomposition of p, breadth first over the step index; the
-    witness ends at the first state (all steps, accept cell) found.
-    """
-    seq = sparse_decomposition(p)
-    steps = seq.steps
+def _trie_walk(x: Hda, seqs: Iterable[StepSequence], beyond: bool = False) -> tuple:
+    """Walk the sparse paths of x against the trie of ``seqs`` (small int
+    nodes, a root per initial loset).  A state (node, cell, step taken) is
+    a path to the cell that reads the steps from a root to the node.  A
+    step unlike the last goes to the child of the node that its reading
+    (:func:`_reading`) names.  Node ``None`` is off the trie, where a start
+    cell whose loset starts no sequence begins.  With ``beyond``, a step
+    whose reading names no child goes there too, as does every step on
+    from there, when it enters a cell with a route to an accept cell
+    (:attr:`Hda._to_accept`); without it, no such step is taken.  Returns
+    the :func:`_bfs` result from the start cells and the node each
+    sequence ends at."""
+    roots: dict[Loset, int] = {}
+    kids: dict[tuple[int, StarterTerminator], int] = {}
+    leaves = []
+    for seq in seqs:
+        node = roots.setdefault(seq.initial_loset, len(roots) + len(kids))
+        for st in seq.steps:
+            node = kids.setdefault((node, st), len(roots) + len(kids))
+        leaves.append(node)
     idx = x._index
 
-    def nexts(state: tuple[int, str]) -> list[tuple[int, str]]:
-        k, cell = state
-        if k == len(steps):
-            return []
-        st = steps[k]
-        if st.kind == STARTER:
-            return [
-                (k + 1, big)
-                for big, pos in idx.up[cell]
-                if pos == st.active and x.cells[big].ev == st.loset
-            ]
-        if x.cells[cell].ev != st.loset:
-            return []
-        return [(k + 1, small) for small, pos in idx.down[cell] if pos == st.active]
+    def nexts(state: tuple) -> list[tuple]:
+        node, cell, last = state
+        out = []
+        for y, st in idx.after(cell, last and last.kind):
+            child = None if node is None else kids.get((node, _reading(x, cell, y, st)))
+            if child is not None or beyond and y in x._to_accept:
+                out.append((child, y, st))
+        return out
 
-    roots = [(0, c) for c in sorted(x.start) if x.cells[c].ev == seq.initial_loset]
-    found = _bfs(roots, nexts)
-    goal = next((s for s in found if s[0] == len(steps) and s[1] in x.accept), None)
-    if goal is None:
-        return None
-    cells, state = [], goal
-    while state is not None:  # back along the links to a root
-        cells.append(state[1])
+    starts = [(roots.get(x.cells[c].ev), c, None) for c in sorted(x.start)]
+    return _bfs(starts, nexts), leaves
+
+
+def _path(found: dict, state: tuple) -> Path:
+    """The path of a :func:`_trie_walk` state, back along its links."""
+    states = []
+    while state is not None:
+        states.append(state)
         state = found[state]
-    return Path(
-        cells=tuple(reversed(cells)),
-        steps=tuple(PathStep(UP if st.kind == STARTER else DOWN, st.active) for st in steps),
-    )
+    return Path(tuple(s[1] for s in states[::-1]), tuple(s[2] for s in states[-2::-1]))
+
+
+def member(x: Hda, p: Ipomset) -> Optional[Path]:
+    """An accepting path with event ipomset p, if any: a sparse path folds
+    to p exactly when it reads p's sparse decomposition, so this is
+    :func:`_trie_walk` with that one sequence.  The witness ends at the
+    first state found that pairs the sequence's last node with an accept
+    cell."""
+    found, (leaf,) = _trie_walk(x, [sparse_decomposition(p)])
+    state = next((s for s in found if s[0] == leaf and s[1] in x.accept), None)
+    return None if state is None else _path(found, state)
+
+
+def compare_language(x: Hda, seqs: Sequence[StepSequence]) -> tuple[list[int], Optional[int]]:
+    """Compare the sparse accepting paths of x with ``seqs``, the sparse
+    decompositions of a finite language, in one :func:`_trie_walk` with no
+    bound: the indices of the sequences no accepting path reads, and the
+    fewest steps of an accepting path that reads none (``None`` if none
+    does).  Such a path ends at an accept cell paired with a node that
+    ends no sequence, or off the trie; the walk is breadth first, so the
+    first such state found ends a shortest one."""
+    found, leaves = _trie_walk(x, seqs, beyond=True)
+    ends, accepted = set(leaves), {node for node, cell, _ in found if cell in x.accept}
+    escape = next((s for s in found if s[1] in x.accept and s[0] not in ends), None)
+    unread = [i for i, leaf in enumerate(leaves) if leaf not in accepted]
+    return unread, None if escape is None else len(_path(found, escape).steps)
 
 
 def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
     """All sparse accepting paths with at most ``max_steps`` steps, sorted
     by length, cells and positions."""
-    out: list[Path] = []
-    _walk(x, max_steps, lambda cells, steps, _ev: out.append(Path(cells, steps)))
+    out = [Path(cells, steps) for cells, steps, _ in _walk(x, max_steps)]
     out.sort(key=lambda p: (len(p.steps), p.cells, [sorted(s.positions) for s in p.steps]))
     return out
 
 
-def enumerate_language(
-    x: Hda, max_steps: int, known: Optional[dict[StepSequence, Ipomset]] = None
-) -> frozenset[Ipomset]:
-    """Event ipomsets of all sparse accepting paths within the bound.
-
-    With ``known``, a path takes the value that ``known`` maps its reading
-    to, the :class:`StepSequence` of its first cell's loset and the steps
-    it reads (:func:`_reading`), and is folded only when its reading is
-    not a key there.  Its fold (:func:`ev_of_path`) is the reading's
-    :meth:`StepSequence.compose`, so when ``known`` maps the
-    :func:`sparse_decomposition` of each of its ipomsets to that ipomset,
-    a path found there folds to the value found: the result is exact
-    whatever ``known`` holds."""
-    out: set[Ipomset] = set()
-
-    def visit(cells: tuple[str, ...], steps: tuple[PathStep, ...], ev: Callable[[], Ipomset]):
-        found = None
-        if known is not None:
-            reading = tuple(_reading(x, cells[k], cells[k + 1], st) for k, st in enumerate(steps))
-            found = known.get(StepSequence(x.cells[cells[0]].ev, reading))
-        out.add(ev() if found is None else found)
-
-    _walk(x, max_steps, visit)
-    return frozenset(out)
+def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
+    """Event ipomsets of all sparse accepting paths within the bound, each
+    path folded by :func:`_walk`."""
+    return frozenset(ev() for _, _, ev in _walk(x, max_steps))
 
 
-def _walk(
-    x: Hda,
-    max_steps: int,
-    visit: Callable[[tuple[str, ...], tuple[PathStep, ...], Callable[[], Ipomset]], None],
-) -> None:
-    """Call ``visit(cells, steps, ev)`` on every sparse accepting path with
-    at most ``max_steps`` steps, depth first from the start cells.
+def _walk(x: Hda, max_steps: int) -> Iterator[tuple[tuple, tuple, Callable[[], Ipomset]]]:
+    """Yield ``(cells, steps, ev)`` for every sparse accepting path with at
+    most ``max_steps`` steps, depth first from the start cells.
 
     The search enters a cell only when an accept cell is still within the
     remaining steps, judged by the fewest steps to one in either direction;
     alternation only lengthens paths, so the cut drops no path.
 
-    ``ev()``, called during the visit, returns the path's event ipomset:
+    ``ev()``, called before the next path, returns its event ipomset:
     the fold of :func:`ev_of_path`, continued from the ipomsets of the
     current path's prefixes, which are kept one per depth.  A prefix shared
     by several accepting paths is folded once, and a prefix of none is not
@@ -415,7 +420,7 @@ def _walk(
             if not k:
                 evs.append(identity(x.cells[cells[0]].ev))
             else:
-                evs.append(_ev_step(x, evs[-1], cells[k - 1], cells[k], steps[k - 1]))
+                evs.append(apply_step(evs[-1], *_reading(x, *cells[k - 1 : k + 1], steps[k - 1])))
         return evs[-1]
 
     def in_reach(cell: str, steps: int) -> bool:
@@ -427,25 +432,14 @@ def _walk(
         del evs[len(steps) :]  # those from here on belong to an earlier path
         cur = cells[-1]
         if cur in x.accept:
-            visit(cells, steps, lambda: ev(cells, steps))
+            yield cells, steps, lambda: ev(cells, steps)
         if len(steps) == max_steps:
             continue
         n = len(steps) + 1
-        last = steps[-1].kind if steps else None
-        children = []
-        if last != UP:
-            children += [
-                (cells + (big,), steps + (PathStep(UP, pos),))
-                for big, pos in idx.up[cur]
-                if in_reach(big, n)
-            ]
-        if last != DOWN:
-            children += [
-                (cells + (tgt,), steps + (PathStep(DOWN, pos),))
-                for tgt, pos in idx.down[cur]
-                if in_reach(tgt, n)
-            ]
-        stack += reversed(children)
+        moves = idx.after(cur, steps[-1].kind if steps else None)
+        stack += reversed(
+            [(cells + (y,), steps + (st,)) for y, st in moves if in_reach(y, n)]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +471,9 @@ def is_deterministic(x: Hda) -> DeterminismReport:
     branch = []
     for base in sorted(ess):
         groups: dict[tuple[Loset, tuple[int, ...]], list[str]] = {}
-        for big, pos in x._index.up[base]:
+        for big, st in x._index.up[base]:
             if big in ess:
-                groups.setdefault((x.cells[big].ev, tuple(sorted(pos))), []).append(big)
+                groups.setdefault((x.cells[big].ev, tuple(sorted(st.positions))), []).append(big)
         for (_loset, combo), names in sorted(groups.items()):
             branch += [(base, combo, a, b) for a, b in itertools.combinations(sorted(names), 2)]
     return DeterminismReport(

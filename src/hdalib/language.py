@@ -55,7 +55,8 @@ class LanguageSet:
         divisions of the members (:func:`enumerate_divisions` gives both);
         built on the first prefix query and kept for the life of this
         language only.  Prefixes with equal quotients share one set, so
-        comparing two of them is an identity check."""
+        comparing two of them is an identity check, and each removal, a
+        prefix (see :func:`build_mn`), is the object that keys its quotient."""
         by_left: dict[Ipomset, set[Ipomset]] = {}
         removals: dict[Ipomset, tuple] = {}
         for m in self.members:
@@ -66,7 +67,12 @@ class LanguageSet:
         for p, qs in by_left.items():
             q = frozenset(qs)
             quotients[p] = seen.setdefault(q, q)
-        return quotients, removals
+        keys = {p: p for p in quotients}
+        rows = {}
+        while removals:  # each old row is freed as its new one is made
+            p, (tgt, rs) = removals.popitem()
+            rows[keys[p]] = (tgt, tuple(map(keys.get, rs, rs)))
+        return quotients, rows
 
 
 def language(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .hda import Cell, Hda, enumerate_language, essential_report, validate
+from .hda import Cell, Hda, compare_language, enumerate_language, essential_report, validate
 from .ipomset import (
     Ipomset,
     Loset,
@@ -234,21 +234,20 @@ class MnReport:
 
 
 def verify_mn(lang: LanguageSet, mn: MnAutomaton) -> MnReport:
-    """Round-trip checks: language equality at a sufficient bound, the
-    essential set against nonempty quotients, and HDA validity.
-
-    The automaton's language within the longest member's number of sparse
-    steps comes from :func:`enumerate_language`, given each member keyed by
-    its :func:`sparse_decomposition`: an accepting path that reads a
-    member is recognised by its reading, and only a path that reads no
-    member is folded, so that ``extra`` names exactly what it folds to.
-    Sparse decompositions are unique, so every accepting path of a correct
-    automaton is found in the table, and none is folded."""
-    known = {sparse_decomposition(m): m for m in lang.members}
-    bound = max((len(seq.steps) for seq in known), default=0)
-    found = enumerate_language(mn.hda, bound, known)
-    missing = tuple(sorted_ipomsets(lang.members - found))
-    extra = tuple(sorted_ipomsets(found - lang.members))
+    """Round-trip checks: exact language equality (:func:`compare_language`
+    on the members' :func:`sparse_decomposition`s), the essential set
+    against nonempty quotients, and HDA validity.  Only when an accepting
+    path reads no member are paths folded: ``extra`` is what
+    :func:`enumerate_language` finds beyond the members within the longest
+    member's sparse steps, or within the shortest such path's if longer."""
+    members = list(lang.members)
+    seqs = [sparse_decomposition(m) for m in members]
+    unread, escape = compare_language(mn.hda, seqs)
+    missing = tuple(sorted_ipomsets(members[i] for i in unread))
+    extra = ()
+    if escape is not None:
+        bound = max([escape] + [len(seq.steps) for seq in seqs])
+        extra = tuple(sorted_ipomsets(enumerate_language(mn.hda, bound) - lang.members))
 
     er = essential_report(mn.hda)
     expected = frozenset(cid for cid, c in mn.cells.items() if c.essential)

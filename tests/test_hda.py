@@ -260,6 +260,19 @@ class TestMember:
             assert w is not None
             assert ev_of_path(square, w) == p
 
+    @pytest.mark.parametrize("name", DATA_HDAS)
+    def test_witnesses_read_the_decomposition(self, name):
+        # a witness is a path of the automaton that folds to p, with one
+        # step per step of p's sparse decomposition
+        x = parse_hda((DATA / name).read_text())
+        members = enumerate_language(x, 8)
+        for p in members:
+            w = member(x, p)
+            check_path(x, w)
+            assert ev_of_path(x, w) == p
+            assert len(w.steps) == len(sparse_decomposition(p).steps)
+        assert members
+
     def test_first_of_two_witnesses(self):
         # two a-edges from v: the search takes e1, listed first, unless only
         # e2's upper face is a target
@@ -476,7 +489,8 @@ class TestStepIndex:
     def test_checks_share_one_typing_and_backward_search(self, monkeypatch):
         # the determinism check, verification and validation of one
         # automaton type its faces once, search forward from its start
-        # cells once and back from its accept cells once
+        # cells once and back from its accept cells once, and verification
+        # walks the members' trie once
         lang = parse_lang((DATA / "par_ab_abc.lang").read_text())
         mn = build_mn(lang)
         searches, typings = [], []
@@ -487,7 +501,7 @@ class TestStepIndex:
         )
         assert is_deterministic(mn.hda) == is_deterministic(mn.hda)
         assert verify_mn(lang, mn).ok
-        assert (len(searches), typings) == (2, [mn.hda])
+        assert (len(searches), typings) == (3, [mn.hda])
         assert essential_report(mn.hda) is essential_report(mn.hda)
 
 

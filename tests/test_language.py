@@ -197,10 +197,14 @@ class TestPrefixRemovals:
         for lang in langs:
             closed.clear()
             pres = prefixes(lang)
+            keys = {p: p for p in pres}  # the objects that key the quotients
             removed = 0
             for p in pres:
                 want = tuple(None if e in p.source else real(p, [e]) for e in p.target_events())
-                assert prefix_row(lang, p) == (p.target_events(), want)
+                row = prefix_row(lang, p)
+                assert row == (p.target_events(), want)
+                # each removal is a prefix, kept as the one object of that prefix
+                assert all(q is None or q is keys[q] for q in row[1])
                 removed += sum(q is not None for q in want)
             assert len(closed) <= removed
             fallbacks += len(closed)

@@ -17,6 +17,7 @@ from hdalib import myhill_nerode as mn_mod
 from hdalib.errors import NotDownClosed
 from hdalib.formats import hda_to_text, parse_expr, parse_hda, parse_lang
 from hdalib.hda import (
+    Cell,
     accepting_paths,
     build_hda,
     enumerate_language,
@@ -50,6 +51,7 @@ from hdalib.language import (
 from hdalib.myhill_nerode import (
     REGULAR,
     SUBSIDIARY,
+    MnCell,
     build_mn,
     verify_mn,
 )
@@ -472,7 +474,7 @@ class TestVerify:
         assert rep.missing
 
     def test_paths_read_their_decomposition(self):
-        # what verify_mn's table rests on: sparse decompositions are unique,
+        # what verify_mn's trie walk rests on: sparse decompositions are unique,
         # so a sparse accepting path reads exactly the decomposition of its
         # event ipomset
         hdas = [parse_hda(path.read_text()) for path in sorted(DATA.glob("*.hda"))]
@@ -525,6 +527,73 @@ class TestVerify:
                 extras += bool(rep.extra)
                 missing += bool(rep.missing)
         assert extras >= 10 and missing >= 10
+
+    @staticmethod
+    def _with_cells(mn, cells, start=()):
+        """mn with more regular cells, each marked essential, and more start
+        cells."""
+        x = mn.hda
+        hda = build_hda([*x.cells.values(), *cells], x.start | set(start), x.accept)
+        more = {c.name: MnCell(c.name, REGULAR, c.ev, parse_expr("a"), True, ()) for c in cells}
+        return replace(mn, hda=hda, cells={**mn.cells, **more})
+
+    def test_extra_beyond_the_members_bound(self):
+        # a b-edge from the accept cell back to the start cell: aba takes 6
+        # steps, and the longest member takes 2
+        lang = language([parse_expr("a")])
+        loop = self._with_cells(build_mn(lang), [Cell("back", ("b",), ("q1",), ("q0",))])
+        assert validate(loop.hda).ok
+        assert enumerate_language(loop.hda, 2) == lang.members
+        rep = verify_mn(lang, loop)
+        assert not rep.ok and not rep.language_ok and rep.essential_ok
+        assert rep.extra == (parse_expr("aba"),) and rep.missing == ()
+
+    def test_extra_from_a_start_cell_of_another_loset(self):
+        # no member starts with a running b, and the one accepting path from
+        # the new start cell s that reads •ba is longer than any member's
+        lang = language([parse_expr("a")])
+        cells = [
+            Cell("w", ()),
+            Cell("s", ("b",), ("w",), ("w",)),
+            Cell("e", ("a",), ("w",), ("q1",)),
+        ]
+        other = self._with_cells(build_mn(lang), cells, start=["s"])
+        assert validate(other.hda).ok
+        rep = verify_mn(lang, other)
+        assert not rep.ok and not rep.language_ok
+        assert rep.extra == (parse_expr("•ba"),) and rep.missing == ()
+
+    def test_accept_cell_at_an_inner_trie_node(self):
+        # q2 is reached by the starter of a, which is no member's whole
+        # decomposition: accepting it adds a• and loses nothing
+        lang = language([parse_expr("a")])
+        mn = build_mn(lang)
+        assert mn.hda.cells["q2"].ev == ("a",)
+        inner = replace(mn, hda=replace(mn.hda, accept=mn.hda.accept | {"q2"}))
+        rep = verify_mn(lang, inner)
+        assert not rep.ok and not rep.language_ok
+        assert rep.extra == (parse_expr("a•"),) and rep.missing == ()
+
+    def test_escape_is_a_shortest_extra(self):
+        # an edge added between two vertices: compare_language's escape is
+        # the fewest steps of an accepting path that folds to no member,
+        # however far beyond the members' bound it lies
+        rng = random.Random(26)
+        beyond = 0
+        for lang in _data_and_random_languages():
+            x = build_mn(lang).hda
+            seqs = [sparse_decomposition(m) for m in lang.members]
+            vertices = sorted(c.name for c in x.cells.values() if not c.ev)
+            a, b = rng.choice(vertices), rng.choice(vertices)
+            y = build_hda([*x.cells.values(), Cell("new", ("a",), (a,), (b,))], x.start, x.accept)
+            _, escape = hda_mod.compare_language(y, seqs)
+            if escape is None:
+                assert enumerate_language(y, 12) <= lang.members
+                continue
+            assert enumerate_language(y, escape) - lang.members
+            assert enumerate_language(y, escape - 1) <= lang.members
+            beyond += escape > max(len(seq.steps) for seq in seqs)
+        assert beyond
 
     def test_member_paths_exist_per_division(self, table_lang, table_mn):
         # every split M = N*P gives a path from [N] to [N*P] labelled P

@@ -112,6 +112,22 @@ def test_hda_searches_do_not_recurse():
     assert SRC.is_dir() and not found
 
 
+def test_hda_reads_steps_only_through_reading():
+    # the rule that an up step reads the starter on the cell it enters and
+    # a down step the terminator on the cell it leaves is written once, in
+    # _reading: no other code in hda.py builds a step
+    tree = ast.parse((SRC / "hda.py").read_text())
+    readers = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_reading"]
+    inside = {id(node) for fn in readers for node in ast.walk(fn)}
+    built = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node) == "StarterTerminator"
+    ]
+    found = [node.lineno for node in built if id(node) not in inside]
+    assert len(readers) == 1 and built and not found
+
+
 def test_no_nested_function_refers_to_itself():
     # a nested function that calls itself holds itself through a closure
     # cell: each call leaves a reference cycle for the cycle collector.
