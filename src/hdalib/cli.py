@@ -450,11 +450,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:
-        # divisions, subsumption witnesses and refinements recurse once or
-        # twice per event, so a long enough input exhausts the stack
-        print(f"error: search too deep for this input ({exc})", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader left early (``| head``): end quietly, and point the
         # process's stdout at devnull so the flush at exit cannot fail again

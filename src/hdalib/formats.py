@@ -5,7 +5,8 @@ JSON emission, DOT emission, and interval logs, read as rows of
 Shorthand grammar: rows separated by ``|`` (row order = event order), each
 row a juxtaposed chain of single-letter labels, ``•`` (or ``.``) before or
 after a letter marking source/target interface membership.  Anything with
-cross-row precedence or multi-letter labels needs the block format.
+cross-row precedence or multi-letter labels needs the block format.  In
+every format a label is letters, digits and ``_``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ from .language import LanguageSet, language
 
 BULLETS = "•."
 EPSILONS = ("ε", "eps")
+_LABEL_RE = re.compile(r"\w+")
+
+
+def _label(text: str) -> str:
+    """``text`` as a label, or :class:`ParseError` unless it is letters,
+    digits and ``_`` only: no separator, bracket, quote, bullet or space of
+    any format, so every writer can print it for every reader."""
+    if not _LABEL_RE.fullmatch(text):
+        raise ParseError(f"bad label {text!r}: expected letters, digits or _")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +84,7 @@ def _parse_row(row: str, whole: str) -> list[tuple[str, bool, bool]]:
         insrc = row[i] in BULLETS
         if insrc:
             i += 1
-        if i >= len(row) or not row[i].isalnum():
+        if i >= len(row) or not _LABEL_RE.fullmatch(row[i]):
             raise ParseError(f"bad expression {whole!r}: expected a label in {row!r}")
         lab = row[i]
         i += 1
@@ -132,6 +143,8 @@ def _try_shorthand(p: Ipomset) -> Optional[str]:
         )
         for row in rows
     )
+    if text in EPSILONS:  # a word spelling the empty ipomset
+        return None
     return f"[{text}]" if len(rows) > 1 else text
 
 
@@ -157,7 +170,7 @@ def parse_ipomset_block(text: str) -> tuple[str, Ipomset]:
         if eid in ids:
             raise ParseError(f"duplicate event id {eid!r}")
         ids.append(eid)
-        labels.append(lab)
+        labels.append(_label(lab))
     index = {eid: i for i, eid in enumerate(ids)}
 
     def lookup(eid):
@@ -261,8 +274,9 @@ def ipomset_from_json(obj: dict) -> Ipomset:
     :class:`AxiomViolation` as :func:`canonicalize` does."""
     if not isinstance(obj, dict) or "labels" not in obj:
         raise ParseError("ipomset JSON: expected an object with labels")
+    labels = _json_list(obj, "labels", lambda x: isinstance(x, str), "strings")
     return canonicalize(
-        _json_list(obj, "labels", lambda x: isinstance(x, str), "strings"),
+        [_label(lab) for lab in labels],
         _json_list(obj, "source", _is_int, "ints"),
         _json_list(obj, "target", _is_int, "ints"),
         _json_list(obj, "prec", _is_pair, "pairs of ints"),
@@ -400,7 +414,7 @@ def _parse_cell(stmt: str) -> Cell:
     if not m:
         raise ParseError(f"bad cell statement {stmt!r}")
     name, losettxt, facetxt = m.groups()
-    loset = tuple(losettxt.split())
+    loset = tuple(map(_label, losettxt.split()))
     dim = len(loset)
     lower: list[Optional[str]] = [None] * dim
     upper: list[Optional[str]] = [None] * dim
@@ -514,7 +528,7 @@ def parse_log(text: str) -> tuple[IntervalRow, ...]:
         rows.append(
             IntervalRow(
                 event=eid,
-                label=lab,
+                label=_label(lab),
                 begin=_fraction(b),
                 end=_fraction(e),
                 left_closed=_flag(ol),

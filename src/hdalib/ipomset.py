@@ -456,26 +456,26 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
             if forced.setdefault(a, b) != b:
                 return None
 
-    image: list[Optional[int]] = [None] * n
-    if _extend(p, q, forced, image, [False] * n, 0):
-        return tuple(image)  # type: ignore[arg-type]
-    return None
-
-
-def _extend(p: Ipomset, q: Ipomset, forced: dict, image: list, used: list, x: int) -> bool:
-    """Extend the partial witness ``image`` of p ⊑ q, set on the events
-    before x, to all events; ``used`` marks the images taken."""
-    if x == p.n:
-        return True
-    for fx in range(p.n):
-        if not used[fx] and _fits(p, q, forced, image, x, fx):
+    # depth-first over x ↦ fx, x in event order and fx tried from 0 up;
+    # image[:x] is the witness so far and ``used`` marks its values
+    image = [0] * n
+    used = [False] * n
+    x = fx = 0
+    while x < n:
+        if fx == n:  # x has no image left: move x−1 to its next one
+            if x == 0:
+                return None
+            x -= 1
+            fx = image[x]
+            used[fx] = False
+            fx += 1
+        elif used[fx] or not _fits(p, q, forced, image, x, fx):
+            fx += 1
+        else:
             image[x] = fx
             used[fx] = True
-            if _extend(p, q, forced, image, used, x + 1):
-                return True
-            image[x] = None
-            used[fx] = False
-    return False
+            x, fx = x + 1, 0
+    return tuple(image)
 
 
 def _fits(p: Ipomset, q: Ipomset, forced: dict, image: list, x: int, fx: int) -> bool:
@@ -638,6 +638,12 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
     A fold is one :func:`_renumber` of its down-sets (y's holds the events
     ended when y started) in canonical order: g's sources, then each
     starter's events in event order.  g's own down-sets give g itself.
+
+    The schedules are walked depth first on a stack.  A state holds the
+    events started and the events ended, the kind of the last step, the
+    running events and the step's events after each step so far, and the
+    down-sets of the events started so far.  A terminator keeps the list
+    of the state it leaves, and a starter copies it and sets its events'.
     """
     n = g.n
     if sum(r.bit_count() for r in g.prec) == n * (n - 1) // 2:
@@ -650,51 +656,46 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
         g.labels[x] == g.labels[y] and not (g.prec[x] | g_downs[x]) >> (n - 1 - y) & 1
         for x, y in itertools.combinations(range(n), 2)
     )
-    walk = (g, g_downs, source, target, rank, twins, [0] * n, set(), {g})
-    _schedule(walk, source, 0, None, ())
-    return frozenset(walk[-1])
-
-
-def _schedule(walk: tuple, started: int, done: int, last: Optional[str], steps: tuple) -> None:
-    """Continue a schedule of :func:`refinements` from the state where the
-    events of ``started`` have started and those of ``done`` have ended;
-    ``last`` is the kind of the last step, and ``steps`` holds the running
-    events and the step's events after each step.  ``walk`` holds g, its
-    down-sets, source and target masks and ranks, whether two concurrent
-    events share a label, the down-sets of the fold being built, the
-    readings seen and the refinements found."""
-    g, g_downs, source, target, rank, twins, downs, seen, out = walk
-    n = g.n
     full = (1 << n) - 1
-    running = started & ~done
-    if started == full and running == target:
-        read = tuple(
-            tuple((g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u))
-            for u, a in steps
-        ) if twins else None
-        if downs == g_downs or read in seen:
-            return
-        if read:
-            seen.add(read)
-        prec = _transpose(downs)
-        essential = _essential(prec, g.evord, downs)
-        order = sorted(range(n), key=lambda y: (downs[y].bit_count(), rank[y]))
-        out.add(_renumber(g.labels, source, target, prec, essential, order))
-        return
-    # canonical order ranks events by down-set: the ready ones come first
-    unstarted = _events(n, full & ~started) if last != STARTER else []
-    ready = _mask(n, itertools.takewhile(lambda y: not g_downs[y] & ~done, unstarted))
-    step = ready
-    while step:
-        for y in _events(n, step):
-            downs[y] = done
-        _schedule(walk, started | step, done, STARTER, steps + ((running | step, step),))
-        step = (step - 1) & ready
-    stoppable = running & ~target if last != TERMINATOR else 0
-    step = stoppable
-    while step:
-        _schedule(walk, started, done | step, TERMINATOR, steps + ((running, step),))
-        step = (step - 1) & stoppable
+    seen: set[tuple] = set()
+    out = {g}
+    stack = [(source, 0, None, (), [0] * n)]
+    while stack:  # last in, first out: the children are pushed in reverse
+        started, done, last, steps, downs = stack.pop()
+        running = started & ~done
+        if started == full and running == target:
+            read = tuple(
+                tuple((g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u))
+                for u, a in steps
+            ) if twins else None
+            if downs == g_downs or read in seen:
+                continue
+            if read:
+                seen.add(read)
+            prec = _transpose(downs)
+            essential = _essential(prec, g.evord, downs)
+            order = sorted(range(n), key=lambda y: (downs[y].bit_count(), rank[y]))
+            out.add(_renumber(g.labels, source, target, prec, essential, order))
+            continue
+        children = []
+        # canonical order ranks events by down-set: the ready ones come first
+        unstarted = _events(n, full & ~started) if last != STARTER else []
+        ready = _mask(n, itertools.takewhile(lambda y: not g_downs[y] & ~done, unstarted))
+        step = ready
+        while step:
+            child = downs.copy()
+            for y in _events(n, step):
+                child[y] = done
+            after = steps + ((running | step, step),)
+            children.append((started | step, done, STARTER, after, child))
+            step = (step - 1) & ready
+        stoppable = running & ~target if last != TERMINATOR else 0
+        step = stoppable
+        while step:
+            children.append((started, done | step, TERMINATOR, steps + ((running, step),), downs))
+            step = (step - 1) & stoppable
+        stack += reversed(children)
+    return frozenset(out)
 
 
 def down_close(xs: Iterable[Ipomset]) -> frozenset[Ipomset]:
@@ -860,15 +861,15 @@ def enumerate_divisions(
 
     A division splits the events three ways: the left part (only in p), the
     glued interface (p's target and q's source) and the right part (only in
-    q).  A backtracking search places the events one at a time, in index
-    order, on one of the three sides, and drops a branch as soon as the new
-    event breaks a constraint every gluing imposes with an event already
-    placed: the interface is an antichain, every left event precedes every
-    right event, no interface event precedes a left one, no right event
-    precedes an interface one, no source event is on the right and no
-    target event on the left.  The cost therefore follows the number of
-    partial splits that survive pruning, not the 3^n splits of all events:
-    a word of n events reaches only its 2n+1 divisions.
+    q).  A depth-first search on a stack places the events one at a time,
+    in index order, on one of the three sides, and drops a branch as soon
+    as the new event breaks a constraint every gluing imposes with an event
+    already placed: the interface is an antichain, every left event
+    precedes every right event, no interface event precedes a left one, no
+    right event precedes an interface one, no source event is on the right
+    and no target event on the left.  The cost therefore follows the
+    number of partial splits that survive pruning, not the 3^n splits of
+    all events: a word of n events reaches only its 2n+1 divisions.
 
     Every complete split is a division, so none is glued back to check.  A
     restriction of an interval order is an interval order, so both parts
@@ -919,8 +920,6 @@ def enumerate_divisions(
     pred, evpred = _transpose(succ), _transpose(evord)
     source, target = _mask(n, m.source), _mask(n, m.target)
     full = (1 << n) - 1
-    splits: list[tuple[int, int, int]] = []
-    _place((n, succ, pred, source, target), 0, 0, 0, 0, splits)
     bodies: dict[int, tuple] = {}  # per D: p's labels, source, prec, evord and cut
 
     def left_part(down: int, mid: int) -> Ipomset:
@@ -963,32 +962,26 @@ def enumerate_divisions(
         return left_part(down & ~bit, mid & ~bit)
 
     out: set[tuple[Ipomset, Ipomset]] = set()
-    for down, mid, right in splits:
-        p = left_part(down, mid)
-        if removals is not None and p not in removals:
-            tgt = _loset_sort(evord, mid)
-            at = tuple((down >> (n - e)).bit_count() for e in tgt)  # P's index of e
-            removals[p] = (at, tuple(removed(p, down, mid, e, i) for e, i in zip(tgt, at)))
-        out.add((p, right_part(mid, right)))
+    stack = [(0, 0, 0, 0)]  # the next event to place, and the left, mid and right masks
+    while stack:  # last in, first out: the sides are pushed in reverse
+        e, left, mid, right = stack.pop()
+        if e == n:
+            down = left | mid
+            p = left_part(down, mid)
+            if removals is not None and p not in removals:
+                tgt = _loset_sort(evord, mid)
+                at = tuple((down >> (n - e)).bit_count() for e in tgt)  # P's index of e
+                removals[p] = (at, tuple(removed(p, down, mid, e, i) for e, i in zip(tgt, at)))
+            out.add((p, right_part(mid, right)))
+            continue
+        bit = 1 << (n - 1 - e)
+        if not source & bit and not left & ~pred[e] and not mid & succ[e]:
+            stack.append((e + 1, left, mid, right | bit))
+        if not mid & (pred[e] | succ[e]) and not left & succ[e] and not right & pred[e]:
+            stack.append((e + 1, left, mid | bit, right))
+        if not target & bit and not right & ~succ[e] and not mid & pred[e]:
+            stack.append((e + 1, left | bit, mid, right))
     return frozenset(out)
-
-
-def _place(search: tuple, e: int, left: int, mid: int, right: int, out: list) -> None:
-    """Place event e of :func:`enumerate_divisions`' search, and the events
-    after it, on each side that keeps the split a division, and add every
-    complete split to ``out`` as its masks (D, mid, right).  ``search``
-    holds n and m's successor, predecessor, source and target masks."""
-    n, succ, pred, source, target = search
-    if e == n:
-        out.append((left | mid, mid, right))
-        return
-    bit = 1 << (n - 1 - e)
-    if not target & bit and not right & ~succ[e] and not mid & pred[e]:
-        _place(search, e + 1, left | bit, mid, right, out)
-    if not mid & (pred[e] | succ[e]) and not left & succ[e] and not right & pred[e]:
-        _place(search, e + 1, left, mid | bit, right, out)
-    if not source & bit and not left & ~pred[e] and not mid & succ[e]:
-        _place(search, e + 1, left, mid, right | bit, out)
 
 
 def sorted_ipomsets(xs: Iterable[Ipomset]) -> list[Ipomset]:

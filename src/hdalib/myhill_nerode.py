@@ -65,48 +65,36 @@ class MnAutomaton:
         return self._by_key[class_key(self.lang, p)]
 
 
-def _entry(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, tgt, lower, ids) -> tuple:
+def _entry(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, tgt, lower, ids) -> None:
     """Add p to the memo of one :func:`build_mn` call, given its target
     events ``tgt`` in event order, its removals P−{e} at each target
-    position (``None`` at a source) and their key ids, and return its
-    entry: its key id, ``lower`` and ``tgt``."""
+    position (``None`` at a source) and their key ids.  Its entry is its
+    key id, ``lower`` and ``tgt``."""
     key = (tuple(p.labels[e] for e in tgt), prefix_quotient(lang, p), ids)
-    entry = memo[p] = (key_ids.setdefault(key, len(key_ids)), lower, tgt)
-    return entry
+    memo[p] = (key_ids.setdefault(key, len(key_ids)), lower, tgt)
 
 
-def _key_of(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset) -> tuple:
-    """The memo entry of a prefix p, its target events and removals read
-    from the language's index (:func:`prefix_row`) when p is new.  These
-    are module functions, not closures in :func:`build_mn`: a closure that
-    calls itself is a reference cycle, which would keep the memo alive
-    after the call until the cycle collector ran."""
-    entry = memo.get(p)
-    if entry is None:
-        tgt, lower = prefix_row(lang, p)
-        ids = tuple(None if q is None else _key_of(lang, memo, key_ids, q)[0] for q in lower)
-        entry = _entry(lang, memo, key_ids, p, tgt, lower, ids)
-    return entry
-
-
-def _upper(lang: LanguageSet, memo: dict, key_ids: dict, entry: tuple, p: Ipomset, pos: int):
-    """The upper face P↓e of p at target position ``pos``, with its memo
-    entry; ``entry`` is p's.  A new face takes its entry from p's with no
-    removal built: (P↓e)−f = (P−f)↓e, and e sits at ``pos`` among the
-    targets of P−f when f comes after it, at ``pos``−1 when f comes before."""
-    _, lower, tgt = entry
+def _upper(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, pos: int) -> Ipomset:
+    """The upper face P↓e of p at target position ``pos``, entered in the
+    memo.  A new face takes its entry from p's with no removal built:
+    (P↓e)−f = (P−f)↓e, and e sits at ``pos`` among the targets of P−f when
+    f comes after it, at ``pos``−1 when f comes before.  Each call made
+    here is on a removal of p, which has one target fewer, so the calls
+    below this one go at most as deep as the face has target events.  It
+    is a module function, not a closure in :func:`build_mn`: a closure
+    that calls itself is a reference cycle, which would keep the memo
+    alive after the call until the cycle collector ran."""
+    _, lower, tgt = memo[p]
     face = terminate_targets(p, (tgt[pos],))
-    found = memo.get(face)
-    if found is not None:
-        return face, found
-    faces = [
-        None if q is None else _upper(lang, memo, key_ids, memo.get(q), q, pos - (j < pos))
-        for j, q in enumerate(lower)
-        if j != pos
-    ]
-    removals = tuple(None if f is None else f[0] for f in faces)
-    ids = tuple(None if f is None else f[1][0] for f in faces)
-    return face, _entry(lang, memo, key_ids, face, tgt[:pos] + tgt[pos + 1 :], removals, ids)
+    if face not in memo:
+        faces = tuple(
+            None if q is None else _upper(lang, memo, key_ids, q, pos - (j < pos))
+            for j, q in enumerate(lower)
+            if j != pos
+        )
+        ids = tuple(None if f is None else memo[f][0] for f in faces)
+        _entry(lang, memo, key_ids, face, tgt[:pos] + tgt[pos + 1 :], faces, ids)
+    return face
 
 
 def build_mn(lang: LanguageSet) -> MnAutomaton:
@@ -135,7 +123,10 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     rest of A at the same positions in both ipomsets.  So each ipomset
     met costs one removal per removable target, not one per set of them.
     Its key, its removals P−{e} and its target events are kept for the
-    whole call, where the lower faces read them again.
+    whole call, where the lower faces read them again.  The prefixes are
+    keyed in one pass, in order of their number of removable targets: a
+    removal P−{e} has one fewer, so its key id exists before P is keyed.
+    Only then are their cells made, in sorted order.
 
     Nothing is restricted here.  Every ipomset keyed by removal is a
     prefix, whose removals the division index already holds
@@ -156,7 +147,8 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     faces: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     reps: list[tuple[str, Ipomset, tuple]] = []  # per regular cell, in id order
 
-    def intern(p: Ipomset, entry: tuple) -> str:
+    def cell(p: Ipomset) -> str:
+        entry = memo[p]
         cid = cid_of.get(entry[0])
         if cid is None:
             cid = cid_of[entry[0]] = f"q{len(cid_of)}"
@@ -165,9 +157,6 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
             cells[cid] = MnCell(cid, REGULAR, loset, p, bool(quotient), quotient)
             reps.append((cid, p, entry))
         return cid
-
-    def cell(p: Ipomset) -> str:
-        return intern(p, _key_of(lang, memo, key_ids, p))
 
     subs: dict[Loset, str] = {}
 
@@ -197,7 +186,12 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
             faces[cid] = (lower, lower)
         return subs[loset]
 
-    for p in sorted_ipomsets(prefixes(lang)):
+    ordered = sorted_ipomsets(prefixes(lang))
+    for p in sorted(ordered, key=lambda p: len(p.target - p.source)):  # removals first
+        tgt, lower = prefix_row(lang, p)
+        ids = tuple(None if q is None else memo[q][0] for q in lower)
+        _entry(lang, memo, key_ids, p, tgt, lower, ids)
+    for p in ordered:
         cell(p)
 
     for cid, p, entry in reps:  # the worklist: it grows while it is read
@@ -209,7 +203,7 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
                 lower.append(subsidiary(loset[:pos] + loset[pos + 1 :]))
             else:
                 lower.append(cell(removed))
-            upper.append(intern(*_upper(lang, memo, key_ids, entry, p, pos)))
+            upper.append(cell(_upper(lang, memo, key_ids, p, pos)))
         faces[cid] = (tuple(lower), tuple(upper))
 
     hda = Hda(

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from hdalib.cli import main
-from hdalib.formats import parse_hda
+from hdalib.formats import ipomset_to_text, parse_expr, parse_hda
+from hdalib.ipomset import glue
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = DATA.parent / "src"
@@ -331,12 +332,30 @@ class TestContract:
         assert code == 2 and out == ""
         assert "HDALIB_MAX_STEPS" in err and "Traceback" not in err
 
-    def test_search_too_deep_is_an_error(self, capsys):
-        # enumerate_divisions recurses once per event: 1,100 exceed the stack
-        code, out, err = run(capsys, "ipo", "divide", "ab" * 550)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: search too deep for this input (")
-        assert err.count("\n") == 1 and "Traceback" not in err
+    def test_deep_inputs_answer(self, capsys):
+        # the division, witness and schedule searches keep their own stacks:
+        # with 80 frames to spare, inputs of 60-120 events still answer
+        word = "ab" * 60
+        tail = ipomset_to_text(glue(parse_expr("ab" * 30), parse_expr("[a|b]")))
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 80)
+        try:
+            divide = run(capsys, "ipo", "divide", word)
+            subsume = run(capsys, "ipo", "subsume", word + "c", f"[{word}|c]")
+            refine = run(capsys, "ipo", "refine", tail)
+        finally:
+            sys.setrecursionlimit(limit)
+        code, out, err = divide
+        assert (code, err) == (0, "") and len(out.splitlines()) == 2 * 120 + 1
+        code, out, err = subsume
+        assert (code, err) == (0, "") and out.startswith("subsumes via ")
+        images = [pair.split("->")[1] for pair in out.split()[2:]]
+        assert sorted(images, key=int) == [str(j) for j in range(121)]
+        code, out, err = refine
+        assert (code, err) == (0, "") and len(out.splitlines()) == 3  # ab, ba, [a|b]
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_max_steps_below_one_is_an_error(self, capsys, value):

@@ -284,6 +284,42 @@ class TestDot:
             assert f"// cell {name}" in dot
 
 
+class TestLabels:
+    # a label is letters, digits and _: each of these was read before, and
+    # written back as a block, .hda cell, DOT edge or shorthand that no
+    # reader takes, or that reads as another ipomset
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (parse_ipomset_block, "ipomset P { events: e0:x]y }"),
+            (parse_ipomset_block, 'ipomset P { events: e0:x"y }'),
+            (parse_ipomset_text, "ipomset P { events: e0:|, e1:a; evord: e0<e1 }"),
+            (ipomset_from_json, {"labels": ["a b"]}),
+            (ipomset_from_json, {"labels": [""]}),
+            (parse_hda, 'hda h { cell v: [] ; cell e: [x"y] d0(1)=v d1(1)=v ; }'),
+            (parse_log, "event_id,label,begin,end,open_left,open_right\nx,x\"y,0,1,false,false\n"),
+        ],
+        ids=["bracket", "quote", "bar", "json space", "json empty", "hda cell", "log"],
+    )
+    def test_other_characters_are_parse_errors(self, parse, text):
+        with pytest.raises(ParseError, match="bad label"):
+            parse(text)
+
+    def test_cli_rejects_a_label_it_cannot_print(self, capsys):
+        code = main(["ipo", "canon", "ipomset P { events: e0:|, e1:a; evord: e0<e1 }"])
+        assert code == 2 and capsys.readouterr().err.startswith("error: ParseError: bad label")
+
+    @pytest.mark.parametrize("labels", ["eps", "ε"])
+    def test_words_spelling_epsilon_print_as_blocks(self, labels):
+        p = canonicalize(labels, prec=list(zip(range(len(labels)), range(1, len(labels)))))
+        assert ipomset_to_text(p).startswith("ipomset P {")
+        assert parse_ipomset_text(ipomset_to_text(p)) == p
+
+    def test_underscore_reads_in_shorthand(self):
+        p = canonicalize(["_", "a"], evord=[(0, 1)])
+        assert ipomset_to_text(p) == "[_|a]" and parse_expr("[_|a]") == p
+
+
 class TestLogs:
     def test_parse_and_ingest_shipped(self):
         rows = parse_log((DATA / "n_shape_intervals.csv").read_text())

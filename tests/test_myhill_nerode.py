@@ -66,8 +66,9 @@ def _data_and_random_languages():
     return langs + [random_language(random.Random(seed)) for seed in range(20)]
 
 
-# prefixes of the first two have three removable targets, so the key
-# recursion goes three deep; the third has two equal-labelled sources
+# prefixes of the first two have three removable targets, so their keys
+# are made in four rounds of the keying pass and an upper face's removals
+# are found three calls deep; the third has two equal-labelled sources
 DEEP_SHAPES = ("[a•|b•|c•]", "[ab•|c•|d•]", "[•a|•a|b•]")
 
 

@@ -8,7 +8,7 @@ import io
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hdalib import cli
@@ -16,6 +16,7 @@ from hdalib.errors import HdalibError
 from hdalib.formats import (
     LOG_HEADER,
     ipomset_from_json,
+    ipomset_to_text,
     parse_expr,
     parse_hda,
     parse_ipomset_block,
@@ -23,6 +24,7 @@ from hdalib.formats import (
     parse_lang,
     parse_log,
 )
+from hdalib.ipomset import from_intervals
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -107,6 +109,49 @@ def test_parser_raises_only_hdalib_errors(parse, seeds, data):
         parse(text)
     except HdalibError:
         pass
+
+
+# word characters, and characters that some format reads as syntax
+LABEL_CHARS = "ab0_é|]\"•.,:< "
+
+
+def _label_texts(labels, chain):
+    """Block, JSON, log and shorthand inputs of the labels in event order,
+    as a chain or pairwise concurrent."""
+    n = len(labels)
+    pairs = " ".join(f"e{i}<e{i + 1}" for i in range(n - 1))
+    events = ", ".join(f"e{i}:{lab}" for i, lab in enumerate(labels))
+    block = f"ipomset P {{ events: {events}; {'prec' if chain else 'evord'}: {pairs} }}"
+    closed = [[i, i + 1] for i in range(n - 1)]
+    obj = {"labels": labels, "prec" if chain else "evord": closed}
+    spans = [(i, i + 0.5) if chain else (0, 1) for i in range(n)]
+    log = "\n".join(
+        [",".join(LOG_HEADER)]
+        + [f"e{i},{lab},{b},{e},no,no" for i, (lab, (b, e)) in enumerate(zip(labels, spans))]
+    )
+    expr = ("" if chain else "|").join(labels)
+    return [
+        lambda: parse_ipomset_text(block),
+        lambda: ipomset_from_json(obj),
+        lambda: from_intervals(parse_log(log)),
+        lambda: parse_expr(f"[{expr}]"),
+    ]
+
+
+@FUZZ
+@given(
+    labels=st.lists(st.text(LABEL_CHARS, max_size=2), min_size=1, max_size=3),
+    chain=st.booleans(),
+)
+@example(labels=["e", "p", "s"], chain=True)
+@example(labels=["ε"], chain=True)
+def test_every_ipomset_read_prints_and_reads_back(labels, chain):
+    for read in _label_texts(labels, chain):
+        try:
+            p = read()
+        except HdalibError:
+            continue
+        assert parse_ipomset_text(ipomset_to_text(p)) == p
 
 
 @FUZZ

@@ -99,17 +99,18 @@ def test_ipomsets_built_and_glue_errors_raised_only_in_ipomset():
 
 
 def test_hda_searches_do_not_recurse():
-    # a recursive path walk runs out of stack on long bounds; every search
-    # in hda.py keeps its own queue or stack
-    tree = ast.parse((SRC / "hda.py").read_text())
-    found = [
-        f"{fn.name}:{node.lineno}"
-        for fn in ast.walk(tree)
+    # a search that recurses once per event or path step runs out of stack
+    # on long inputs; every search in the library keeps its own queue or
+    # stack.  Only _upper recurses, at most once per target of its face
+    found = {
+        f"{path.stem}.{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and _name(node) == fn.name
-    ]
-    assert SRC.is_dir() and not found
+    }
+    assert found == {"myhill_nerode._upper"}
 
 
 def test_hda_reads_steps_only_through_reading():
@@ -131,7 +132,7 @@ def test_hda_reads_steps_only_through_reading():
 def test_no_nested_function_refers_to_itself():
     # a nested function that calls itself holds itself through a closure
     # cell: each call leaves a reference cycle for the cycle collector.
-    # Recursion goes through module-level functions
+    # Only ``_upper`` recurses, and it is a module-level function
     found = {
         f"{path.name}:{fn.lineno} {fn.name}"
         for path in sorted(SRC.glob("*.py"))
