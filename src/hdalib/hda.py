@@ -8,12 +8,11 @@ per automaton, built once its faces type-check.  A path step reads one
 starter or terminator (:func:`_reading`), so a path reads a
 :class:`StepSequence`, and its event ipomset is the fold of what it reads.
 
-Reachability, the essential cells, membership and the comparison with a
-finite language are breadth-first searches (:func:`_bfs`).  The last two
-are one walk (:func:`_trie_walk`) of the sparse paths against the trie of
-the sparse decompositions asked about, with no path bound.
-:func:`enumerate_language` folds each accepting path within a bound,
-depth first on a stack (:func:`_walk`).  No search here recurses.
+Every search is one breadth-first search (:func:`_bfs`); none recurses.
+Membership and the comparison with a finite language walk the sparse
+paths against the trie of the decompositions asked about, unbounded
+(:func:`_trie_walk`); the paths and the language within a bound walk
+them under a distance cut, and paths that read alike are folded once.
 
 Each automaton keeps what these derive from it alone, computed on first
 use: its face-typing problems, its step index, the search back from its
@@ -383,63 +382,62 @@ def compare_language(x: Hda, seqs: Sequence[StepSequence]) -> tuple[list[int], O
     return unread, None if escape is None else len(_path(found, escape).steps)
 
 
+def _in_reach(x: Hda, cell: str, steps: int, max_steps: int) -> bool:
+    """Whether a path entering ``cell`` at step ``steps`` can end at an
+    accept cell within ``max_steps`` steps (:attr:`Hda._to_accept`).
+    Alternation only lengthens paths, so this cut drops no accepting path."""
+    dist = x._to_accept
+    return cell in dist and steps + dist[cell] <= max_steps
+
+
 def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
     """All sparse accepting paths with at most ``max_steps`` steps, sorted
-    by length, cells and positions."""
-    out = [Path(cells, steps) for cells, steps, _ in _walk(x, max_steps)]
+    by length, cells and positions: one :func:`_bfs` whose nodes are the
+    paths ``(cells, steps)`` themselves, cut by :func:`_in_reach`."""
+
+    def nexts(path: tuple) -> list[tuple]:
+        cells, steps = path
+        moves = x._index.after(cells[-1], steps[-1].kind if steps else None)
+        n = len(steps) + 1
+        return [(cells + (y,), steps + (st,)) for y, st in moves if _in_reach(x, y, n, max_steps)]
+
+    starts = [((c,), ()) for c in sorted(x.start) if _in_reach(x, c, 0, max_steps)]
+    out = [Path(*path) for path in _bfs(starts, nexts) if path[0][-1] in x.accept]
     out.sort(key=lambda p: (len(p.steps), p.cells, [sorted(s.positions) for s in p.steps]))
     return out
 
 
 def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
-    """Event ipomsets of all sparse accepting paths within the bound, each
-    path folded by :func:`_walk`."""
-    return frozenset(ev() for _, _, ev in _walk(x, max_steps))
-
-
-def _walk(x: Hda, max_steps: int) -> Iterator[tuple[tuple, tuple, Callable[[], Ipomset]]]:
-    """Yield ``(cells, steps, ev)`` for every sparse accepting path with at
-    most ``max_steps`` steps, depth first from the start cells.
-
-    The search enters a cell only when an accept cell is still within the
-    remaining steps, judged by the fewest steps to one in either direction;
-    alternation only lengthens paths, so the cut drops no path.
-
-    ``ev()``, called before the next path, returns its event ipomset:
-    the fold of :func:`ev_of_path`, continued from the ipomsets of the
-    current path's prefixes, which are kept one per depth.  A prefix shared
-    by several accepting paths is folded once, and a prefix of none is not
-    folded at all.
-    """
+    """The event ipomsets of the sparse accepting paths within the bound:
+    one :func:`_bfs` over states (node, cell, kind of the last step), cut
+    by :func:`_in_reach`.  A node is a step sequence read so far, made
+    when first read (:func:`_reading`) and folded then, once, from its
+    parent's fold, so paths that read alike are folded once."""
     idx = x._index
-    dist = x._to_accept
-    evs: list[Ipomset] = []  # evs[k]: event ipomset of the first k steps
+    nodes: dict[tuple, int] = {}  # (parent node, reading), or (None, loset) for a root
+    folds: list[Ipomset] = []  # per node: the fold of the steps it reads
+    depth: list[int] = []  # per node: how many steps it reads
 
-    def ev(cells: tuple[str, ...], steps: tuple[PathStep, ...]) -> Ipomset:
-        for k in range(len(evs), len(steps) + 1):
-            if not k:
-                evs.append(identity(x.cells[cells[0]].ev))
-            else:
-                evs.append(apply_step(evs[-1], *_reading(x, *cells[k - 1 : k + 1], steps[k - 1])))
-        return evs[-1]
+    def node(parent: Optional[int], step) -> int:
+        key = (parent, step)
+        if key not in nodes:
+            nodes[key] = len(folds)
+            folds.append(identity(step) if parent is None else apply_step(folds[parent], *step))
+            depth.append(0 if parent is None else depth[parent] + 1)
+        return nodes[key]
 
-    def in_reach(cell: str, steps: int) -> bool:
-        return cell in dist and steps + dist[cell] <= max_steps
+    def nexts(state: tuple) -> list[tuple]:
+        at, cell, kind = state
+        n = depth[at] + 1
+        return [
+            (node(at, _reading(x, cell, y, st)), y, st.kind)
+            for y, st in idx.after(cell, kind)
+            if _in_reach(x, y, n, max_steps)
+        ]
 
-    stack = [((s,), ()) for s in sorted(x.start, reverse=True) if in_reach(s, 0)]
-    while stack:  # last in, first out: children are pushed in reverse
-        cells, steps = stack.pop()
-        del evs[len(steps) :]  # those from here on belong to an earlier path
-        cur = cells[-1]
-        if cur in x.accept:
-            yield cells, steps, lambda: ev(cells, steps)
-        if len(steps) == max_steps:
-            continue
-        n = len(steps) + 1
-        moves = idx.after(cur, steps[-1].kind if steps else None)
-        stack += reversed(
-            [(cells + (y,), steps + (st,)) for y, st in moves if in_reach(y, n)]
-        )
+    roots = [c for c in sorted(x.start) if _in_reach(x, c, 0, max_steps)]
+    found = _bfs([(node(None, x.cells[c].ev), c, None) for c in roots], nexts)
+    return frozenset(folds[at] for at, cell, _ in found if cell in x.accept)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +458,7 @@ class DeterminismReport:
 def is_deterministic(x: Hda) -> DeterminismReport:
     """At most one start cell per loset; no essential cell reachable by the
     same upstep from two distinct essential cells."""
+    ess = essential_report(x).essential  # first: it type-checks the faces
     start_clashes = []
     per_loset: dict[Loset, list[str]] = {}
     for name in x.start:
@@ -467,7 +466,6 @@ def is_deterministic(x: Hda) -> DeterminismReport:
     for loset, names in sorted(per_loset.items()):
         if len(names) > 1:
             start_clashes.append(loset)
-    ess = essential_report(x).essential
     branch = []
     for base in sorted(ess):
         groups: dict[tuple[Loset, tuple[int, ...]], list[str]] = {}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from hdalib.hda import (
 )
 from hdalib.ipomset import (
     Ipomset,
+    apply_step,
     canonicalize,
     down_close,
     glue,
@@ -354,6 +356,29 @@ class TestEnumerateLanguage:
         for bound in range(11):
             check_language_against_oracle(x, bound)
 
+    def test_paths_that_read_alike_are_folded_once(self, monkeypatch):
+        # two a-edges from v to w: both paths read one starter, then one
+        # terminator, so each of the two steps is folded once
+        x = build_hda(
+            [
+                Cell("v", ()),
+                Cell("w", ()),
+                Cell("e1", ("a",), ("v",), ("w",)),
+                Cell("e2", ("a",), ("v",), ("w",)),
+            ],
+            start=["v"],
+            accept=["w"],
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return apply_step(*args)
+
+        monkeypatch.setattr(hda_mod, "apply_step", counted)
+        assert enumerate_language(x, 4) == {word("a")}
+        assert len(calls) == 2
+
     def test_matches_oracle_on_mn_automata(self, mn_slice):
         for mn in mn_slice:
             b = max(len(sparse_decomposition(m).steps) for m in mn.lang.members)
@@ -461,17 +486,29 @@ class TestAcceptingPaths:
 
 
 class TestStepIndex:
-    @pytest.mark.parametrize("face", ["zz", "d"])
-    def test_malformed_faces_fail_every_search(self, face):
-        x = with_c_upper(face)
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (with_c_upper("zz"), "cell c: face 'zz' undefined"),
+            (with_c_upper("d"), "cell c: d1(1) has loset ('b',), expected ()"),
+            # is_deterministic reads the start cells' losets, after the check
+            (
+                build_hda([Cell("v", ())], start=["zz"], accept=["v"]),
+                "start/accept cell 'zz' undefined",
+            ),
+        ],
+        ids=["zz", "d", "start"],
+    )
+    def test_malformed_faces_fail_every_search(self, x, message):
         assert not validate(x).ok
         for search in (
             lambda: enumerate_language(x, 4),
+            lambda: accepting_paths(x, 4),
             lambda: member(x, word("b")),
             lambda: essential_report(x),
             lambda: is_deterministic(x),
         ):
-            with pytest.raises(FaceTypingError, match="cell c: "):
+            with pytest.raises(FaceTypingError, match=f"^{re.escape(message)}$"):
                 search()
 
     def test_member_queries_share_one_index(self, monkeypatch):

@@ -113,6 +113,20 @@ def test_hda_searches_do_not_recurse():
     assert found == {"myhill_nerode._upper"}
 
 
+def test_hda_walks_only_through_bfs():
+    # every search in hda.py is one _bfs call, whose queue is a list read
+    # while it grows; the one other loop is _path's walk back along the
+    # links _bfs records
+    tree = ast.parse((SRC / "hda.py").read_text())
+    found = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.While) for node in ast.walk(fn))
+    }
+    assert found == {"_path"}
+
+
 def test_hda_reads_steps_only_through_reading():
     # the rule that an up step reads the starter on the cell it enters and
     # a down step the terminator on the cell it leaves is written once, in
