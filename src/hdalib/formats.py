@@ -164,9 +164,9 @@ def parse_ipomset_block(text: str) -> tuple[str, Ipomset]:
     ids: list[str] = []
     labels: list[str] = []
     for item in _split_list(sections.get("events", "")):
-        if ":" not in item:
+        eid, _, lab = (s.strip() for s in item.partition(":"))
+        if ":" not in item or not eid:
             raise ParseError(f"bad event {item!r}: expected id:label")
-        eid, lab = (s.strip() for s in item.split(":", 1))
         if eid in ids:
             raise ParseError(f"duplicate event id {eid!r}")
         ids.append(eid)
@@ -519,12 +519,15 @@ def parse_log(text: str) -> tuple[IntervalRow, ...]:
     lines = [l.strip() for l in text.splitlines() if l.strip()]
     if not lines or [c.strip() for c in lines[0].split(",")] != LOG_HEADER:
         raise ParseError(f"log must start with header {','.join(LOG_HEADER)}")
-    rows = []
+    rows, ids = [], set()
     for line in lines[1:]:
         parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 6:
+        if len(parts) != 6 or not parts[0]:
             raise ParseError(f"bad log line {line!r}")
         eid, lab, b, e, ol, orr = parts
+        if eid in ids:
+            raise ParseError(f"duplicate event id {eid!r}")
+        ids.add(eid)
         rows.append(
             IntervalRow(
                 event=eid,

@@ -199,14 +199,6 @@ def _remap(row: int, n: int, bits: Sequence[int]) -> int:
     return out
 
 
-def _squeeze(row: int, cut: Sequence[int]) -> int:
-    """The row with some columns deleted and the rest kept in order;
-    ``cut`` holds the bit of each deleted column, highest first."""
-    for b in cut:
-        row = (row >> 1) & -b | row & (b - 1)
-    return row
-
-
 def _transpose(rows: Sequence[int]) -> list[int]:
     """The rows of the converse relation: row j holds the events i with
     column j set in row i."""
@@ -347,29 +339,45 @@ def _renumber(
     essential: Sequence[int],
     order: Sequence[int],
 ) -> Ipomset:
-    """The ipomset on the events ``order`` of a valid one, given by its
-    labels, closed precedence rows and :func:`_essential` rows, with
-    ``order[k]`` renumbered to k; ``source`` and ``target`` mask its
-    interfaces, and events outside ``order`` are dropped.
+    """The :func:`_restrict` of a valid ipomset, given by its labels,
+    closed precedence rows and :func:`_essential` rows, with the essential
+    event order closed again: a pair of the old closure may have come
+    through a dropped event."""
+    labels, source, target, prec, essential = _restrict(
+        labels, source, target, prec, essential, order
+    )
+    return Ipomset(labels, source, target, prec, tuple(_closure(essential)))
+
+
+def _restrict(
+    labels: Sequence[Label],
+    source: int,
+    target: int,
+    prec: Sequence[int],
+    evord: Sequence[int],
+    order: Sequence[int],
+) -> tuple:
+    """The fields of the ipomset on the events ``order``, with ``order[k]``
+    renumbered to k: its labels, source and target events, and the rows of
+    ``prec`` and ``evord`` cut to those events, not closed again.
+    ``source`` and ``target`` mask the interfaces; events outside
+    ``order`` are dropped.
 
     The caller vouches that ``order`` is the canonical order of the result
     and that its sources are minimal and its targets maximal.  A
     restriction of a transitive relation is transitive, of an acyclic one
     acyclic, of an interval order an interval order, and every pair of
-    kept events stays related, so nothing is checked again.  The essential
-    event order is closed again: a pair of the old closure may have come
-    through a dropped event."""
+    kept events stays related, so nothing is checked again."""
     n, k = len(labels), len(order)
-    bits = [0] * n
+    bits = [0] * n  # a dropped column moves to no bit
     for new, old in enumerate(order):
         bits[old] = 1 << (k - 1 - new)
-    keep = _mask(n, order)
-    return Ipomset(
-        labels=tuple(labels[i] for i in order),
-        source=frozenset(_events(k, _remap(source, n, bits))),
-        target=frozenset(_events(k, _remap(target, n, bits))),
-        prec=tuple(_remap(prec[i] & keep, n, bits) for i in order),
-        evord=tuple(_closure([_remap(essential[i] & keep, n, bits) for i in order])),
+    return (
+        tuple(labels[i] for i in order),
+        frozenset(_events(k, _remap(source, n, bits))),
+        frozenset(_events(k, _remap(target, n, bits))),
+        tuple(_remap(prec[i], n, bits) for i in order),
+        tuple(_remap(evord[i], n, bits) for i in order),
     )
 
 
@@ -747,17 +755,15 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
     if bad:
         raise NotRemovable(f"events {sorted(bad)} are not removable targets")
     n = p.n
-    cut = [1 << (n - 1 - e) for e in sorted(drop)]
-    keep = [i for i in range(n) if i not in drop]
-    essential = _essential(p.prec, p.evord, _transpose(p.prec))
-    k = len(keep)
-    return Ipomset(
-        labels=tuple(p.labels[i] for i in keep),
-        source=frozenset(_events(k, _squeeze(_mask(n, p.source), cut))),
-        target=frozenset(_events(k, _squeeze(_mask(n, p.target - drop), cut))),
-        prec=tuple(_squeeze(p.prec[i], cut) for i in keep),
-        evord=tuple(_closure([_squeeze(essential[i], cut) for i in keep])),
+    labels, source, target, prec, essential = _restrict(
+        p.labels,
+        _mask(n, p.source),
+        _mask(n, p.target),
+        p.prec,
+        _essential(p.prec, p.evord, _transpose(p.prec)),
+        [i for i in range(n) if i not in drop],
     )
+    return Ipomset(labels, source, target, prec, tuple(_closure(essential)))
 
 
 def terminate_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
@@ -781,7 +787,7 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     ``glue(p, terminator(U, A))``: positions out of range raise
     :class:`AxiomViolation`, then a source loset of the step that is not
     p's target loset raises :class:`InterfaceMismatch`.  Neither branch
-    checks or canonicalizes again, but for the one case left to :func:`glue`.
+    checks or canonicalizes again.
 
     A terminator glued onto p adds no event (its every event is a source,
     glued onto a target of p), no precedence (it has no event outside its
@@ -804,8 +810,12 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     canonical order stays (:func:`_canonical_order` ranks groups by
     down-set), and the new events join the group of their down-set.  That
     is a fresh last group, already in loset order, unless a non-source
-    event of p has that down-set too, as after an up step.  Sparse paths
-    alternate, so they never meet that case, and it is left to :func:`glue`.
+    event of p has that down-set too, as after an up step.  That down-set,
+    the non-targets of p, holds every other, so those events are p's last
+    group, and they are targets.  Then the canonical order is p's events
+    before that group, then that group and the started events in loset
+    order, and :func:`_renumber` puts the rows in it.  It drops no event,
+    so the closed event order may stand in for the essential rows.
     """
     if kind not in (STARTER, TERMINATOR):
         raise ValueError(f"bad step kind {kind!r}")
@@ -825,8 +835,6 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     for i, r in enumerate(p.prec):
         if i not in p.target:
             merged &= r
-    if merged:
-        return glue(p, starter(loset, positions))
     n = old + k
     # the result's index of each loset position
     fresh, rest = iter(range(old, n)), iter(tgt)
@@ -839,15 +847,13 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     for i in reversed(slots):
         evord[i] |= later
         later |= 1 << (n - 1 - i)
-    evord = _closure(evord)
     labels = p.labels + tuple(loset[i] for i in sorted(positions))
-    return Ipomset(
-        labels=labels,
-        source=p.source,
-        target=p.target | frozenset(range(old, n)),
-        prec=tuple(prec),
-        evord=tuple(evord),
-    )
+    target = p.target | frozenset(range(old, n))
+    if merged:
+        last = old - merged.bit_count()  # the first index of p's last group
+        order = [*range(last), *(i for i in slots if i >= last)]
+        return _renumber(labels, _mask(n, p.source), _mask(n, target), prec, evord, order)
+    return Ipomset(labels, p.source, target, tuple(prec), tuple(_closure(evord)))
 
 
 # ---------------------------------------------------------------------------
@@ -880,15 +886,15 @@ def enumerate_divisions(
     inside p or inside q, and the glue p*q has m's precedence and event
     order: it is m.
 
-    Both parts know their canonical order.  The left part is down-closed
-    and holds m's sources, so it keeps m's order, as in
-    :func:`remove_targets`: its rows are m's with the right columns
-    deleted.  That body depends only on the down-set D = left ∪ mid, so it
-    is built once per D, and each division sets only its target.  The
-    right part starts with its sources, the interface, in event order.
-    The right events follow in m's order: each has every left event below
-    it, so its down-set in q is its down-set in m minus the left part,
-    which ranks them as m does.
+    Both parts know their canonical order, so each is one :func:`_restrict`
+    of m.  The left part is down-closed and holds m's sources, so it keeps
+    m's order, as in :func:`remove_targets`.  That body depends only on
+    the down-set D = left ∪ mid, so it is built once per D, and each
+    division sets only its target: P's index of a mid event e is the
+    number of events of D before e.  The right part starts with its
+    sources, the interface, in event order.  The right events follow in
+    m's order: each has every left event below it, so its down-set in q is
+    its down-set in m minus the left part, which ranks them as m does.
 
     Concurrency is inherited by both parts, and each part's event order is
     m's closed event order cut to its events, with no closure again.  An
@@ -919,38 +925,19 @@ def enumerate_divisions(
     succ, evord = m.prec, m.evord
     pred, evpred = _transpose(succ), _transpose(evord)
     source, target = _mask(n, m.source), _mask(n, m.target)
-    full = (1 << n) - 1
-    bodies: dict[int, tuple] = {}  # per D: p's labels, source, prec, evord and cut
+    bodies: dict[int, tuple] = {}  # per D: p's fields, with no target
 
     def left_part(down: int, mid: int) -> Ipomset:
         body = bodies.get(down)
         if body is None:
-            cut = [1 << (n - 1 - i) for i in _events(n, full & ~down)]
-            kept = _events(n, down)
-            body = bodies[down] = (
-                tuple(m.labels[i] for i in kept),
-                frozenset(_events(len(kept), _squeeze(source, cut))),
-                tuple(_squeeze(succ[i], cut) for i in kept),
-                tuple(_squeeze(evord[i], cut) for i in kept),
-                cut,
-            )
-        labels, src, prec, ev, cut = body
-        tgt = frozenset(_events(len(labels), _squeeze(mid, cut)))
+            body = bodies[down] = _restrict(m.labels, source, 0, succ, evord, _events(n, down))
+        labels, src, _, prec, ev = body
+        tgt = frozenset((down >> (n - e)).bit_count() for e in _events(n, mid))
         return Ipomset(labels, src, tgt, prec, ev)
 
     def right_part(mid: int, right: int) -> Ipomset:
         order = [*_loset_sort(evord, mid), *_events(n, right)]
-        k = len(order)
-        bits = [0] * n
-        for new, old in enumerate(order):
-            bits[old] = 1 << (k - 1 - new)
-        return Ipomset(
-            labels=tuple(m.labels[i] for i in order),
-            source=frozenset(range(mid.bit_count())),
-            target=frozenset(_events(k, _remap(target, n, bits))),
-            prec=tuple(_remap(succ[i], n, bits) for i in order),
-            evord=tuple(_remap(evord[i], n, bits) for i in order),
-        )
+        return Ipomset(*_restrict(m.labels, mid, target, succ, evord, order))
 
     def removed(p: Ipomset, down: int, mid: int, e: int, at: int) -> Optional[Ipomset]:
         bit = 1 << (n - 1 - e)

@@ -9,6 +9,7 @@ from conftest import n_shape, word
 from hdalib.cli import main
 from hdalib.errors import AxiomViolation, HdalibError, MalformedInterval, ParseError
 from hdalib.formats import (
+    LOG_HEADER,
     hda_to_dot,
     hda_to_text,
     ipomset_from_json,
@@ -106,6 +107,15 @@ class TestBlocks:
     def test_duplicate_id(self):
         with pytest.raises(ParseError):
             parse_ipomset_block("ipomset q { events: x:a, x:b; evord: x<x }")
+
+    def test_empty_id(self, capsys):
+        # the empty id once named the event b, and e0< read as e0<b
+        text = "ipomset P { events: e0:a, :b ; prec: e0< }"
+        message = "bad event ':b': expected id:label"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_ipomset_block(text)
+        assert main(["ipo", "canon", text]) == 2
+        assert capsys.readouterr().err == f"error: ParseError: {message}\n"
 
     def test_repeated_section_is_an_error(self):
         # the second evord once replaced the first, reading [b|a]
@@ -354,6 +364,24 @@ class TestLogs:
         recs = [IntervalRow("x", "a", Fraction(3), Fraction(1), False, False)]
         with pytest.raises(MalformedInterval):
             from_intervals(recs)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # two e rows once read as two events, both reported as event e
+            ("e,a,0,1,false,false\ne,b,2,3,false,false", "duplicate event id 'e'"),
+            (",a,0,1,false,false", "bad log line ',a,0,1,false,false'"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_bad_event_id_is_a_parse_error(self, rows, message, tmp_path, capsys):
+        text = f"{','.join(LOG_HEADER)}\n{rows}\n"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_log(text)
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        assert main(["ingest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: ParseError: {message}\n"
 
     def test_header_required(self):
         with pytest.raises(ParseError):

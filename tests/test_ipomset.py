@@ -643,7 +643,7 @@ class TestTargetsAndSignatures:
 
     def test_start_is_starter_glue(self, small_corpus, random_corpus, monkeypatch):
         # an up step calls _renumber only in the merged-group branch, which
-        # glues p with the starter, and the glue renumbers once
+        # puts p's last group and the started events in loset order, once
         renumbered = []
         real = ipomset_mod._renumber
         monkeypatch.setattr(

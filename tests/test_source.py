@@ -165,20 +165,24 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
-def _references(path: Path) -> set[str]:
+def _references(path: Path, attributes: bool = False) -> set[str]:
     """The names a file refers to outside the function of that name: names,
     attributes, imported names, and string constants, as the benchmark's
-    tracer names the functions it wraps."""
+    tracer names the functions it wraps.  With ``attributes``, only the
+    attributes: the names read after a dot."""
     found = set()
     stack = [(ast.parse(path.read_text(), str(path)), frozenset())]
     while stack:
         node, inside = stack.pop()
         if isinstance(node, ast.FunctionDef):
             inside = inside | {node.name}
-        names = [_name(node)]
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if attributes:
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+        else:
+            names = [_name(node)]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and not attributes:
             names.append(node.value)
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom) and not attributes:
             names += [a.name for a in node.names]
         found.update(n for n in names if n and n not in inside)
         stack += [(child, inside) for child in ast.iter_child_nodes(node)]
@@ -187,18 +191,44 @@ def _references(path: Path) -> set[str]:
 
 def test_every_library_function_has_a_user():
     # a function that only unit tests call is surface nobody uses; the
-    # re-exports in __init__.py do not count as a use
+    # re-exports in __init__.py do not count as a use.  A method is used
+    # only through an attribute: a local variable of its name is no use
     library = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    used = set().union(*map(_references, library + SCRIPTS + PERFBENCH + [ACCEPTANCE]))
+    users = library + SCRIPTS + PERFBENCH + [ACCEPTANCE]
+    used = set().union(*map(_references, users))
+    read = set().union(*(_references(path, attributes=True) for path in users))
+    trees = [ast.parse(path.read_text(), str(path)) for path in library]
+    methods = {
+        id(fn)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+    }
     unused = {
         fn.name
-        for path in library
-        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        for tree in trees
+        for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         and not (fn.name.startswith("__") and fn.name.endswith("__"))
-        and fn.name not in used
+        and fn.name not in (read if id(fn) in methods else used)
     }
     assert library and not unused, sorted(unused)
+
+
+def test_rows_are_cut_only_by_restrict():
+    # _restrict is the one routine that cuts relation rows to a
+    # sub-ipomset; glue alone also moves q's rows into p*q with _remap
+    tree = ast.parse((SRC / "ipomset.py").read_text())
+    users, stack = set(), [(tree, None)]
+    while stack:
+        node, fn = stack.pop()
+        if isinstance(node, ast.Name) and node.id == "_remap":
+            users.add(fn)
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        stack += [(child, fn) for child in ast.iter_child_nodes(node)]
+    assert users == {"_restrict", "glue"}
 
 
 def test_every_exported_function_has_a_user():
