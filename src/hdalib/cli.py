@@ -409,29 +409,39 @@ COMMANDS = (
 
 
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every
-    ``main`` call; ``parse_args`` returns a fresh namespace each time."""
+def make_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser, and each command's parser by the words that
+    name it (``("hda", "member")``, ``("ingest",)``), built once per
+    process; ``parse_args`` returns a fresh namespace each time."""
     top = argparse.ArgumentParser(
         prog="hdalib",
         description="ipomsets, higher-dimensional automata, and their languages",
     )
     sub = top.add_subparsers(dest="group", required=True)
     groups = {None: sub}
+    commands = {}
     for group, name, fn, help_text, style, arguments in COMMANDS:
         if group not in groups:
             g = sub.add_parser(group, help=GROUPS[group])
             groups[group] = g.add_subparsers(dest="command", required=True)
         p = groups[group].add_parser(name, help=help_text)
+        commands[(group, name) if group else (name,)] = p
         p.set_defaults(fn=fn, style=style)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         for flags, kw in arguments:
             p.add_argument(*flags, **kw)
-    return top
+    return top, commands
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    top, commands = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in commands), ())
+    # a named command's parser, called as the top one would call it, or
+    # the top one itself; both report what is left over as parse_args does
+    args, extra = commands.get(words, top).parse_known_args(argv[len(words) :])
+    if extra:
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code, out = args.fn(args)
         if args.json:

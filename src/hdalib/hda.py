@@ -410,19 +410,17 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
 def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
     """The event ipomsets of the sparse accepting paths within the bound:
     one :func:`_bfs` over states (node, cell, kind of the last step), cut
-    by :func:`_in_reach`.  A node is a step sequence read so far, made
-    when first read (:func:`_reading`) and folded then, once, from its
-    parent's fold, so paths that read alike are folded once."""
+    by :func:`_in_reach`.  A node is a step sequence read so far
+    (:func:`_reading`).  Only the nodes that accepting paths read are
+    folded, once each, from their parent's fold."""
     idx = x._index
     nodes: dict[tuple, int] = {}  # (parent node, reading), or (None, loset) for a root
-    folds: list[Ipomset] = []  # per node: the fold of the steps it reads
     depth: list[int] = []  # per node: how many steps it reads
 
     def node(parent: Optional[int], step) -> int:
         key = (parent, step)
         if key not in nodes:
-            nodes[key] = len(folds)
-            folds.append(identity(step) if parent is None else apply_step(folds[parent], *step))
+            nodes[key] = len(depth)
             depth.append(0 if parent is None else depth[parent] + 1)
         return nodes[key]
 
@@ -437,7 +435,17 @@ def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
 
     roots = [c for c in sorted(x.start) if _in_reach(x, c, 0, max_steps)]
     found = _bfs([(node(None, x.cells[c].ev), c, None) for c in roots], nexts)
-    return frozenset(folds[at] for at, cell, _ in found if cell in x.accept)
+    ends = [at for at, cell, _ in found if cell in x.accept]
+    keys = list(nodes)  # in node order: a parent comes before its children
+    read = set(ends)  # the nodes an accepting path reads
+    for at in reversed(range(len(keys))):
+        if at in read and keys[at][0] is not None:
+            read.add(keys[at][0])
+    folds: dict[int, Ipomset] = {}
+    for at in sorted(read):
+        parent, step = keys[at]
+        folds[at] = identity(step) if parent is None else apply_step(folds[parent], *step)
+    return frozenset(folds[at] for at in ends)
 
 
 # ---------------------------------------------------------------------------

@@ -367,8 +367,22 @@ def _restrict(
     and that its sources are minimal and its targets maximal.  A
     restriction of a transitive relation is transitive, of an acyclic one
     acyclic, of an interval order an interval order, and every pair of
-    kept events stays related, so nothing is checked again."""
+    kept events stays related, so nothing is checked again.
+
+    A block lo, ..., lo+k-1 in increasing order, as each part of a word's
+    divisions is, keeps bits n-lo-k to n-lo-1 of each row, in order, so
+    one shift and one mask cut a row, where :func:`_remap` steps per bit."""
     n, k = len(labels), len(order)
+    lo = order[0] if k else 0
+    if list(order) == list(range(lo, lo + k)):
+        shift, cut = n - lo - k, (1 << k) - 1
+        return (
+            tuple(labels[lo : lo + k]),
+            frozenset(_events(k, source >> shift & cut)),
+            frozenset(_events(k, target >> shift & cut)),
+            tuple(r >> shift & cut for r in prec[lo : lo + k]),
+            tuple(r >> shift & cut for r in evord[lo : lo + k]),
+        )
     bits = [0] * n  # a dropped column moves to no bit
     for new, old in enumerate(order):
         bits[old] = 1 << (k - 1 - new)
@@ -895,6 +909,9 @@ def enumerate_divisions(
     sources, the interface, in event order.  The right events follow in
     m's order: each has every left event below it, so its down-set in q is
     its down-set in m minus the left part, which ranks them as m does.
+    On a word of n events each body, right part and removal is a block of
+    consecutive events, which :func:`_restrict` cuts with one shift per
+    row: O(n) word operations per part, O(n²) over the 2n+1 divisions.
 
     Concurrency is inherited by both parts, and each part's event order is
     m's closed event order cut to its events, with no closure again.  An

@@ -287,6 +287,20 @@ def _restrict(m, events, source, target):
     )
 
 
+def oracle_cut(p: Ipomset, order) -> tuple:
+    """The labels, interfaces and relation pairs of p on the events
+    ``order``, with ``order[k]`` renumbered to k, read pair by pair
+    through ``lt`` and ``ev``."""
+    k = range(len(order))
+    return (
+        tuple(p.labels[e] for e in order),
+        frozenset(i for i in k if order[i] in p.source),
+        frozenset(i for i in k if order[i] in p.target),
+        frozenset((i, j) for i in k for j in k if p.lt(order[i], order[j])),
+        frozenset((i, j) for i in k for j in k if p.ev(order[i], order[j])),
+    )
+
+
 def oracle_reachability(x: Hda) -> tuple[frozenset[str], frozenset[str]]:
     """Accessible and coaccessible cell sets by plain fixpoint iteration
     over singleton face steps."""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hdalib.cli import main
+from hdalib.cli import main, make_parser
 from hdalib.formats import ipomset_to_text, parse_expr, parse_hda
 from hdalib.ipomset import glue
 
@@ -406,3 +407,55 @@ class TestContract:
         assert main(["hda", "lang", str(DATA / "square2d.hda")]) == 2
         after = os.fstat(1)
         assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+class TestParserDispatch:
+    """A command named by argv's first words is parsed by its own parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["hda", "validate", "data/chain3squares.hda"], ["ingest", "data/n_shape_intervals.csv"]],
+    )
+    def test_command_skips_the_top_parser(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top parser parsed a named command")
+
+        monkeypatch.chdir(DATA.parent)
+        top = make_parser()[0]
+        monkeypatch.setattr(top, "parse_args", refuse)
+        monkeypatch.setattr(top, "parse_known_args", refuse)
+        assert run(capsys, *argv)[0] == 0
+
+    # stdout and stderr by the first 16 hex digits of their SHA-256: the
+    # bytes the top parser prints when it hands the rest on itself
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["hda", "member", "-h"], 0, "7adc05facffd3a6f", "e3b0c44298fc1c14"),
+            (
+                ["hda", "lang", "data/loop_ab.hda", "--max-steps", "x"],
+                2, "e3b0c44298fc1c14", "d1e4e489f2daea21",
+            ),
+            (["bogus"], 2, "e3b0c44298fc1c14", "4851a004f33ed680"),
+            (["ipo"], 2, "e3b0c44298fc1c14", "e145f7facc6c586d"),
+            (["ingest"], 2, "e3b0c44298fc1c14", "a463d082ce7255a8"),
+            (
+                ["hda", "validate", "data/chain3squares.hda", "extra"],
+                2, "e3b0c44298fc1c14", "df17d501b830d9d1",
+            ),
+            (
+                ["hda", "validate", "data/chain3squares.hda", "--bogus"],
+                2, "e3b0c44298fc1c14", "365c0271e9138d6e",
+            ),
+        ],
+    )
+    def test_usage_and_errors_keep_their_bytes(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.chdir(DATA.parent)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse's own help and usage errors
+            got = exc.code
+        streams = capsys.readouterr()
+        digest = [hashlib.sha256(s.encode()).hexdigest()[:16] for s in (streams.out, streams.err)]
+        assert (got, *digest) == (code, out, err), streams.out + streams.err

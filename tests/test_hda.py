@@ -379,6 +379,24 @@ class TestEnumerateLanguage:
         assert enumerate_language(x, 4) == {word("a")}
         assert len(calls) == 2
 
+    def test_dead_branches_are_not_folded(self, monkeypatch):
+        # the square alone accepting: v ↑e and v ↑g are one up step from q
+        # by distance, so the walk reads them, but a sparse path goes down
+        # after an up step, so no accepting path extends them.  Only the
+        # step v ↑q is folded; folding every node read would take 3 calls
+        text = (DATA / "square2d.hda").read_text().replace("accept: h y ;", "accept: q ;")
+        x = parse_hda(text)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return apply_step(*args)
+
+        monkeypatch.setattr(hda_mod, "apply_step", counted)
+        assert enumerate_language(x, 2) == {par(("a", 0, 1), ("b", 0, 1))}
+        assert len(calls) == 1
+        check_language_against_oracle(x, 4)
+
     def test_matches_oracle_on_mn_automata(self, mn_slice):
         for mn in mn_slice:
             b = max(len(sparse_decomposition(m).steps) for m in mn.lang.members)

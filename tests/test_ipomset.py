@@ -7,6 +7,7 @@ import pytest
 
 from conftest import n_shape, par, word
 from oracles import (
+    oracle_cut,
     oracle_divisions,
     oracle_interval_rows,
     oracle_isomorphic,
@@ -839,6 +840,58 @@ class TestDivisions:
         assert divisions == small_divisions
         assert removed == [want for _, _, want in removals]
         assert len(small_corpus) == 1273 and len(removals) == 2383
+
+
+def _long_word(n, near=False):
+    """A word of n events over abc; a near-word has its two middle events
+    concurrent."""
+    mid = n // 2 - 1
+    pair = (mid, mid + 1) if near else None
+    prec = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != pair]
+    evord = [pair] if near else []
+    return canonicalize(["abc"[i % 3] for i in range(n)], prec=prec, evord=evord)
+
+
+class TestBlockCuts:
+    """A sub-ipomset on consecutive events in order is cut by one shift."""
+
+    def test_word_divisions_cut_rows_whole(self, monkeypatch):
+        # every part and removal of a word is one block of its order, so
+        # no row is rebuilt bit by bit; a near-word has three parts that
+        # are not, at its concurrent pair, each O(n) rows.  Rebuilding
+        # every row bit by bit would take about 3n^2 calls on either.
+        calls = []
+        real = ipomset_mod._remap
+        monkeypatch.setattr(ipomset_mod, "_remap", lambda *a: calls.append(1) or real(*a))
+        n = 60
+        word_divs = enumerate_divisions(_long_word(n), {})
+        assert calls == []
+        near_divs = enumerate_divisions(_long_word(n, near=True), {})
+        assert 0 < len(calls) < 4 * n
+        assert len(word_divs) == 2 * n + 1 and len(near_divs) == 2 * n + 3
+
+    def test_word_divisions_glue_back(self):
+        m = _long_word(60)
+        divs = enumerate_divisions(m)
+        assert len(divs) == 2 * m.n + 1
+        assert all(glue(p, q) == m for p, q in divs)
+
+    def test_block_cut_matches_reference(self):
+        rng = random.Random(30)
+        checked = 0
+        for _ in range(150):
+            p = random_ipomset(rng, max_events=7, max_interface=3, steps=6)
+            n = p.n
+            source, target = ipomset_mod._mask(n, p.source), ipomset_mod._mask(n, p.target)
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    order = list(range(lo, hi))
+                    cut = ipomset_mod.Ipomset(
+                        *ipomset_mod._restrict(p.labels, source, target, p.prec, p.evord, order)
+                    )
+                    assert oracle_cut(cut, range(cut.n)) == oracle_cut(p, order)
+                    checked += 1
+        assert checked > 2000
 
 
 def _recanonicalized(p):
