@@ -260,13 +260,11 @@ def check_path(x: Hda, path: Path) -> None:
 
 
 def ev_of_path(x: Hda, path: Path) -> Ipomset:
-    """The event ipomset of a path: the identity on its first cell, folded
-    with the starter or terminator each step reads (:func:`_reading`), by
-    :func:`apply_step`."""
-    out = identity(x.cells[path.cells[0]].ev)
-    for k, st in enumerate(path.steps):
-        out = apply_step(out, *_reading(x, path.cells[k], path.cells[k + 1], st))
-    return out
+    """The event ipomset of a path: the :class:`StepSequence` it reads
+    (:func:`_reading`), composed."""
+    c = path.cells
+    reads = (_reading(x, a, b, st) for a, b, st in zip(c, c[1:], path.steps))
+    return StepSequence(x.cells[c[0]].ev, tuple(reads)).compose()
 
 
 def _reading(x: Hda, before: str, after: str, st: PathStep) -> StarterTerminator:

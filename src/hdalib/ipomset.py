@@ -132,7 +132,7 @@ class StepSequence(NamedTuple):
         return all(a != b for a, b in zip(kinds, kinds[1:]))
 
     def compose(self) -> Ipomset:
-        """Fold the steps back together (round-trip check for decompose)."""
+        """The identity on the initial loset folded by :func:`apply_step`."""
         out = identity(self.initial_loset)
         for step in self.steps:
             out = apply_step(out, *step)
@@ -531,43 +531,22 @@ def subsumes(p: Ipomset, q: Ipomset) -> bool:
 
 
 def glue(p: Ipomset, q: Ipomset) -> Ipomset:
-    """Serial composition p*q along T_p ≅ S_q.
-
-    Raises :class:`InterfaceMismatch` when the interfaces do not match as
-    losets, :class:`AxiomViolation` if the combined event order is cyclic.
+    """Serial composition p*q along T_p ≅ S_q: p folded with
+    :func:`apply_step` over ``sparse_decomposition(q)``, which is p*q as
+    gluing is associative (Fahrenberg, Johansen, Struth, Ziemiański, MSCS
+    2021).  Raises :class:`InterfaceMismatch` when the interfaces do not
+    match as losets, checked here since an identity q has no steps.
+    Nothing is checked again, as no event-order cycle can arise: both
+    interfaces are antichains that the event order orders totally,
+    matched in that order, so a cycle that crosses between p and q would
+    collapse to a cycle on the target loset.
     """
-    pt = p.target_events()
-    qs = q.source_events()
-    if tuple(p.labels[i] for i in pt) != tuple(q.labels[i] for i in qs):
-        raise InterfaceMismatch(
-            f"target loset {p.target_loset()} does not match source loset "
-            f"{q.source_loset()}"
-        )
-    qmap = [-1] * q.n
-    for a, b in zip(pt, qs):
-        qmap[b] = a
-    n = p.n
-    for j in range(q.n):
-        if qmap[j] < 0:
-            qmap[j] = n
-            n += 1
-    labels = list(p.labels) + [""] * (n - p.n)
-    for j, i in enumerate(qmap):
-        labels[i] = q.labels[j]
-    # p's events keep their indices, so its rows only widen
-    prec = [r << (n - p.n) for r in p.prec] + [0] * (n - p.n)
-    evord = [r << (n - p.n) for r in p.evord] + [0] * (n - p.n)
-    bits = [1 << (n - 1 - i) for i in qmap]
-    for j, i in enumerate(qmap):
-        prec[i] |= _remap(q.prec[j], q.n, bits)
-        evord[i] |= _remap(q.evord[j], q.n, bits)
-    q_interior = _mask(n, (qmap[j] for j in range(q.n) if j not in q.source))
-    for i in range(p.n):
-        if i not in p.target:
-            prec[i] |= q_interior
-    return _close_and_check(
-        tuple(labels), p.source, frozenset(qmap[j] for j in q.target), prec, evord
-    )
+    have, want = p.target_loset(), q.source_loset()
+    if have != want:
+        raise InterfaceMismatch(f"target loset {have} does not match source loset {want}")
+    for step in sparse_decomposition(q).steps:
+        p = apply_step(p, *step)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +776,11 @@ def terminate_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
 def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) -> Ipomset:
     """P * (U↑A) for ``kind`` STARTER, P * (U↓A) for TERMINATOR: glue p
     with the step that starts or terminates the events at ``positions`` of
-    the loset U.  The errors are those of ``glue(p, starter(U, A))`` and
-    ``glue(p, terminator(U, A))``: positions out of range raise
-    :class:`AxiomViolation`, then a source loset of the step that is not
-    p's target loset raises :class:`InterfaceMismatch`.  Neither branch
-    checks or canonicalizes again.
+    the loset U.  Positions out of range raise :class:`AxiomViolation`,
+    then a source loset of the step (U−A for a starter, U for a
+    terminator) that is not p's target loset raises
+    :class:`InterfaceMismatch`.  Neither branch checks or canonicalizes
+    again.
 
     A terminator glued onto p adds no event (its every event is a source,
     glued onto a target of p), no precedence (it has no event outside its
@@ -819,7 +798,10 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     also breaks no axiom: the new events are maximal targets, and their
     down-set, the non-targets of p, holds every other down-set, so the
     down-sets stay nested.  Every pair the starter orders is concurrent,
-    so its order joins the essential event order, which is closed once.
+    so its order joins the essential event order.  The union is closed
+    with no closure pass: p's targets are already in loset order, so the
+    only new pairs put a started event before the slots after it and
+    their successors, and after the events of p before an earlier slot.
     Every event of p keeps its down-set, and the sources stay, so p's
     canonical order stays (:func:`_canonical_order` ranks groups by
     down-set), and the new events join the group of their down-set.  That
@@ -857,17 +839,22 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     prec = [r << k | (0 if i in p.target else started) for i, r in enumerate(p.prec)]
     prec += [0] * k
     evord = [r << k for r in p.evord] + [0] * k
-    later = 0
+    later = 0  # the slots after i and their successors
     for i in reversed(slots):
         evord[i] |= later
-        later |= 1 << (n - 1 - i)
+        later |= 1 << (n - 1 - i) | evord[i]
+    for x, r in enumerate(p.evord):
+        for t in tgt:  # in event order: the first target after x
+            if r >> (old - 1 - t) & 1:
+                evord[x] |= evord[t] & started
+                break
     labels = p.labels + tuple(loset[i] for i in sorted(positions))
     target = p.target | frozenset(range(old, n))
     if merged:
         last = old - merged.bit_count()  # the first index of p's last group
         order = [*range(last), *(i for i in slots if i >= last)]
         return _renumber(labels, _mask(n, p.source), _mask(n, target), prec, evord, order)
-    return Ipomset(labels, p.source, target, tuple(prec), tuple(_closure(evord)))
+    return Ipomset(labels, p.source, target, tuple(prec), tuple(evord))
 
 
 # ---------------------------------------------------------------------------

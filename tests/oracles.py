@@ -9,15 +9,7 @@ from fractions import Fraction
 
 from hdalib.errors import AxiomViolation, InterfaceMismatch
 from hdalib.hda import DOWN, UP, DeterminismReport, Hda, Path, PathStep
-from hdalib.ipomset import (
-    IntervalRow,
-    Ipomset,
-    canonicalize,
-    glue,
-    identity,
-    starter,
-    terminator,
-)
+from hdalib.ipomset import IntervalRow, Ipomset, canonicalize
 
 
 def _bijections(p: Ipomset, q: Ipomset):
@@ -146,9 +138,59 @@ def oracle_one_step_refinements(p: Ipomset) -> list[Ipomset]:
     return out
 
 
+def oracle_glue(p: Ipomset, q: Ipomset) -> Ipomset:
+    """P*q from its definition, canonicalized once.  The events are p's,
+    then q's non-sources; q's k-th source is p's k-th target, both in
+    event order.  Precedence is p's, q's and every pair of a non-target
+    of p and a non-source of q; the event order is p's and q's.  Raises
+    :class:`InterfaceMismatch` with :func:`hdalib.ipomset.glue`'s message
+    when the interface labels differ."""
+    pt = p.target_events()
+    qs = sorted(q.source, key=lambda e: sum(q.ev(f, e) for f in q.source))
+    have, want = tuple(p.labels[e] for e in pt), tuple(q.labels[e] for e in qs)
+    if have != want:
+        raise InterfaceMismatch(f"target loset {have} does not match source loset {want}")
+    into = dict(zip(qs, pt))  # q's event -> its event of p*q
+    for e in range(q.n):
+        if e not in q.source:
+            into[e] = p.n + len(into) - len(qs)
+    labels = list(p.labels) + [""] * (q.n - len(qs))
+    for e, i in into.items():
+        labels[i] = q.labels[e]
+    pe, qe = range(p.n), range(q.n)
+    prec = [(a, b) for a in pe for b in pe if p.lt(a, b)]
+    prec += [(into[a], into[b]) for a in qe for b in qe if q.lt(a, b)]
+    prec += [(a, into[b]) for a in pe if a not in p.target for b in qe if b not in q.source]
+    evord = [(a, b) for a in pe for b in pe if p.ev(a, b)]
+    evord += [(into[a], into[b]) for a in qe for b in qe if q.ev(a, b)]
+    return canonicalize(labels, p.source, [into[e] for e in q.target], prec, evord)
+
+
+def _oracle_step(loset, active, start: bool) -> Ipomset:
+    """U↑A (``start``) or U↓A: the events at ``active`` are missing from
+    the source or the target interface, and the loset orders them all.
+    Positions out of range raise :class:`AxiomViolation`."""
+    every, active = range(len(loset)), set(active)
+    if any(i not in every for i in active):
+        raise AxiomViolation(f"{'starter' if start else 'terminator'} positions out of range")
+    rest = [i for i in every if i not in active]
+    pairs = list(itertools.combinations(every, 2))
+    if start:
+        return canonicalize(loset, rest, every, (), pairs)
+    return canonicalize(loset, every, rest, (), pairs)
+
+
+def oracle_starter(loset, active) -> Ipomset:
+    return _oracle_step(loset, active, True)
+
+
+def oracle_terminator(loset, active) -> Ipomset:
+    return _oracle_step(loset, active, False)
+
+
 def oracle_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
-    """Every three-way split, no pre-filtering: keep the pairs whose glue
-    reproduces m."""
+    """Every three-way split, no pre-filtering: keep the pairs whose
+    :func:`oracle_glue` reproduces m."""
     n = m.n
     out = set()
     for assign in itertools.product((0, 1, 2), repeat=n):
@@ -158,7 +200,7 @@ def oracle_divisions(m: Ipomset) -> frozenset[tuple[Ipomset, Ipomset]]:
         try:
             p = _restrict(m, left, m.source, mid)
             q = _restrict(m, right, mid, m.target)
-            if glue(p, q) == m:
+            if oracle_glue(p, q) == m:
                 out.add((p, q))
         except (AxiomViolation, InterfaceMismatch):
             continue
@@ -368,13 +410,14 @@ def oracle_accepting_paths(x: Hda, max_steps: int) -> list[Path]:
 def oracle_ev_of_path(x: Hda, path: Path) -> Ipomset:
     """The event ipomset of a path: the identity on its first cell, glued
     with a starter on the cell an up step enters and a terminator on the
-    cell a down step leaves, one step at a time."""
-    out = identity(x.cells[path.cells[0]].ev)
+    cell a down step leaves, one step at a time, all from
+    :func:`oracle_glue` and the oracle steps."""
+    out = oracle_terminator(x.cells[path.cells[0]].ev, ())  # the identity
     for k, st in enumerate(path.steps):
         if st.kind == UP:
-            out = glue(out, starter(x.cells[path.cells[k + 1]].ev, st.positions))
+            out = oracle_glue(out, oracle_starter(x.cells[path.cells[k + 1]].ev, st.positions))
         else:
-            out = glue(out, terminator(x.cells[path.cells[k]].ev, st.positions))
+            out = oracle_glue(out, oracle_terminator(x.cells[path.cells[k]].ev, st.positions))
     return out
 
 

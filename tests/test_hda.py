@@ -442,7 +442,8 @@ class TestEnumerateLanguage:
         def refuse(*_args, **_kwargs):
             raise AssertionError("the path fold glued or canonicalized")
 
-        # both run _close_and_check, however they are imported
+        # canonicalize runs _close_and_check however it is imported, and
+        # glue is refused by name
         for name in ("glue", "canonicalize", "_close_and_check"):
             monkeypatch.setattr(ipomset_mod, name, refuse)
         assert [ev_of_path(square, path) for path in detours] == detour_evs

@@ -9,6 +9,7 @@ from conftest import n_shape, par, word
 from oracles import (
     oracle_cut,
     oracle_divisions,
+    oracle_glue,
     oracle_interval_rows,
     oracle_isomorphic,
     oracle_moments,
@@ -16,7 +17,9 @@ from oracles import (
     oracle_refinements,
     oracle_remove_targets,
     oracle_sort_key,
+    oracle_starter,
     oracle_subsumes,
+    oracle_terminator,
 )
 from random_gen import random_ipomset
 
@@ -216,6 +219,28 @@ class TestGlue:
         with pytest.raises(InterfaceMismatch):
             glue(word("a", tgt=[0]), word("b", src=[0]))
 
+    def test_matches_oracle(self, small_corpus):
+        # glue folds q's sparse steps; the oracle glues by the definition.
+        # An identity q has no steps, so there glue's own check is the only
+        # check: a mismatched one raises the same text as any other q
+        rng = random.Random(11)
+        drawn = [random_ipomset(rng, labels="abc", max_events=5) for _ in range(60)]
+        cases = 0
+        for corpus in (small_corpus[::7], drawn):
+            by_source: dict = {}
+            for q in corpus:
+                by_source.setdefault(q.source_loset(), []).append(q)
+            for p in corpus:
+                t = p.target_loset()
+                for q in by_source.get(t, []) + [identity(t)]:
+                    assert glue(p, q) == oracle_glue(p, q)
+                    cases += 1
+                wrong = t + ("c",)
+                mismatch = f"target loset {t} does not match source loset {wrong}"
+                with pytest.raises(InterfaceMismatch, match=f"^{re.escape(mismatch)}$"):
+                    glue(p, identity(wrong))
+        assert cases == 6638
+
     def test_six_steps_compose_to_n_shape(self):
         steps = [
             starter(("a", "b"), [0]),
@@ -269,8 +294,8 @@ class TestConstructors:
             starter(("a",), [3])
 
     def test_steps_match_canonicalize(self):
-        # starter and terminator are folds of apply_step, and the oracles
-        # glue them, so they are checked against the definition directly
+        # starter and terminator are folds of apply_step, so they are
+        # checked against the definition directly
         cases = 0
         for n in range(4):
             every = range(n)
@@ -621,14 +646,14 @@ class TestTargetsAndSignatures:
             for k in range(len(loset) + 1):
                 for a in itertools.combinations(range(len(loset)), k):
                     got = apply_step(p, TERMINATOR, loset, a)
-                    assert got == glue(p, terminator(loset, a))
+                    assert got == oracle_glue(p, oracle_terminator(loset, a))
                     cases += 1
         assert cases == 3349
 
     def test_apply_step_up_errors(self):
         p = par(("a", 0, 1), ("b", 0, 1))
-        assert apply_step(p, STARTER, ("a", "c", "b"), [1]) == glue(
-            p, starter(("a", "c", "b"), [1])
+        assert apply_step(p, STARTER, ("a", "c", "b"), [1]) == oracle_glue(
+            p, oracle_starter(("a", "c", "b"), [1])
         )
         # the range check comes first, as in starter, then glue's mismatch
         for loset, bad in ((("a", "b"), [2]), (("a", "c"), [-1]), (("c",), [0, 1])):
@@ -667,7 +692,7 @@ class TestTargetsAndSignatures:
                             before = len(renumbered)
                             got = apply_step(p, STARTER, loset, a)
                             merged += len(renumbered) > before
-                            assert got == glue(p, starter(loset, a))
+                            assert got == oracle_glue(p, oracle_starter(loset, a))
                             cases += 1
         assert cases == 28096
         assert 0 < merged < cases

@@ -218,7 +218,7 @@ def test_every_library_function_has_a_user():
 
 def test_rows_are_cut_only_by_restrict():
     # _restrict is the one routine that cuts relation rows to a
-    # sub-ipomset; glue alone also moves q's rows into p*q with _remap
+    # sub-ipomset; glue folds apply_step and moves no rows itself
     tree = ast.parse((SRC / "ipomset.py").read_text())
     users, stack = set(), [(tree, None)]
     while stack:
@@ -228,7 +228,7 @@ def test_rows_are_cut_only_by_restrict():
         if isinstance(node, ast.FunctionDef):
             fn = node.name
         stack += [(child, fn) for child in ast.iter_child_nodes(node)]
-    assert users == {"_restrict", "glue"}
+    assert users == {"_restrict"}
 
 
 def test_every_exported_function_has_a_user():
