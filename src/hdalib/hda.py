@@ -315,19 +315,23 @@ def _trie_walk(x: Hda, seqs: Iterable[StepSequence], beyond: bool = False) -> tu
     nodes, a root per initial loset).  A state (node, cell, step taken) is
     a path to the cell that reads the steps from a root to the node.  A
     step unlike the last goes to the child of the node that its reading
-    (:func:`_reading`) names.  Node ``None`` is off the trie, where a start
-    cell whose loset starts no sequence begins.  With ``beyond``, a step
-    whose reading names no child goes there too, as does every step on
-    from there, when it enters a cell with a route to an accept cell
+    (:func:`_reading`) names.  The children are also keyed by the kind
+    and positions of the path step that could read them, and only a step
+    that matches one is read.  Node ``None`` is off the trie, where a
+    start cell whose loset starts no sequence begins.  With ``beyond``, a
+    step that names no child goes there too, as does every step on from
+    there, when it enters a cell with a route to an accept cell
     (:attr:`Hda._to_accept`); without it, no such step is taken.  Returns
     the :func:`_bfs` result from the start cells and the node each
     sequence ends at."""
     roots: dict[Loset, int] = {}
     kids: dict[tuple[int, StarterTerminator], int] = {}
+    shapes: set[tuple[int, PathStep]] = set()  # (node, a path step that may read a child)
     leaves = []
     for seq in seqs:
         node = roots.setdefault(seq.initial_loset, len(roots) + len(kids))
         for st in seq.steps:
+            shapes.add((node, PathStep(UP if st.kind == STARTER else DOWN, st.active)))
             node = kids.setdefault((node, st), len(roots) + len(kids))
         leaves.append(node)
     idx = x._index
@@ -336,7 +340,7 @@ def _trie_walk(x: Hda, seqs: Iterable[StepSequence], beyond: bool = False) -> tu
         node, cell, last = state
         out = []
         for y, st in idx.after(cell, last and last.kind):
-            child = None if node is None else kids.get((node, _reading(x, cell, y, st)))
+            child = kids.get((node, _reading(x, cell, y, st))) if (node, st) in shapes else None
             if child is not None or beyond and y in x._to_accept:
                 out.append((child, y, st))
         return out

@@ -160,16 +160,36 @@ class IntervalRow:
 # is bit n-1-j.  With the first column in the highest bit, rows of one width
 # compare as the rows of a boolean matrix would, so sort keys keep their
 # order, and the smallest event of a mask is its highest set bit.
+# Set bits are read only through _events, from a table up to width 8 and
+# by a loop above it (Warren, Hacker's Delight, ch. 5).  Interfaces are the
+# shared sets of _eventset, so equal ones are one object that hashes once.
+# _loset_sort places each event at its rank: the set must be an antichain.
+
+_TABLE_WIDTH = 8
+_EVENT_TABLE = [
+    [tuple(e for e in range(n) if mask >> (n - 1 - e) & 1) for mask in range(1 << n)]
+    for n in range(_TABLE_WIDTH + 1)
+]
+_EVENTSET_TABLE = [[frozenset(events) for events in row] for row in _EVENT_TABLE]
 
 
-def _events(n: int, mask: int) -> list[int]:
-    """The events of a mask in increasing order."""
+def _events(n: int, mask: int) -> tuple[int, ...]:
+    """The events of an n-wide mask in increasing order."""
+    if n <= _TABLE_WIDTH:
+        return _EVENT_TABLE[n][mask]
     out = []
     while mask:
         top = mask.bit_length()
         out.append(n - top)
         mask ^= 1 << (top - 1)
-    return out
+    return tuple(out)
+
+
+def _eventset(n: int, mask: int) -> frozenset[int]:
+    """The events of an n-wide mask as a set, the table's own up to width 8."""
+    if n <= _TABLE_WIDTH:
+        return _EVENTSET_TABLE[n][mask]
+    return frozenset(_events(n, mask))
 
 
 def _mask(n: int, events: Iterable[int]) -> int:
@@ -192,10 +212,8 @@ def _remap(row: int, n: int, bits: Sequence[int]) -> int:
     """The row with column j of an n-wide relation moved to the mask
     ``bits[j]``."""
     out = 0
-    while row:
-        top = row.bit_length()
-        out |= bits[n - top]
-        row ^= 1 << (top - 1)
+    for j in _events(n, row):
+        out |= bits[j]
     return out
 
 
@@ -206,10 +224,8 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     cols = [0] * n
     for i, row in enumerate(rows):
         bit = 1 << (n - 1 - i)
-        while row:
-            top = row.bit_length()
-            cols[n - top] |= bit
-            row ^= 1 << (top - 1)
+        for j in _events(n, row):
+            cols[j] |= bit
     return cols
 
 
@@ -226,12 +242,14 @@ def _closure(rows: Sequence[int]) -> list[int]:
 
 
 def _loset_sort(evord: Sequence[int], events: int) -> tuple[int, ...]:
-    """The events of a mask in event order."""
-    # the events are pairwise concurrent, so evord orders them totally and
-    # an earlier event has more of them after it
-    return tuple(
-        sorted(_events(len(evord), events), key=lambda i: -(evord[i] & events).bit_count())
-    )
+    """The events of a mask in event order.  The events must be pairwise
+    concurrent: evord then orders them totally, so an event's rank, the
+    number of them after it, is its distance from the end."""
+    found = _events(len(evord), events)
+    out = list(found)
+    for i in found:
+        out[~(evord[i] & events).bit_count()] = i  # rank r goes to index -1-r
+    return tuple(out)
 
 
 def moments(downs: Sequence[int]) -> list[int]:
@@ -241,19 +259,23 @@ def moments(downs: Sequence[int]) -> list[int]:
 
     For interval orders the strict down-sets are nested; the maximal
     antichains are exactly {x : D(x) ⊆ D, x ∉ D} for each distinct
-    down-set D, ordered by inclusion of D.
+    down-set D, ordered by inclusion of D: the groups up to D's, less D.
 
     Raises :class:`AxiomViolation` when the down-sets are not nested, which
     happens exactly when precedence contains a 2+2 (Fishburn 1985).
     """
-    n = len(downs)
-    distinct = sorted(set(downs), key=int.bit_count)
+    n, groups = len(downs), {}  # per down-set, the mask of its events
+    for x, d in enumerate(downs):
+        groups[d] = groups.get(d, 0) | 1 << (n - 1 - x)
+    distinct = sorted(groups, key=int.bit_count)
     for a, b in zip(distinct, distinct[1:]):
         if a & ~b:
             raise AxiomViolation("precedence admits no interval representation (2+2)")
-    return [
-        _mask(n, (x for x, dx in enumerate(downs) if not dx & ~d)) & ~d for d in distinct
-    ]
+    out, below = [], 0
+    for d in distinct:
+        below |= groups[d]
+        out.append(below & ~d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +329,9 @@ def _close_and_check(
         # the first unrelated pair has i < j: a pair (i, j) with j < i
         # shows up earlier, as (j, i)
         bit = 1 << (n - 1 - i)
-        missing = (bit - 1) & ~related[i]
-        while missing:
-            top = missing.bit_length()
-            if not related[n - top] & bit:
-                raise AxiomViolation(
-                    f"events {i} and {n - top} unrelated by precedence and event order"
-                )
-            missing ^= 1 << (top - 1)
+        for j in _events(n, (bit - 1) & ~related[i]):
+            if not related[j] & bit:
+                raise AxiomViolation(f"events {i} and {j} unrelated by precedence and event order")
     downs = _transpose(prec)
     ants = moments(downs)
     if any(downs[s] for s in source):
@@ -378,8 +395,8 @@ def _restrict(
         shift, cut = n - lo - k, (1 << k) - 1
         return (
             tuple(labels[lo : lo + k]),
-            frozenset(_events(k, source >> shift & cut)),
-            frozenset(_events(k, target >> shift & cut)),
+            _eventset(k, source >> shift & cut),
+            _eventset(k, target >> shift & cut),
             tuple(r >> shift & cut for r in prec[lo : lo + k]),
             tuple(r >> shift & cut for r in evord[lo : lo + k]),
         )
@@ -388,8 +405,8 @@ def _restrict(
         bits[old] = 1 << (k - 1 - new)
     return (
         tuple(labels[i] for i in order),
-        frozenset(_events(k, _remap(source, n, bits))),
-        frozenset(_events(k, _remap(target, n, bits))),
+        _eventset(k, _remap(source, n, bits)),
+        _eventset(k, _remap(target, n, bits)),
         tuple(_remap(prec[i], n, bits) for i in order),
         tuple(_remap(evord[i], n, bits) for i in order),
     )
@@ -891,11 +908,12 @@ def enumerate_divisions(
     of m.  The left part is down-closed and holds m's sources, so it keeps
     m's order, as in :func:`remove_targets`.  That body depends only on
     the down-set D = left ∪ mid, so it is built once per D, and each
-    division sets only its target: P's index of a mid event e is the
-    number of events of D before e.  The right part starts with its
-    sources, the interface, in event order.  The right events follow in
-    m's order: each has every left event below it, so its down-set in q is
-    its down-set in m minus the left part, which ranks them as m does.
+    division sets only its target, a shared :func:`_eventset`: P's index
+    of a mid event e is the number of events of D before e.  The right
+    part starts with its sources, the interface, in event order.  The
+    right events follow in m's order: each has every left event below it,
+    so its down-set in q is its down-set in m minus the left part, which
+    ranks them as m does.
     On a word of n events each body, right part and removal is a block of
     consecutive events, which :func:`_restrict` cuts with one shift per
     row: O(n) word operations per part, O(n²) over the 2n+1 divisions.
@@ -936,8 +954,10 @@ def enumerate_divisions(
         if body is None:
             body = bodies[down] = _restrict(m.labels, source, 0, succ, evord, _events(n, down))
         labels, src, _, prec, ev = body
-        tgt = frozenset((down >> (n - e)).bit_count() for e in _events(n, mid))
-        return Ipomset(labels, src, tgt, prec, ev)
+        tgt = 0  # in P's masks, the bit of a mid event e counts D's events after e
+        for e in _events(n, mid):
+            tgt |= 1 << (down & ((1 << (n - 1 - e)) - 1)).bit_count()
+        return Ipomset(labels, src, _eventset(len(labels), tgt), prec, ev)
 
     def right_part(mid: int, right: int) -> Ipomset:
         order = [*_loset_sort(evord, mid), *_events(n, right)]

@@ -294,6 +294,21 @@ class TestMember:
             ("v", "e2", "w2"), (up(0), down(0))
         )
 
+    def test_member_reads_only_moves_shaped_like_the_next_step(self, loop, monkeypatch):
+        # a move is read only when its kind and positions are those of
+        # the node's child.  On loop_ab the walk keeps one state per step
+        # of the query, and at most two moves out of a state have the
+        # child's shape (an a-edge and a b-edge start at each vertex)
+        members = sorted(enumerate_language(loop, 8), key=Ipomset.sort_key)
+        reads = []
+        real = hda_mod._reading
+        monkeypatch.setattr(hda_mod, "_reading", lambda *a: reads.append(a) or real(*a))
+        for p in members:
+            reads.clear()
+            assert member(loop, p) is not None
+            assert len(reads) <= 2 * len(sparse_decomposition(p).steps)
+        assert len(members) > 20 and len(reads) > 8
+
     def test_witness_split_along_divisions(self, square):
         # a path for a glued ipomset splits into paths for the two parts
         from hdalib.ipomset import enumerate_divisions

@@ -867,6 +867,73 @@ class TestDivisions:
         assert len(small_corpus) == 1273 and len(removals) == 2383
 
 
+def _loop_events(n, mask):
+    """The events of an n-wide mask, read one column at a time."""
+    return tuple(e for e in range(n) if mask >> (n - 1 - e) & 1)
+
+
+class TestBitKernel:
+    """Set bits are read through one table-driven kernel."""
+
+    def test_events_match_the_loop(self):
+        rng = random.Random(32)
+        masks = [(n, mask) for n in range(9) for mask in range(1 << n)]
+        assert len(masks) == 511
+        masks += [(n, rng.getrandbits(n)) for n in range(9, 65) for _ in range(40)]
+        masks += [(n, (1 << n) - 1) for n in range(9, 65)]
+        for n, mask in masks:
+            want = _loop_events(n, mask)
+            got = ipomset_mod._events(n, mask)
+            assert type(got) is tuple and got == want
+            assert ipomset_mod._eventset(n, mask) == frozenset(want)
+
+    def test_equal_interfaces_are_one_object(self):
+        for n in range(9):
+            for mask in range(1 << n):
+                assert ipomset_mod._eventset(n, mask) is ipomset_mod._eventset(n, mask)
+        # canonical forms and division parts take their interfaces from it
+        a, b = word("ab", src=[0], tgt=[1]), word("ba", src=[0], tgt=[1])
+        assert a.source is b.source and a.target is b.target
+        m = par(("a", 0, 0), ("b", 0, 0), ("c", 0, 0))
+        lefts = {p for p, _ in enumerate_divisions(m)}
+        assert len(lefts) > 8
+        for p, q in itertools.combinations(lefts, 2):
+            assert (p.target is q.target) == (p.target == q.target and p.n == q.n)
+
+    def test_loset_sort_matches_the_sort(self, small_corpus, random_corpus, monkeypatch):
+        # every set the library puts in event order (a target set, a
+        # moment, a running set of a schedule, a division's interface)
+        # is pairwise concurrent and sorts as the keyed sort did
+        calls = []
+        real = ipomset_mod._loset_sort
+        monkeypatch.setattr(ipomset_mod, "_loset_sort", lambda *a: calls.append(a) or real(*a))
+        for p in small_corpus + random_corpus:
+            p.target_events()
+            sparse_decomposition(p)
+            enumerate_divisions(p, {})
+        for p in small_corpus:
+            refinements(p)
+            _recanonicalized(p)
+        assert len(calls) > 10_000
+        for evord, events in {(tuple(evord), events) for evord, events in calls}:
+            n = len(evord)
+            found = _loop_events(n, events)
+            for i, j in itertools.combinations(found, 2):
+                assert evord[i] >> (n - 1 - j) & 1 or evord[j] >> (n - 1 - i) & 1
+            want = sorted(found, key=lambda i: -(evord[i] & events).bit_count())
+            assert real(evord, events) == tuple(want)
+
+    def test_moments_match_the_oracle(self, small_corpus, random_corpus):
+        for p in small_corpus + random_corpus:
+            got = ipomset_mod.moments(ipomset_mod._transpose(p.prec))
+            assert [frozenset(_loop_events(p.n, a)) for a in got] == oracle_moments(p)
+
+    def test_moments_reject_two_plus_two(self):
+        downs = [0, 0b1000, 0, 0b0010]  # 0 before 1 and 2 before 3 only
+        with pytest.raises(AxiomViolation, match=f"^{re.escape(TWO_PLUS_TWO_MESSAGE)}$"):
+            ipomset_mod.moments(downs)
+
+
 def _long_word(n, near=False):
     """A word of n events over abc; a near-word has its two middle events
     concurrent."""

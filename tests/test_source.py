@@ -216,19 +216,30 @@ def test_every_library_function_has_a_user():
     assert library and not unused, sorted(unused)
 
 
-def test_rows_are_cut_only_by_restrict():
-    # _restrict is the one routine that cuts relation rows to a
-    # sub-ipomset; glue folds apply_step and moves no rows itself
-    tree = ast.parse((SRC / "ipomset.py").read_text())
-    users, stack = set(), [(tree, None)]
+def _ipomset_users(name: str) -> set:
+    """The functions of ipomset.py that refer to ``name``, as a name or an
+    attribute; ``None`` stands for module-level code."""
+    users, stack = set(), [(ast.parse((SRC / "ipomset.py").read_text()), None)]
     while stack:
         node, fn = stack.pop()
-        if isinstance(node, ast.Name) and node.id == "_remap":
+        if _name(node) == name and isinstance(node, (ast.Name, ast.Attribute)):
             users.add(fn)
         if isinstance(node, ast.FunctionDef):
             fn = node.name
         stack += [(child, fn) for child in ast.iter_child_nodes(node)]
-    assert users == {"_restrict"}
+    return users
+
+
+def test_rows_are_cut_only_by_restrict():
+    # _restrict is the one routine that cuts relation rows to a
+    # sub-ipomset; glue folds apply_step and moves no rows itself
+    assert _ipomset_users("_remap") == {"_restrict"}
+
+
+def test_set_bits_are_walked_only_by_events():
+    # one idiom reads the set bits of a mask: _events, from its table up
+    # to width 8 and by a bit_length loop above it
+    assert _ipomset_users("bit_length") == {"_events"}
 
 
 def test_every_exported_function_has_a_user():
