@@ -195,7 +195,7 @@ def _face_typing(x: Hda) -> Iterator[str]:
                     yield f"cell {c.name}: face {tgt!r} undefined"
                 elif face.ev != want:
                     yield f"cell {c.name}: d{kind}({pos + 1}) has loset {face.ev}, expected {want}"
-    for name in sorted(n for n in x.start | x.accept if n not in x.cells):
+    for name in sorted([n for n in x.start | x.accept if n not in x.cells]):
         yield f"start/accept cell {name!r} undefined"
 
 
@@ -355,7 +355,7 @@ def _path(found: dict, state: tuple) -> Path:
     while state is not None:
         states.append(state)
         state = found[state]
-    return Path(tuple(s[1] for s in states[::-1]), tuple(s[2] for s in states[-2::-1]))
+    return Path(tuple([s[1] for s in states[::-1]]), tuple([s[2] for s in states[-2::-1]]))
 
 
 def member(x: Hda, p: Ipomset) -> Optional[Path]:
@@ -447,7 +447,7 @@ def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
     for at in sorted(read):
         parent, step = keys[at]
         folds[at] = identity(step) if parent is None else apply_step(folds[parent], *step)
-    return frozenset(folds[at] for at in ends)
+    return frozenset([folds[at] for at in ends])
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ class Ipomset(NamedTuple):
         return self.labels[: len(self.source)]
 
     def target_loset(self) -> Loset:
-        return tuple(self.labels[i] for i in self.target_events())
+        return tuple([self.labels[i] for i in self.target_events()])
 
     def sort_key(self):
         """Deterministic total order on canonical ipomsets."""
@@ -167,7 +167,7 @@ class IntervalRow:
 
 _TABLE_WIDTH = 8
 _EVENT_TABLE = [
-    [tuple(e for e in range(n) if mask >> (n - 1 - e) & 1) for mask in range(1 << n)]
+    [tuple([e for e in range(n) if mask >> (n - 1 - e) & 1]) for mask in range(1 << n)]
     for n in range(_TABLE_WIDTH + 1)
 ]
 _EVENTSET_TABLE = [[frozenset(events) for events in row] for row in _EVENT_TABLE]
@@ -397,18 +397,18 @@ def _restrict(
             tuple(labels[lo : lo + k]),
             _eventset(k, source >> shift & cut),
             _eventset(k, target >> shift & cut),
-            tuple(r >> shift & cut for r in prec[lo : lo + k]),
-            tuple(r >> shift & cut for r in evord[lo : lo + k]),
+            tuple([r >> shift & cut for r in prec[lo : lo + k]]),
+            tuple([r >> shift & cut for r in evord[lo : lo + k]]),
         )
     bits = [0] * n  # a dropped column moves to no bit
     for new, old in enumerate(order):
         bits[old] = 1 << (k - 1 - new)
     return (
-        tuple(labels[i] for i in order),
+        tuple([labels[i] for i in order]),
         _eventset(k, _remap(source, n, bits)),
         _eventset(k, _remap(target, n, bits)),
-        tuple(_remap(prec[i], n, bits) for i in order),
-        tuple(_remap(evord[i], n, bits) for i in order),
+        tuple([_remap(prec[i], n, bits) for i in order]),
+        tuple([_remap(evord[i], n, bits) for i in order]),
     )
 
 
@@ -445,7 +445,7 @@ def identity(loset: Loset) -> Ipomset:
         source=every,
         target=every,
         prec=(0,) * n,
-        evord=tuple((1 << (n - 1 - i)) - 1 for i in range(n)),
+        evord=tuple([(1 << (n - 1 - i)) - 1 for i in range(n)]),
     )
 
 
@@ -462,7 +462,7 @@ def terminator(loset: Loset, active: Iterable[int]) -> Ipomset:
 
 def _without(loset: Loset, positions: frozenset[int]) -> Loset:
     """The loset with the events at ``positions`` left out."""
-    return tuple(l for i, l in enumerate(loset) if i not in positions)
+    return tuple([l for i, l in enumerate(loset) if i not in positions])
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
     if len(p.source) != len(q.source) or len(p.target) != len(q.target):
         return None
     # subsumption can only forget precedence
-    if sum(r.bit_count() for r in p.prec) < sum(r.bit_count() for r in q.prec):
+    if sum([r.bit_count() for r in p.prec]) < sum([r.bit_count() for r in q.prec]):
         return None
     # interface events are forced: concurrent pairs keep their event order,
     # so the k-th source of p must map to the k-th source of q
@@ -587,16 +587,16 @@ def sparse_decomposition(p: Ipomset) -> StepSequence:
     steps: list[StarterTerminator] = []
     for ant in moments(_transpose(p.prec)):
         cur = _loset_sort(p.evord, ant)
-        loset = tuple(labels[e] for e in cur)
+        loset = tuple([labels[e] for e in cur])
         if prev_mask & ~ant:
-            gone = frozenset(i for i, e in enumerate(prev) if not ant >> (n - 1 - e) & 1)
+            gone = frozenset([i for i, e in enumerate(prev) if not ant >> (n - 1 - e) & 1])
             steps.append(StarterTerminator(TERMINATOR, prev_loset, gone))
         if ant & ~prev_mask:
-            new = frozenset(i for i, e in enumerate(cur) if not prev_mask >> (n - 1 - e) & 1)
+            new = frozenset([i for i, e in enumerate(cur) if not prev_mask >> (n - 1 - e) & 1])
             steps.append(StarterTerminator(STARTER, loset, new))
         prev, prev_mask, prev_loset = cur, ant, loset
     if prev_mask & ~_mask(n, p.target):
-        tail = frozenset(i for i, e in enumerate(prev) if e not in p.target)
+        tail = frozenset([i for i, e in enumerate(prev) if e not in p.target])
         steps.append(StarterTerminator(TERMINATOR, prev_loset, tail))
     return StepSequence(initial, tuple(steps))
 
@@ -664,7 +664,7 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
     of the state it leaves, and a starter copies it and sets its events'.
     """
     n = g.n
-    if sum(r.bit_count() for r in g.prec) == n * (n - 1) // 2:
+    if sum([r.bit_count() for r in g.prec]) == n * (n - 1) // 2:
         return frozenset({g})  # a chain has no schedule but its own
     g_downs = _transpose(g.prec)
     source, target = _mask(n, g.source), _mask(n, g.target)
@@ -682,10 +682,10 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
         started, done, last, steps, downs = stack.pop()
         running = started & ~done
         if started == full and running == target:
-            read = tuple(
-                tuple((g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u))
+            read = tuple([
+                tuple([(g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u)])
                 for u, a in steps
-            ) if twins else None
+            ]) if twins else None
             if downs == g_downs or read in seen:
                 continue
             if read:
@@ -726,7 +726,7 @@ def down_close(xs: Iterable[Ipomset]) -> frozenset[Ipomset]:
     the maximal inputs are walked.
     """
     out: set[Ipomset] = set()
-    for x in sorted(xs, key=lambda p: sum(r.bit_count() for r in p.prec)):
+    for x in sorted(xs, key=lambda p: sum([r.bit_count() for r in p.prec])):
         if x not in out:
             out |= refinements(x)
     return frozenset(out)
@@ -744,8 +744,8 @@ def rfin_events(p: Ipomset) -> frozenset[int]:
 def fin(p: Ipomset) -> StarterTerminator:
     """The target signature: the starter T↑(T−S) on the target loset."""
     tgt = p.target_events()
-    active = frozenset(i for i, e in enumerate(tgt) if e not in p.source)
-    return StarterTerminator(STARTER, tuple(p.labels[e] for e in tgt), active)
+    active = frozenset([i for i, e in enumerate(tgt) if e not in p.source])
+    return StarterTerminator(STARTER, tuple([p.labels[e] for e in tgt]), active)
 
 
 def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
@@ -836,7 +836,7 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
     if any(not 0 <= i < len(loset) for i in positions):
         raise AxiomViolation(f"{kind} positions out of range")
     tgt = p.target_events()
-    have = tuple(p.labels[i] for i in tgt)
+    have = tuple([p.labels[i] for i in tgt])
     glued = _without(loset, positions) if kind == STARTER else tuple(loset)
     if have != glued:
         raise InterfaceMismatch(f"target loset {have} does not match source loset {glued}")
@@ -865,7 +865,7 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
             if r >> (old - 1 - t) & 1:
                 evord[x] |= evord[t] & started
                 break
-    labels = p.labels + tuple(loset[i] for i in sorted(positions))
+    labels = p.labels + tuple([loset[i] for i in sorted(positions)])
     target = p.target | frozenset(range(old, n))
     if merged:
         last = old - merged.bit_count()  # the first index of p's last group
@@ -879,7 +879,7 @@ def apply_step(p: Ipomset, kind: str, loset: Loset, positions: Iterable[int]) ->
 
 
 def enumerate_divisions(
-    m: Ipomset, removals: Optional[dict] = None
+    m: Ipomset, table: Optional[dict] = None
 ) -> frozenset[tuple[Ipomset, Ipomset]]:
     """All pairs (p, q) with p*q ≅ m.
 
@@ -929,11 +929,13 @@ def enumerate_divisions(
     excursion.  The same holds for U = mid ∪ right, whose excursions go
     through left events.
 
-    With a dict ``removals``, each left part P not yet in it is entered
-    there with its target events and its one-target removals, taken from
-    the division that first yields it: the target events, P's own indices
-    of mid's events in event order, and for each such e ``None`` when e is
-    a source, and P−{e} (:func:`remove_targets`) otherwise.  Such an e
+    With a dict ``table``, a language's division table, each division
+    (P, Q) looks P up once and adds Q to P's set of right parts.  A left
+    part new to the table is entered as ``(tgt, removals, rights)``, from
+    the first division that yields it (the first two depend on P alone):
+    its target events, P's own indices of mid's events in event order; for
+    each such e, ``None`` when e is a source and P−{e}
+    (:func:`remove_targets`) otherwise; and an empty set.  Such an e
     is in mid, so it is maximal in D, and it is no source, so D−{e} is
     down-closed, holds m's sources and keeps m's canonical order, as
     :func:`remove_targets` argues.  P's event order is m's cut to D, by the
@@ -959,10 +961,6 @@ def enumerate_divisions(
             tgt |= 1 << (down & ((1 << (n - 1 - e)) - 1)).bit_count()
         return Ipomset(labels, src, _eventset(len(labels), tgt), prec, ev)
 
-    def right_part(mid: int, right: int) -> Ipomset:
-        order = [*_loset_sort(evord, mid), *_events(n, right)]
-        return Ipomset(*_restrict(m.labels, mid, target, succ, evord, order))
-
     def removed(p: Ipomset, down: int, mid: int, e: int, at: int) -> Optional[Ipomset]:
         bit = 1 << (n - 1 - e)
         if source & bit:
@@ -979,11 +977,16 @@ def enumerate_divisions(
         if e == n:
             down = left | mid
             p = left_part(down, mid)
-            if removals is not None and p not in removals:
-                tgt = _loset_sort(evord, mid)
-                at = tuple((down >> (n - e)).bit_count() for e in tgt)  # P's index of e
-                removals[p] = (at, tuple(removed(p, down, mid, e, i) for e, i in zip(tgt, at)))
-            out.add((p, right_part(mid, right)))
+            tgt = _loset_sort(evord, mid)  # q's sources, in event order
+            q = Ipomset(*_restrict(m.labels, mid, target, succ, evord, [*tgt, *_events(n, right)]))
+            out.add((p, q))
+            if table is not None:
+                entry = table.get(p)
+                if entry is None:
+                    at = tuple([(down >> (n - e)).bit_count() for e in tgt])  # P's index of e
+                    rs = tuple([removed(p, down, mid, e, i) for e, i in zip(tgt, at)])
+                    entry = table[p] = (at, rs, set())
+                entry[2].add(q)
             continue
         bit = 1 << (n - 1 - e)
         if not source & bit and not left & ~pred[e] and not mid & succ[e]:

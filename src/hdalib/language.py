@@ -1,11 +1,12 @@
 """Finite subsumption-closed languages and their quotient structure.
 
 Prefix quotients are computed once per language by enumerating all
-divisions of all members; the resulting index answers every prefix query,
-which keeps the Myhill-Nerode construction cheap.  The same pass also
-records each prefix's row: its target events, in event order, and its
-one-target removals P−{e}, which the construction keys its classes by.
-:func:`prefix_row` reads that row.
+divisions of all members into one division table: per prefix P, its row
+and its right parts, which make its quotient P\\L.  The row holds P's
+target events, in event order, and its one-target removals P−{e}, which
+the Myhill-Nerode construction keys its classes by.  The resulting index
+answers every prefix query, which keeps that construction cheap;
+:func:`prefix_row` reads the row.
 """
 
 from __future__ import annotations
@@ -51,27 +52,23 @@ class LanguageSet:
     @cached_property
     def _index(self) -> tuple[dict[Ipomset, Quotient], dict[Ipomset, tuple]]:
         """Every prefix with its quotient, and every prefix with its target
-        events in event order and its one-target removals, from the
-        divisions of the members (:func:`enumerate_divisions` gives both);
-        built on the first prefix query and kept for the life of this
-        language only.  Prefixes with equal quotients share one set, so
-        comparing two of them is an identity check, and each removal, a
-        prefix (see :func:`build_mn`), is the object that keys its quotient."""
-        by_left: dict[Ipomset, set[Ipomset]] = {}
-        removals: dict[Ipomset, tuple] = {}
+        events in event order and its one-target removals, from the division
+        table that :func:`enumerate_divisions` fills from the members; built
+        on the first prefix query and kept for the life of this language
+        only.  One pass over the table freezes each prefix's right parts,
+        interned so that prefixes with equal quotients share one set and
+        comparing two of them is an identity check, and maps each removal, a
+        prefix (see :func:`build_mn`), to the object that keys its quotient."""
+        table: dict[Ipomset, tuple] = {}
         for m in self.members:
-            for p, q in enumerate_divisions(m, removals):
-                by_left.setdefault(p, set()).add(q)
+            enumerate_divisions(m, table)
+        keys = {p: p for p in table}
         seen: dict[Quotient, Quotient] = {}
-        quotients = {}
-        for p, qs in by_left.items():
+        quotients, rows = {}, {}
+        for p, (tgt, rs, qs) in table.items():
             q = frozenset(qs)
             quotients[p] = seen.setdefault(q, q)
-        keys = {p: p for p in quotients}
-        rows = {}
-        while removals:  # each old row is freed as its new one is made
-            p, (tgt, rs) = removals.popitem()
-            rows[keys[p]] = (tgt, tuple(map(keys.get, rs, rs)))
+            rows[p] = (tgt, tuple(map(keys.get, rs, rs)))
         return quotients, rows
 
 
@@ -144,7 +141,7 @@ def suffix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
     """L/P = {Q | Q*P ∈ L}, from the divisions of the members.  Only
     ``lang quotient --suffix`` asks for it, so no index keeps it."""
     return frozenset(
-        q for m in lang.members for q, right in enumerate_divisions(m) if right == p
+        [q for m in lang.members for q, right in enumerate_divisions(m) if right == p]
     )
 
 
@@ -171,7 +168,7 @@ def suffix_quotient_family(
     for p in sorted_ipomsets(prefixes(lang)):
         chosen.setdefault(prefix_quotient(lang, p), p)
     chosen.setdefault(EMPTY_QUOTIENT, None)
-    return tuple((rep, val) for val, rep in chosen.items())
+    return tuple([(rep, val) for val, rep in chosen.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +248,7 @@ def is_swap_invariant(lang: LanguageSet) -> SwapInvarianceResult:
     buckets: dict[tuple, dict[Quotient, list[Ipomset]]] = {}
     quotients, rows = lang._index
     for p, (tgt, _) in rows.items():
-        key = (tuple(sorted(p.labels)), p.source_loset(), tuple(p.labels[e] for e in tgt))
+        key = (tuple(sorted(p.labels)), p.source_loset(), tuple([p.labels[e] for e in tgt]))
         buckets.setdefault(key, {}).setdefault(quotients[p], []).append(p)
     bad = [
         (p, q)

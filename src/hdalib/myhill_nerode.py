@@ -70,7 +70,7 @@ def _entry(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, tgt, lower,
     events ``tgt`` in event order, its removals P−{e} at each target
     position (``None`` at a source) and their key ids.  Its entry is its
     key id, ``lower`` and ``tgt``."""
-    key = (tuple(p.labels[e] for e in tgt), prefix_quotient(lang, p), ids)
+    key = (tuple([p.labels[e] for e in tgt]), prefix_quotient(lang, p), ids)
     memo[p] = (key_ids.setdefault(key, len(key_ids)), lower, tgt)
 
 
@@ -87,12 +87,12 @@ def _upper(lang: LanguageSet, memo: dict, key_ids: dict, p: Ipomset, pos: int) -
     _, lower, tgt = memo[p]
     face = terminate_targets(p, (tgt[pos],))
     if face not in memo:
-        faces = tuple(
+        faces = tuple([
             None if q is None else _upper(lang, memo, key_ids, q, pos - (j < pos))
             for j, q in enumerate(lower)
             if j != pos
-        )
-        ids = tuple(None if f is None else memo[f][0] for f in faces)
+        ])
+        ids = tuple([None if f is None else memo[f][0] for f in faces])
         _entry(lang, memo, key_ids, face, tgt[:pos] + tgt[pos + 1 :], faces, ids)
     return face
 
@@ -153,7 +153,7 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         if cid is None:
             cid = cid_of[entry[0]] = f"q{len(cid_of)}"
             quotient = tuple(sorted_ipomsets(prefix_quotient(lang, p)))
-            loset = tuple(p.labels[e] for e in entry[2])
+            loset = tuple([p.labels[e] for e in entry[2]])
             cells[cid] = MnCell(cid, REGULAR, loset, p, bool(quotient), quotient)
             reps.append((cid, p, entry))
         return cid
@@ -182,14 +182,14 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
             todo += reversed([u[:i] + u[i + 1 :] for i in range(len(u))])
         # faces of subsidiary cells are subsidiary all the way down
         for cid, u in made:
-            lower = tuple(subs[u[:i] + u[i + 1 :]] for i in range(len(u)))
+            lower = tuple([subs[u[:i] + u[i + 1 :]] for i in range(len(u))])
             faces[cid] = (lower, lower)
         return subs[loset]
 
     ordered = sorted_ipomsets(prefixes(lang))
     for p in sorted(ordered, key=lambda p: len(p.target - p.source)):  # removals first
         tgt, lower = prefix_row(lang, p)
-        ids = tuple(None if q is None else memo[q][0] for q in lower)
+        ids = tuple([None if q is None else memo[q][0] for q in lower])
         _entry(lang, memo, key_ids, p, tgt, lower, ids)
     for p in ordered:
         cell(p)
@@ -208,8 +208,8 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
 
     hda = Hda(
         cells={cid: Cell(cid, c.loset, *faces[cid]) for cid, c in cells.items()},
-        start=frozenset(cell(identity(m.source_loset())) for m in lang.members),
-        accept=frozenset(cell(m) for m in lang.members),
+        start=frozenset([cell(identity(m.source_loset())) for m in lang.members]),
+        accept=frozenset([cell(m) for m in lang.members]),
         name="mn",
     )
     return MnAutomaton(hda=hda, cells=cells, lang=lang)
@@ -244,10 +244,10 @@ def verify_mn(lang: LanguageSet, mn: MnAutomaton) -> MnReport:
         extra = tuple(sorted_ipomsets(enumerate_language(mn.hda, bound) - lang.members))
 
     er = essential_report(mn.hda)
-    expected = frozenset(cid for cid, c in mn.cells.items() if c.essential)
+    expected = frozenset([cid for cid, c in mn.cells.items() if c.essential])
     diff = tuple(sorted(er.essential ^ expected))
     subsidiary_reached = tuple(
-        sorted(c for c in er.accessible if mn.cells[c].kind == SUBSIDIARY)
+        sorted([c for c in er.accessible if mn.cells[c].kind == SUBSIDIARY])
     )
 
     rep = validate(mn.hda)

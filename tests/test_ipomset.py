@@ -1023,11 +1023,14 @@ class TestTupleValues:
     @staticmethod
     def _check_parts_and_removals(m):
         # each value is canonical, with its sources first, in event order,
-        # as source_events reads them
-        removals: dict = {}
-        values = [m, *itertools.chain.from_iterable(enumerate_divisions(m, removals))]
-        for p, (tgt, row) in removals.items():
+        # as source_events reads them; each table entry holds its left
+        # part's right parts, no more and no fewer
+        table: dict = {}
+        divs = enumerate_divisions(m, table)
+        values = [m, *itertools.chain.from_iterable(divs)]
+        for p, (tgt, row, rights) in table.items():
             assert tgt == p.target_events() and len(row) == len(tgt)
+            assert rights == {q for left, q in divs if left == p}
             values += [r for r in row if r is not None]
         values += [remove_targets(m, [e]) for e in rfin_events(m)]
         for p in values:

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from conftest import par, word
-from oracles import oracle_divisions, oracle_swap_violations
+from oracles import _oracle_quotients, oracle_divisions, oracle_swap_violations
 from random_gen import random_language
 
 from hdalib import ipomset as ipomset_mod
+from hdalib import language as language_mod
 from hdalib.errors import HdalibError, NotDownClosed
 from hdalib.formats import parse_expr, parse_lang
 from hdalib.hda import is_deterministic
@@ -179,6 +180,45 @@ class TestQuotients:
                 and glue(p, q) in table_lang.members
             )
             assert prefix_quotient(table_lang, p) == direct
+
+
+class TestDivisionIndex:
+    """The whole index, prefixes and quotients, against the brute-force
+    divisions, and the benchmark's view of it: one call per member."""
+
+    @staticmethod
+    def _languages():
+        langs = [parse_lang(path.read_text()) for path in sorted(DATA.glob("*.lang"))]
+        langs += [language([parse_expr(e)]) for e in REMOVAL_SHAPES]
+        return langs + [random_language(random.Random(seed)) for seed in range(60)]
+
+    def test_index_is_the_oracle_quotients(self):
+        quotients = 0
+        for lang in self._languages():
+            want = _oracle_quotients(lang)
+            assert prefixes(lang) == want.keys()
+            for p, qs in want.items():
+                assert prefix_quotient(lang, p) == qs
+            quotients += len(want)
+        assert quotients == 2161
+
+    def test_index_divides_each_member_once(self, monkeypatch):
+        calls, pairs = [], []
+        real = language_mod.enumerate_divisions
+
+        def counting(m, *args):
+            calls.append(m)
+            out = real(m, *args)
+            pairs.append(len(out))
+            return out
+
+        monkeypatch.setattr(language_mod, "enumerate_divisions", counting)
+        for lang in self._languages():
+            calls.clear()
+            pairs.clear()
+            pres = prefixes(lang)
+            assert sorted_ipomsets(calls) == sorted_ipomsets(lang.members)
+            assert sum(pairs) == sum([len(prefix_quotient(lang, p)) for p in pres])
 
 
 class TestPrefixRemovals:

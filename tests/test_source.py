@@ -242,6 +242,24 @@ def test_set_bits_are_walked_only_by_events():
     assert _ipomset_users("bit_length") == {"_events"}
 
 
+def test_hot_values_are_built_from_lists():
+    # on CPython a list comprehension builds a small tuple or set about
+    # twice as fast as a generator frame does; any and all keep theirs,
+    # because they stop early
+    builders = ("tuple", "frozenset", "set", "list", "sorted", "sum")
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name in ("ipomset", "language", "myhill_nerode", "hda")
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in builders
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+    assert not found, found
+
+
 def test_every_exported_function_has_a_user():
     # what hdalib exports is what the CLI, the scripts, the benchmark or
     # the acceptance suite call, not a name kept for unit tests alone
