@@ -22,8 +22,9 @@ from .ipomset import (
     IntervalRow,
     Ipomset,
     canonicalize,
+    sorted_ipomsets,
 )
-from .language import LanguageSet, language
+from .language import LanguageSet, language, prefix_quotient
 
 BULLETS = "•."
 EPSILONS = ("ε", "eps")
@@ -301,17 +302,18 @@ def _is_pair(x: object) -> bool:
 
 def class_table(mn) -> dict:
     """The class table of a Myhill-Nerode automaton, as a JSON value: the
-    table that ``mn build --classes`` writes."""
+    table that ``mn build --classes`` writes, quotients read from the index."""
 
     def cell(c):
         rep = c.representative
+        quotient = [] if rep is None else sorted_ipomsets(prefix_quotient(mn.lang, rep))
         return {
             "kind": c.kind,
             "loset": list(c.loset),
             "essential": c.essential,
             "representative": None if rep is None else ipomset_to_json(rep),
             "representative_text": None if rep is None else ipomset_to_text(rep),
-            "quotient": [ipomset_to_json(q) for q in c.quotient],
+            "quotient": [ipomset_to_json(q) for q in quotient],
         }
 
     return {

@@ -87,7 +87,7 @@ class Ipomset(NamedTuple):
         return (
             self.n,
             self.labels,
-            tuple(sorted(self.source)),
+            self.source_events(),
             tuple(sorted(self.target)),
             self.prec,
             self.evord,
@@ -392,6 +392,9 @@ def _restrict(
     n, k = len(labels), len(order)
     lo = order[0] if k else 0
     if list(order) == list(range(lo, lo + k)):
+        if k == n:  # all the events, in order, keep their rows
+            rows = tuple(prec), tuple(evord)
+            return (tuple(labels), _eventset(n, source), _eventset(n, target), *rows)
         shift, cut = n - lo - k, (1 << k) - 1
         return (
             tuple(labels[lo : lo + k]),
@@ -884,18 +887,22 @@ def enumerate_divisions(
     """All pairs (p, q) with p*q ≅ m.
 
     A division splits the events three ways: the left part (only in p), the
-    glued interface (p's target and q's source) and the right part (only in
-    q).  A depth-first search on a stack places the events one at a time,
-    in index order, on one of the three sides, and drops a branch as soon
-    as the new event breaks a constraint every gluing imposes with an event
-    already placed: the interface is an antichain, every left event
-    precedes every right event, no interface event precedes a left one, no
-    right event precedes an interface one, no source event is on the right
-    and no target event on the left.  The cost therefore follows the
-    number of partial splits that survive pruning, not the 3^n splits of
-    all events: a word of n events reaches only its 2n+1 divisions.
+    glued interface, mid (p's target and q's source), and the right part
+    (only in q).  Every gluing asks that mid be an antichain, every left
+    event precede every right one, no mid event precede a left one, no
+    right event precede a mid one, no source be on the right and no target
+    on the left.  So D = left ∪ mid is a down-set holding m's sources, and
+    mid lies within max(D) and holds F: D's targets and D's events outside
+    B, the events below every right event.  Strict down-sets of an interval
+    order are nested (Fishburn 1985) and the canonical order ranks events
+    by down-set, so B is the down-set of the first event outside D, max(D)
+    is D less the down-set of its last event, and D grows from m's sources
+    by later events, in index order, each time up to the first event whose
+    down-set is not in D.  So a walk on a stack meets each D once, and each
+    set between F and max(D) is the mid of one division: a word of n events
+    meets n+1 down-sets for its 2n+1 divisions, not 3^n splits.
 
-    Every complete split is a division, so none is glued back to check.  A
+    Every such split is a division, so none is glued back to check.  A
     restriction of an interval order is an interval order, so both parts
     are ipomsets: the interface is an antichain with no left event after it
     and no right event before it, so it is maximal in p and minimal in q,
@@ -946,8 +953,9 @@ def enumerate_divisions(
     :func:`remove_targets` closes P's order again.
     """
     n = m.n
+    full = (1 << n) - 1
     succ, evord = m.prec, m.evord
-    pred, evpred = _transpose(succ), _transpose(evord)
+    pred, evpred = [*_transpose(succ), full], _transpose(evord)  # pred[n]: all events
     source, target = _mask(n, m.source), _mask(n, m.target)
     bodies: dict[int, tuple] = {}  # per D: p's fields, with no target
 
@@ -971,14 +979,24 @@ def enumerate_divisions(
         return left_part(down & ~bit, mid & ~bit)
 
     out: set[tuple[Ipomset, Ipomset]] = set()
-    stack = [(0, 0, 0, 0)]  # the next event to place, and the left, mid and right masks
-    while stack:  # last in, first out: the sides are pushed in reverse
-        e, left, mid, right = stack.pop()
-        if e == n:
-            down = left | mid
+    stack = [(len(m.source), source, len(m.source))]  # after D's last event, D, first not in D
+    while stack:
+        after, down, first = stack.pop()
+        for x in range(after, n):  # a later event has a larger down-set: stop at the first miss
+            if pred[x] & ~down:
+                break
+            stack.append((x + 1, down | 1 << (n - 1 - x), x + 1 if x == first else first))
+        top = down & ~pred[after - 1]  # max(D); with D empty, pred[-1] is all events
+        must = down & (target | ~pred[first])  # F: D's targets and its events outside B
+        if must & ~top:
+            continue
+        free = sub = top & ~must
+        rest = _events(n, full & ~down)  # the right events, in m's order
+        for _ in range(1 << free.bit_count()):  # each sub ⊆ free, from free down to 0
+            mid, sub = must | sub, (sub - 1) & free
             p = left_part(down, mid)
             tgt = _loset_sort(evord, mid)  # q's sources, in event order
-            q = Ipomset(*_restrict(m.labels, mid, target, succ, evord, [*tgt, *_events(n, right)]))
+            q = Ipomset(*_restrict(m.labels, mid, target, succ, evord, [*tgt, *rest]))
             out.add((p, q))
             if table is not None:
                 entry = table.get(p)
@@ -987,14 +1005,6 @@ def enumerate_divisions(
                     rs = tuple([removed(p, down, mid, e, i) for e, i in zip(tgt, at)])
                     entry = table[p] = (at, rs, set())
                 entry[2].add(q)
-            continue
-        bit = 1 << (n - 1 - e)
-        if not source & bit and not left & ~pred[e] and not mid & succ[e]:
-            stack.append((e + 1, left, mid, right | bit))
-        if not mid & (pred[e] | succ[e]) and not left & succ[e] and not right & pred[e]:
-            stack.append((e + 1, left, mid | bit, right))
-        if not target & bit and not right & ~succ[e] and not mid & pred[e]:
-            stack.append((e + 1, left | bit, mid, right))
     return frozenset(out)
 
 

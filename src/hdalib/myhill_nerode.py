@@ -39,8 +39,7 @@ class MnCell:
     kind: str  # REGULAR or SUBSIDIARY
     loset: Loset
     representative: Optional[Ipomset]  # None for subsidiary cells
-    essential: bool
-    quotient: tuple[Ipomset, ...]  # empty for subsidiary cells
+    essential: bool  # the representative's prefix quotient is nonempty
 
 
 @dataclass
@@ -152,9 +151,8 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
         cid = cid_of.get(entry[0])
         if cid is None:
             cid = cid_of[entry[0]] = f"q{len(cid_of)}"
-            quotient = tuple(sorted_ipomsets(prefix_quotient(lang, p)))
             loset = tuple([p.labels[e] for e in entry[2]])
-            cells[cid] = MnCell(cid, REGULAR, loset, p, bool(quotient), quotient)
+            cells[cid] = MnCell(cid, REGULAR, loset, p, bool(prefix_quotient(lang, p)))
             reps.append((cid, p, entry))
         return cid
 
@@ -177,7 +175,7 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
                 k += 1
                 cid = f"{base}~{k}"
             subs[u] = cid
-            cells[cid] = MnCell(cid, SUBSIDIARY, u, None, False, ())
+            cells[cid] = MnCell(cid, SUBSIDIARY, u, None, False)
             made.append((cid, u))
             todo += reversed([u[:i] + u[i + 1 :] for i in range(len(u))])
         # faces of subsidiary cells are subsidiary all the way down

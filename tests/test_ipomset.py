@@ -157,6 +157,13 @@ class TestSortKey:
             random.Random(5).shuffle(shuffled)
             assert sorted_ipomsets(shuffled) == sorted(shuffled, key=oracle_sort_key)
 
+    def test_key_reads_the_sources_with_no_sort(self, small_corpus, random_corpus):
+        # canonical sources are the first events, so their sorted tuple is
+        # source_events()
+        for p in small_corpus + random_corpus:
+            old = (p.n, p.labels, *[tuple(sorted(x)) for x in (p.source, p.target)])
+            assert p.sort_key() == (*old, p.prec, p.evord)
+
 
 class TestIsomorphism:
     def test_reflexive(self):
@@ -826,6 +833,14 @@ class TestDivisions:
     def test_matches_partition_oracle_larger(self, mixed_corpus):
         larger = [p for p in mixed_corpus if p.n >= 4][:8]
         for m in larger:
+            assert enumerate_divisions(m) == oracle_divisions(m)
+
+    def test_matches_partition_oracle_on_random_draws(self):
+        # shapes of up to 6 events with varied interfaces, beyond the first
+        # eight larger ipomsets of the mixed corpus
+        rng = random.Random(34)
+        for _ in range(40):
+            m = random_ipomset(rng, "abc", max_events=6, steps=6)
             assert enumerate_divisions(m) == oracle_divisions(m)
 
     def test_every_division_glues_back(self, mixed_corpus):

@@ -15,7 +15,14 @@ from hdalib import ipomset as ipomset_mod
 from hdalib import language as language_mod
 from hdalib import myhill_nerode as mn_mod
 from hdalib.errors import NotDownClosed
-from hdalib.formats import hda_to_text, parse_expr, parse_hda, parse_lang
+from hdalib.formats import (
+    class_table,
+    hda_to_text,
+    ipomset_to_json,
+    parse_expr,
+    parse_hda,
+    parse_lang,
+)
 from hdalib.hda import (
     Cell,
     accepting_paths,
@@ -44,6 +51,7 @@ from hdalib.language import (
     class_key,
     is_swap_invariant,
     language,
+    prefix_quotient,
     prefixes,
     strong_equiv,
     weak_equiv,
@@ -60,10 +68,10 @@ from hdalib.myhill_nerode import (
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
-def _data_and_random_languages():
-    """``data/*.lang`` and 20 seeded random languages."""
+def _data_and_random_languages(seeds=20):
+    """``data/*.lang`` and seeded random languages, 20 by default."""
     langs = [parse_lang(path.read_text()) for path in sorted(DATA.glob("*.lang"))]
-    return langs + [random_language(random.Random(seed)) for seed in range(20)]
+    return langs + [random_language(random.Random(seed)) for seed in range(seeds)]
 
 
 # prefixes of the first two have three removable targets, so their keys
@@ -429,6 +437,30 @@ class TestClassKeyCells:
         assert deepest >= 3
 
 
+class TestQuotientsStayInTheIndex:
+    """``build_mn`` sorts only its prefixes; the class table reads each
+    cell's quotient from the language's index."""
+
+    def test_build_sorts_only_the_prefixes(self, monkeypatch):
+        calls = []
+        real = mn_mod.sorted_ipomsets
+        monkeypatch.setattr(mn_mod, "sorted_ipomsets", lambda xs: calls.append(xs) or real(xs))
+        for lang in _data_and_random_languages(60):
+            calls.clear()
+            build_mn(lang)
+            assert len(calls) == 1
+
+    def test_class_table_reads_the_index(self):
+        for lang in _data_and_random_languages(60):
+            mn = build_mn(lang)
+            table = class_table(mn)["cells"]
+            for cid, c in mn.cells.items():
+                rep = c.representative
+                qs = [] if c.kind == SUBSIDIARY else sorted_ipomsets(prefix_quotient(lang, rep))
+                assert table[cid]["quotient"] == [ipomset_to_json(q) for q in qs]
+                assert c.essential == bool(qs)
+
+
 class TestNoCycles:
     def test_pipeline_leaves_no_cyclic_garbage(self):
         # every object the pipeline makes is freed by reference counting:
@@ -535,7 +567,7 @@ class TestVerify:
         cells."""
         x = mn.hda
         hda = build_hda([*x.cells.values(), *cells], x.start | set(start), x.accept)
-        more = {c.name: MnCell(c.name, REGULAR, c.ev, parse_expr("a"), True, ()) for c in cells}
+        more = {c.name: MnCell(c.name, REGULAR, c.ev, parse_expr("a"), True) for c in cells}
         return replace(mn, hda=hda, cells={**mn.cells, **more})
 
     def test_extra_beyond_the_members_bound(self):
