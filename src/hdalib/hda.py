@@ -315,9 +315,7 @@ def _trie_walk(x: Hda, seqs: Iterable[StepSequence], beyond: bool = False) -> tu
     nodes, a root per initial loset).  A state (node, cell, step taken) is
     a path to the cell that reads the steps from a root to the node.  A
     step unlike the last goes to the child of the node that its reading
-    (:func:`_reading`) names.  The children are also keyed by the kind
-    and positions of the path step that could read them, and only a step
-    that matches one is read.  Node ``None`` is off the trie, where a
+    (:func:`_reading`) names.  Node ``None`` is off the trie, where a
     start cell whose loset starts no sequence begins.  With ``beyond``, a
     step that names no child goes there too, as does every step on from
     there, when it enters a cell with a route to an accept cell
@@ -326,12 +324,10 @@ def _trie_walk(x: Hda, seqs: Iterable[StepSequence], beyond: bool = False) -> tu
     sequence ends at."""
     roots: dict[Loset, int] = {}
     kids: dict[tuple[int, StarterTerminator], int] = {}
-    shapes: set[tuple[int, PathStep]] = set()  # (node, a path step that may read a child)
     leaves = []
     for seq in seqs:
         node = roots.setdefault(seq.initial_loset, len(roots) + len(kids))
         for st in seq.steps:
-            shapes.add((node, PathStep(UP if st.kind == STARTER else DOWN, st.active)))
             node = kids.setdefault((node, st), len(roots) + len(kids))
         leaves.append(node)
     idx = x._index
@@ -340,7 +336,7 @@ def _trie_walk(x: Hda, seqs: Iterable[StepSequence], beyond: bool = False) -> tu
         node, cell, last = state
         out = []
         for y, st in idx.after(cell, last and last.kind):
-            child = kids.get((node, _reading(x, cell, y, st))) if (node, st) in shapes else None
+            child = None if node is None else kids.get((node, _reading(x, cell, y, st)))
             if child is not None or beyond and y in x._to_accept:
                 out.append((child, y, st))
         return out
@@ -411,43 +407,33 @@ def accepting_paths(x: Hda, max_steps: int) -> list[Path]:
 
 def enumerate_language(x: Hda, max_steps: int) -> frozenset[Ipomset]:
     """The event ipomsets of the sparse accepting paths within the bound:
-    one :func:`_bfs` over states (node, cell, kind of the last step), cut
-    by :func:`_in_reach`.  A node is a step sequence read so far
-    (:func:`_reading`).  Only the nodes that accepting paths read are
-    folded, once each, from their parent's fold."""
+    one :func:`_bfs` over states (node, cell, kind of the last step, steps
+    taken), cut by :func:`_in_reach`.  A node is a step sequence read so
+    far (:func:`_reading`), numbered as found, so a parent comes before its
+    children.  Each node is folded once, from its parent's fold.  A node
+    that no accepting path reads is folded too, and that cannot raise: the
+    walk runs only on faces that type-check (:attr:`Hda._index`), so the
+    step from a cell reads a terminator on that cell's loset or a starter
+    that adds events to it, and that loset is the target loset of the
+    parent's fold."""
     idx = x._index
     nodes: dict[tuple, int] = {}  # (parent node, reading), or (None, loset) for a root
-    depth: list[int] = []  # per node: how many steps it reads
-
-    def node(parent: Optional[int], step) -> int:
-        key = (parent, step)
-        if key not in nodes:
-            nodes[key] = len(depth)
-            depth.append(0 if parent is None else depth[parent] + 1)
-        return nodes[key]
 
     def nexts(state: tuple) -> list[tuple]:
-        at, cell, kind = state
-        n = depth[at] + 1
+        at, cell, kind, n = state
         return [
-            (node(at, _reading(x, cell, y, st)), y, st.kind)
+            (nodes.setdefault((at, _reading(x, cell, y, st)), len(nodes)), y, st.kind, n + 1)
             for y, st in idx.after(cell, kind)
-            if _in_reach(x, y, n, max_steps)
+            if _in_reach(x, y, n + 1, max_steps)
         ]
 
     roots = [c for c in sorted(x.start) if _in_reach(x, c, 0, max_steps)]
-    found = _bfs([(node(None, x.cells[c].ev), c, None) for c in roots], nexts)
-    ends = [at for at, cell, _ in found if cell in x.accept]
-    keys = list(nodes)  # in node order: a parent comes before its children
-    read = set(ends)  # the nodes an accepting path reads
-    for at in reversed(range(len(keys))):
-        if at in read and keys[at][0] is not None:
-            read.add(keys[at][0])
-    folds: dict[int, Ipomset] = {}
-    for at in sorted(read):
-        parent, step = keys[at]
-        folds[at] = identity(step) if parent is None else apply_step(folds[parent], *step)
-    return frozenset([folds[at] for at in ends])
+    starts = [(nodes.setdefault((None, x.cells[c].ev), len(nodes)), c, None, 0) for c in roots]
+    found = _bfs(starts, nexts)
+    folds: list[Ipomset] = []
+    for parent, step in nodes:
+        folds.append(identity(step) if parent is None else apply_step(folds[parent], *step))
+    return frozenset([folds[at] for at, cell, _, _ in found if cell in x.accept])
 
 
 # ---------------------------------------------------------------------------

@@ -651,20 +651,18 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
     event order, so the fold refines g.  Sparse step decompositions are
     unique (Fahrenberg, Johansen, Struth, Ziemiański, MSCS 2021), so each
     refinement is the fold of the schedules whose steps read alike in
-    labels; a reading seen before is skipped.  Unless two concurrent events
-    of g share a label, no reading is taken: the events of each label then
-    form a chain in g and in every refinement, so an isomorphism between
-    two refinements maps each chain onto itself in order, is the identity,
-    and distinct schedules fold to distinct refinements.
+    labels.  Schedules that fold alike, which only concurrent events of g
+    with a shared label allow, are merged by the result set.
     A fold is one :func:`_renumber` of its down-sets (y's holds the events
     ended when y started) in canonical order: g's sources, then each
-    starter's events in event order.  g's own down-sets give g itself.
+    starter's events in event order.  g's own down-sets give g itself,
+    which is not built again.
 
     The schedules are walked depth first on a stack.  A state holds the
-    events started and the events ended, the kind of the last step, the
-    running events and the step's events after each step so far, and the
-    down-sets of the events started so far.  A terminator keeps the list
-    of the state it leaves, and a starter copies it and sets its events'.
+    events started and the events ended, the kind of the last step, and
+    the down-sets of the events started so far.  A terminator keeps the
+    list of the state it leaves, and a starter copies it and sets its
+    events'.
     """
     n = g.n
     if sum([r.bit_count() for r in g.prec]) == n * (n - 1) // 2:
@@ -673,30 +671,18 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
     source, target = _mask(n, g.source), _mask(n, g.target)
     # sources first, then by event-order predecessors, more further along
     rank = [d.bit_count() - n * (y in g.source) for y, d in enumerate(_transpose(g.evord))]
-    twins = any(
-        g.labels[x] == g.labels[y] and not (g.prec[x] | g_downs[x]) >> (n - 1 - y) & 1
-        for x, y in itertools.combinations(range(n), 2)
-    )
     full = (1 << n) - 1
-    seen: set[tuple] = set()
     out = {g}
-    stack = [(source, 0, None, (), [0] * n)]
+    stack = [(source, 0, None, [0] * n)]
     while stack:  # last in, first out: the children are pushed in reverse
-        started, done, last, steps, downs = stack.pop()
+        started, done, last, downs = stack.pop()
         running = started & ~done
         if started == full and running == target:
-            read = tuple([
-                tuple([(g.labels[e], a >> (n - 1 - e) & 1) for e in _loset_sort(g.evord, u)])
-                for u, a in steps
-            ]) if twins else None
-            if downs == g_downs or read in seen:
-                continue
-            if read:
-                seen.add(read)
-            prec = _transpose(downs)
-            essential = _essential(prec, g.evord, downs)
-            order = sorted(range(n), key=lambda y: (downs[y].bit_count(), rank[y]))
-            out.add(_renumber(g.labels, source, target, prec, essential, order))
+            if downs != g_downs:
+                prec = _transpose(downs)
+                essential = _essential(prec, g.evord, downs)
+                order = sorted(range(n), key=lambda y: (downs[y].bit_count(), rank[y]))
+                out.add(_renumber(g.labels, source, target, prec, essential, order))
             continue
         children = []
         # canonical order ranks events by down-set: the ready ones come first
@@ -707,13 +693,12 @@ def refinements(g: Ipomset) -> frozenset[Ipomset]:
             child = downs.copy()
             for y in _events(n, step):
                 child[y] = done
-            after = steps + ((running | step, step),)
-            children.append((started | step, done, STARTER, after, child))
+            children.append((started | step, done, STARTER, child))
             step = (step - 1) & ready
         stoppable = running & ~target if last != TERMINATOR else 0
         step = stoppable
         while step:
-            children.append((started, done | step, TERMINATOR, steps + ((running, step),), downs))
+            children.append((started, done | step, TERMINATOR, downs))
             step = (step - 1) & stoppable
         stack += reversed(children)
     return frozenset(out)

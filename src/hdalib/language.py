@@ -57,18 +57,17 @@ class LanguageSet:
         on the first prefix query and kept for the life of this language
         only.  One pass over the table freezes each prefix's right parts,
         interned so that prefixes with equal quotients share one set and
-        comparing two of them is an identity check, and maps each removal, a
-        prefix (see :func:`build_mn`), to the object that keys its quotient."""
+        comparing two of them is an identity check.  A row holds the
+        removals as :func:`enumerate_divisions` built them."""
         table: dict[Ipomset, tuple] = {}
         for m in self.members:
             enumerate_divisions(m, table)
-        keys = {p: p for p in table}
         seen: dict[Quotient, Quotient] = {}
         quotients, rows = {}, {}
         for p, (tgt, rs, qs) in table.items():
             q = frozenset(qs)
             quotients[p] = seen.setdefault(q, q)
-            rows[p] = (tgt, tuple(map(keys.get, rs, rs)))
+            rows[p] = (tgt, rs)
         return quotients, rows
 
 

@@ -478,6 +478,11 @@ NAMED_SHAPES = {
     "[a|a]": parse_expr("[a|a]"),
     "[aa|a•]": parse_expr("[aa|a•]"),
     "[•a|•b]": parse_expr("[•a|•b]"),
+    "[a|a|a|b•]": parse_expr("[a|a|a|b•]"),
+    "[•a|a|a•|a]": parse_expr("[•a|a|a•|a]"),
+    "[ab|a|a]": parse_expr("[ab|a|a]"),
+    "[a|a|b|b]": parse_expr("[a|a|b|b]"),
+    "[aa|a|b]": parse_expr("[aa|a|b]"),
 }
 
 
@@ -514,16 +519,20 @@ class TestRefinements:
         assert down_close(members) == members
         assert walked == [top]
 
-    def test_ordered_repeated_labels_take_no_reading(self, monkeypatch):
-        # the near-word abcabc: only c and the second a are concurrent, and
-        # each repeated label is ordered, so no schedule is read in labels
+    def test_walk_sorts_no_loset(self, small_corpus, monkeypatch):
+        # a schedule is never read in labels, repeated or not: the walk
+        # orders events by down-set and rank, with no loset sorted.  The
+        # near-word abcabc has only c and the second a concurrent
         prec = [(a, b) for a in range(6) for b in (a + 1, a + 2) if b < 6]
         p = canonicalize("abcabc", prec=[e for e in prec if e != (2, 3)], evord=[(2, 3)])
+        want = {p, word("abcabc"), word("abacbc")}
         sorts = []
         real = ipomset_mod._loset_sort
         monkeypatch.setattr(ipomset_mod, "_loset_sort", lambda *a: sorts.append(a) or real(*a))
-        got = refinements(p)
-        assert sorts == [] and got == {p, word("abcabc"), word("abacbc")}
+        assert refinements(p) == want
+        for g in [*small_corpus, *NAMED_SHAPES.values()]:
+            refinements(g)
+        assert sorts == []
 
     def test_down_close_idempotent(self):
         base = down_close([par(("a", 0, 0), ("b", 0, 0)), word("ab", tgt=[1])])
@@ -577,19 +586,19 @@ class TestRefinements:
                 raise AssertionError(f"the walk called {name}")
 
             monkeypatch.setattr(ipomset_mod, name, boom)
-        renumbered = []
+        built = []
         real = ipomset_mod._renumber
         monkeypatch.setattr(
-            ipomset_mod, "_renumber", lambda *a: renumbered.append(1) or real(*a)
+            ipomset_mod, "_renumber", lambda *a: built.append(real(*a)) or built[-1]
         )
         closure = down_close(small_corpus)
         assert closure == want
-        assert len(renumbered) <= len(closure)
+        assert set(built) <= closure
         for p in small_corpus:
-            renumbered.clear()
+            built.clear()
             got = refinements(p)
             assert got == small_refinements[p]
-            assert len(renumbered) == len(got) - 1
+            assert set(built) | {p} == got and p not in built
 
 
 class TestOneStepRefinements:
