@@ -477,7 +477,9 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
 
     The bijection must respect labels and interfaces, reflect precedence
     (f(x) <_q f(y) implies x <_p y) and preserve event order on pairs
-    concurrent in p.
+    concurrent in p.  Interface events are pairwise concurrent, so it keeps
+    their event order and maps the k-th source (target) of p to the k-th
+    source (target) of q: :func:`_fits` needs no separate check of that.
     """
     n = p.n
     if n != q.n or sorted(p.labels) != sorted(q.labels):
@@ -487,17 +489,6 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
     # subsumption can only forget precedence
     if sum([r.bit_count() for r in p.prec]) < sum([r.bit_count() for r in q.prec]):
         return None
-    # interface events are forced: concurrent pairs keep their event order,
-    # so the k-th source of p must map to the k-th source of q
-    forced: dict[int, int] = {}
-    for pairs in (
-        zip(p.source_events(), q.source_events()),
-        zip(p.target_events(), q.target_events()),
-    ):
-        for a, b in pairs:
-            if forced.setdefault(a, b) != b:
-                return None
-
     # depth-first over x ↦ fx, x in event order and fx tried from 0 up;
     # image[:x] is the witness so far and ``used`` marks its values
     image = [0] * n
@@ -511,7 +502,7 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
             fx = image[x]
             used[fx] = False
             fx += 1
-        elif used[fx] or not _fits(p, q, forced, image, x, fx):
+        elif used[fx] or not _fits(p, q, image, x, fx):
             fx += 1
         else:
             image[x] = fx
@@ -520,13 +511,11 @@ def subsumes_witness(p: Ipomset, q: Ipomset) -> Optional[tuple[int, ...]]:
     return tuple(image)
 
 
-def _fits(p: Ipomset, q: Ipomset, forced: dict, image: list, x: int, fx: int) -> bool:
+def _fits(p: Ipomset, q: Ipomset, image: list, x: int, fx: int) -> bool:
     """Whether x ↦ fx agrees with the witness so far on the events before x."""
     if p.labels[x] != q.labels[fx]:
         return False
     if (x in p.source) != (fx in q.source) or (x in p.target) != (fx in q.target):
-        return False
-    if x in forced and forced[x] != fx:
         return False
     for y in range(x):
         fy = image[y]
@@ -753,7 +742,7 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
     if bad:
         raise NotRemovable(f"events {sorted(bad)} are not removable targets")
     n = p.n
-    labels, source, target, prec, essential = _restrict(
+    return _renumber(
         p.labels,
         _mask(n, p.source),
         _mask(n, p.target),
@@ -761,7 +750,6 @@ def remove_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:
         _essential(p.prec, p.evord, _transpose(p.prec)),
         [i for i in range(n) if i not in drop],
     )
-    return Ipomset(labels, source, target, prec, tuple(_closure(essential)))
 
 
 def terminate_targets(p: Ipomset, events: Iterable[int]) -> Ipomset:

@@ -1,12 +1,12 @@
 """Finite subsumption-closed languages and their quotient structure.
 
 Prefix quotients are computed once per language by enumerating all
-divisions of all members into one division table: per prefix P, its row
-and its right parts, which make its quotient P\\L.  The row holds P's
-target events, in event order, and its one-target removals P−{e}, which
-the Myhill-Nerode construction keys its classes by.  The resulting index
+divisions of all members into one division table, which is the
+language's index: per prefix P, one row with P's target events, in event
+order, its one-target removals P−{e}, which the Myhill-Nerode
+construction keys its classes by, and its quotient P\\L.  That index
 answers every prefix query, which keeps that construction cheap;
-:func:`prefix_row` reads the row.
+:func:`prefix_quotient` and :func:`prefix_row` read the row.
 """
 
 from __future__ import annotations
@@ -50,25 +50,22 @@ class LanguageSet:
         return len(self.members)
 
     @cached_property
-    def _index(self) -> tuple[dict[Ipomset, Quotient], dict[Ipomset, tuple]]:
-        """Every prefix with its quotient, and every prefix with its target
-        events in event order and its one-target removals, from the division
-        table that :func:`enumerate_divisions` fills from the members; built
-        on the first prefix query and kept for the life of this language
-        only.  One pass over the table freezes each prefix's right parts,
+    def _index(self) -> dict[Ipomset, tuple]:
+        """The division table that :func:`enumerate_divisions` fills from
+        the members, built on the first prefix query and kept for the life
+        of this language only.  A prefix's row holds its target events in
+        event order, its one-target removals as that function built them,
+        and its quotient: one pass freezes each row's right parts in place,
         interned so that prefixes with equal quotients share one set and
-        comparing two of them is an identity check.  A row holds the
-        removals as :func:`enumerate_divisions` built them."""
+        comparing two of them is an identity check."""
         table: dict[Ipomset, tuple] = {}
         for m in self.members:
             enumerate_divisions(m, table)
         seen: dict[Quotient, Quotient] = {}
-        quotients, rows = {}, {}
         for p, (tgt, rs, qs) in table.items():
             q = frozenset(qs)
-            quotients[p] = seen.setdefault(q, q)
-            rows[p] = (tgt, rs)
-        return quotients, rows
+            table[p] = (tgt, rs, seen.setdefault(q, q))
+        return table
 
 
 def language(
@@ -119,7 +116,8 @@ def check_down_closed(members: frozenset[Ipomset]) -> None:
 
 def prefix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
     """P\\L = {Q | P*Q ∈ L}."""
-    return lang._index[0].get(p, EMPTY_QUOTIENT)
+    row = lang._index.get(p)
+    return EMPTY_QUOTIENT if row is None else row[2]
 
 
 def prefix_row(
@@ -130,10 +128,10 @@ def prefix_row(
     gives them: P−{e} for each of those target events e, in that order,
     and ``None`` where e is a source.  Raises :class:`HdalibError` when P
     is no prefix of ``lang``."""
-    out = lang._index[1].get(p)
-    if out is None:
+    row = lang._index.get(p)
+    if row is None:
         raise HdalibError(f"{p!r} is not a prefix")
-    return out
+    return row[:2]
 
 
 def suffix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
@@ -146,7 +144,7 @@ def suffix_quotient(lang: LanguageSet, p: Ipomset) -> Quotient:
 
 def prefixes(lang: LanguageSet) -> frozenset[Ipomset]:
     """All P with nonempty prefix quotient (left parts of divisions)."""
-    return frozenset(lang._index[0])
+    return frozenset(lang._index)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +243,9 @@ def is_swap_invariant(lang: LanguageSet) -> SwapInvarianceResult:
     order in which the buckets are visited.
     """
     buckets: dict[tuple, dict[Quotient, list[Ipomset]]] = {}
-    quotients, rows = lang._index
-    for p, (tgt, _) in rows.items():
+    for p, (tgt, _, quotient) in lang._index.items():
         key = (tuple(sorted(p.labels)), p.source_loset(), tuple([p.labels[e] for e in tgt]))
-        buckets.setdefault(key, {}).setdefault(quotients[p], []).append(p)
+        buckets.setdefault(key, {}).setdefault(quotient, []).append(p)
     bad = [
         (p, q)
         for groups in buckets.values()

@@ -8,7 +8,8 @@ named ``w_`` plus its labels, with a ``~k`` suffix when that name is taken).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .hda import Cell, Hda, compare_language, enumerate_language, essential_report, validate
@@ -47,20 +48,20 @@ class MnAutomaton:
     hda: Hda
     cells: dict[str, MnCell]  # by cell id
     lang: LanguageSet
-    _by_key: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _by_key(self) -> dict:
+        """The id of each regular cell by :func:`class_key` of its
+        representative, made on the first :meth:`cell_of` call, since
+        :func:`build_mn` keys its classes another way."""
+        return {
+            class_key(self.lang, c.representative): cid
+            for cid, c in self.cells.items()
+            if c.kind == REGULAR
+        }
 
     def cell_of(self, p: Ipomset) -> str:
-        """The id of the class of an ipomset arising in the construction.
-
-        The first call fills ``_by_key`` from :func:`class_key` of each
-        regular cell's representative, since :func:`build_mn` keys its
-        classes another way."""
-        if not self._by_key:
-            self._by_key.update(
-                (class_key(self.lang, c.representative), cid)
-                for cid, c in self.cells.items()
-                if c.kind == REGULAR
-            )
+        """The id of the class of an ipomset arising in the construction."""
         return self._by_key[class_key(self.lang, p)]
 
 
@@ -123,9 +124,9 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
     met costs one removal per removable target, not one per set of them.
     Its key, its removals P−{e} and its target events are kept for the
     whole call, where the lower faces read them again.  The prefixes are
-    keyed in one pass, in order of their number of removable targets: a
-    removal P−{e} has one fewer, so its key id exists before P is keyed.
-    Only then are their cells made, in sorted order.
+    keyed in sorted order, each followed by its cell: a removal P−{e} has
+    one event fewer, and :meth:`Ipomset.sort_key` ranks by event count
+    first, so its key id exists before P is keyed.
 
     Nothing is restricted here.  Every ipomset keyed by removal is a
     prefix, whose removals the division index already holds
@@ -184,12 +185,10 @@ def build_mn(lang: LanguageSet) -> MnAutomaton:
             faces[cid] = (lower, lower)
         return subs[loset]
 
-    ordered = sorted_ipomsets(prefixes(lang))
-    for p in sorted(ordered, key=lambda p: len(p.target - p.source)):  # removals first
+    for p in sorted_ipomsets(prefixes(lang)):  # removals, one event fewer, come first
         tgt, lower = prefix_row(lang, p)
         ids = tuple([None if q is None else memo[q][0] for q in lower])
         _entry(lang, memo, key_ids, p, tgt, lower, ids)
-    for p in ordered:
         cell(p)
 
     for cid, p, entry in reps:  # the worklist: it grows while it is read

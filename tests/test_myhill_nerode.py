@@ -52,6 +52,7 @@ from hdalib.language import (
     is_swap_invariant,
     language,
     prefix_quotient,
+    prefix_row,
     prefixes,
     strong_equiv,
     weak_equiv,
@@ -75,8 +76,8 @@ def _data_and_random_languages(seeds=20):
 
 
 # prefixes of the first two have three removable targets, so their keys
-# are made in four rounds of the keying pass and an upper face's removals
-# are found three calls deep; the third has two equal-labelled sources
+# rest on removals three deep and an upper face's removals are found three
+# calls deep; the third has two equal-labelled sources
 DEEP_SHAPES = ("[a•|b•|c•]", "[ab•|c•|d•]", "[•a|•a|b•]")
 
 
@@ -450,6 +451,27 @@ class TestQuotientsStayInTheIndex:
             build_mn(lang)
             assert len(calls) == 1
 
+    def test_build_calls_no_sorted(self, monkeypatch):
+        # the prefixes are keyed and their cells made in one sorted pass
+        calls = []
+        monkeypatch.setattr(
+            mn_mod, "sorted", lambda *a, **k: calls.append(a) or sorted(*a, **k), raising=False
+        )
+        for lang in _data_and_random_languages(60):
+            build_mn(lang)
+        assert not calls
+
+    def test_removals_sort_before_their_prefix(self):
+        # what that pass rests on: each P−{e} is keyed before P
+        removals = 0
+        for lang in _data_and_random_languages(60):
+            for p in prefixes(lang):
+                for q in prefix_row(lang, p)[1]:
+                    if q is not None:
+                        assert q.sort_key() < p.sort_key()
+                        removals += 1
+        assert removals
+
     def test_class_table_reads_the_index(self):
         for lang in _data_and_random_languages(60):
             mn = build_mn(lang)
@@ -498,10 +520,7 @@ class TestVerify:
             table_mn.hda.start,
             table_mn.hda.accept - {dropped},
         )
-        broken = type(table_mn)(
-            hda=crippled, cells=table_mn.cells, lang=table_lang,
-            _by_key=table_mn._by_key,
-        )
+        broken = type(table_mn)(hda=crippled, cells=table_mn.cells, lang=table_lang)
         rep = verify_mn(table_lang, broken)
         assert not rep.ok
         assert rep.missing

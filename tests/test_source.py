@@ -216,6 +216,18 @@ def test_every_library_function_has_a_user():
     assert library and not unused, sorted(unused)
 
 
+def test_index_rows_are_read_only_through_language_queries():
+    # the shape of a division-table row stays behind prefix_quotient,
+    # prefix_row and prefixes; hda.py reads its own Hda index
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py")) + SCRIPTS + PERFBENCH
+        if path.name not in ("language.py", "hda.py")
+        and "_index" in _references(path, attributes=True)
+    ]
+    assert SRC.is_dir() and not found
+
+
 def _ipomset_users(name: str) -> set:
     """The functions of ipomset.py that refer to ``name``, as a name or an
     attribute; ``None`` stands for module-level code."""
